@@ -12,14 +12,31 @@ root of unity among the eigenvalues of a representing matrix:
 
 with z a fixed element of multiplicative order e in F_q.  Since q exceeds
 twice the square root of |G|, the m_k are determined by their residues and
-the recovered values are exact.  No floating point is involved anywhere.
+the recovered values are exact.  For one character this is a single
+integer matrix product over all classes at once,
+
+    M = theta[P] @ Z * e^-1  (mod q),   values = M @ W,
+
+where P[j, s] is the class of g_j^s (the k x e power map),
+Z[s, k] = z^(-s k) mod q, and row k of W holds the power-basis coefficients
+of zeta^k.
+
+Inner products use the same integer coefficients.  With A[c, i] and
+B[c, j] the power-basis coefficients of chi and psi on class c, scaled to
+integers by their common denominators,
+
+    sum_c |C_c| chi(c) conj(psi(c)) = sum_{i,j} G[i, j] zeta^(i - j),
+    G = A^T diag(|C|) B,
+
+so G is folded onto the exponents (i - j) mod e and reduced through W; the
+result must be rational.  Python integers carry these sums, and no floating
+point is involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,9 +44,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import modular
-from .cyclotomic import Cyclotomic, _zeta_powers, euler_phi
+from .cyclotomic import Cyclotomic, _zeta_powers
 from .errors import ConsistencyError, InputError, ResourceError
 from .groups import ConjugacyClasses, Group, QuotientMap, Subgroup
+from .modular import is_prime
 
 PRIME_BOUND = 10_000_000
 
@@ -50,9 +68,6 @@ class Character:
     @property
     def conductor(self) -> int:
         return self.values[0].conductor
-
-    def value_on_class(self, c: int) -> Cyclotomic:
-        return self.values[c]
 
     def value_at(self, element: int) -> Cyclotomic:
         return self.values[self.group.conjugacy_classes().class_of[element]]
@@ -94,24 +109,11 @@ class CharacterTable:
 # ---------------------------------------------------------------------------
 # primes and roots of unity in F_q
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def dixon_prime(order: int, exponent: int, bound: int = PRIME_BOUND) -> int:
     """Smallest prime q = 1 (mod exponent) with q > 2*sqrt(order)."""
     floor_limit = math.isqrt(4 * order)  # q must exceed 2*sqrt(order)
     q = exponent + 1
-    while q <= floor_limit or not _is_prime(q):
+    while q <= floor_limit or not is_prime(q):
         q += exponent
         if q > bound:
             raise ResourceError(f"no usable prime below {bound}")
@@ -157,25 +159,6 @@ def class_matrix(g: Group, classes: ConjugacyClasses, i: int) -> np.ndarray:
     return m
 
 
-class _MatrixPool:
-    """Lazily built class matrices, optionally prefetched by a thread pool."""
-
-    def __init__(self, g: Group, classes: ConjugacyClasses, parallel: int = 1):
-        self._g = g
-        self._classes = classes
-        self._cache: dict[int, np.ndarray] = {}
-        if parallel > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                futures = {i: pool.submit(class_matrix, g, classes, i)
-                           for i in range(len(classes))}
-            self._cache = {i: f.result() for i, f in futures.items()}
-
-    def get(self, i: int) -> np.ndarray:
-        if i not in self._cache:
-            self._cache[i] = class_matrix(self._g, self._classes, i)
-        return self._cache[i]
-
-
 def _split_spaces(spaces, matrix, q):
     """Refine a list of (rows, pivots) common eigenspaces under one matrix."""
     out = []
@@ -209,6 +192,23 @@ def _split_spaces(spaces, matrix, q):
     return out, changed
 
 
+def _root_multiplicities(theta_pm: np.ndarray, zmat: np.ndarray, inv_e: int,
+                         q: int) -> np.ndarray:
+    """Residues ``e^-1 * theta_pm @ zmat mod q`` of shape (classes, e).
+
+    Row j of ``theta_pm`` is theta along the powers g_j^s and ``zmat[s, kk]``
+    is z^(-s kk); entries of both lie in [0, q).  The sum over s runs in
+    blocks of at most 2**62 // q**2 terms, reduced mod q after each block,
+    so no int64 partial sum can overflow for q < 2**31.
+    """
+    e = zmat.shape[0]
+    step = max(1, 2 ** 62 // (q * q))
+    acc = np.zeros((theta_pm.shape[0], e), dtype=np.int64)
+    for lo in range(0, e, step):
+        acc = (acc + theta_pm[:, lo:lo + step] @ zmat[lo:lo + step]) % q
+    return acc * inv_e % q
+
+
 def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, ...], ...]:
     class_of = classes.class_of
     pm = []
@@ -227,8 +227,7 @@ def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, 
 
 def character_table(g: Group, *, split_order: Sequence[int] | None = None,
                     randomized: bool = False, seed: int = 0,
-                    prime_bound: int = PRIME_BOUND,
-                    parallel: int = 1) -> CharacterTable:
+                    prime_bound: int = PRIME_BOUND) -> CharacterTable:
     """Exact character table of ``g``.
 
     ``split_order`` overrides the order in which class matrices are used to
@@ -240,7 +239,12 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
     k = len(classes)
     e = g.exponent
     q = dixon_prime(g.order, e, prime_bound)
-    pool = _MatrixPool(g, classes, parallel=parallel)
+    matrices: dict[int, np.ndarray] = {}
+
+    def matrix(i: int) -> np.ndarray:
+        if i not in matrices:
+            matrices[i] = class_matrix(g, classes, i)
+        return matrices[i]
 
     eye = np.eye(k, dtype=np.int64)
     spaces = [(eye.copy(), tuple(range(k)))]
@@ -252,7 +256,7 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
                 break
             combo = np.zeros((k, k), dtype=np.int64)
             for i in range(1, k):
-                combo = (combo + rng.randrange(q) * pool.get(i)) % q
+                combo = (combo + rng.randrange(q) * matrix(i)) % q
             spaces, _ = _split_spaces(spaces, combo, q)
 
     order_list = list(split_order) if split_order is not None else list(range(1, k))
@@ -261,7 +265,7 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
             raise InputError(f"split order entry {i} is not a class index")
         if all(rows.shape[0] == 1 for rows, _ in spaces):
             break
-        spaces, _ = _split_spaces(spaces, pool.get(i), q)
+        spaces, _ = _split_spaces(spaces, matrix(i), q)
     if any(rows.shape[0] != 1 for rows, _ in spaces):
         raise ConsistencyError("class matrices failed to separate all characters")
     if len(spaces) != k:
@@ -270,13 +274,13 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
     inverse_class = tuple(classes.class_of[g.inv(r)] for r in classes.reps)
     inv_sizes = [pow(len(m), -1, q) for m in classes.members]
     pm = _power_map(g, classes, e)
+    pm_arr = np.array(pm, dtype=np.int64)
     z = _element_of_order(e, q)
-    zpow = [1] * e
-    for j in range(1, e):
-        zpow[j] = zpow[j - 1] * z % q
+    zpow = np.array([pow(z, j, q) for j in range(e)], dtype=np.int64)
+    exps = np.arange(e)
+    zmat = zpow[np.outer(exps, -exps) % e]
     inv_e = pow(e, -1, q)
-    zeta_rows = _zeta_powers(e)
-    phi = euler_phi(e)
+    zeta_rows = np.array(_zeta_powers(e), dtype=np.int64)
     max_degree = math.isqrt(g.order)
 
     chars = []
@@ -291,28 +295,16 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
         degree = next((d for d in range(1, max_degree + 1) if d * d % q == dsq), None)
         if degree is None:
             raise ConsistencyError("no integer degree matches the squared residue")
-        theta = [degree * omega[t] * inv_sizes[t] % q for t in range(k)]
-
-        values = []
-        for j in range(k):
-            coeffs = [Fraction(0)] * phi
-            total = 0
-            for kk in range(e):
-                m_kk = inv_e * sum(
-                    theta[pm[j][s]] * zpow[(-s * kk) % e] for s in range(e)) % q
-                if m_kk:
-                    total += m_kk
-                    row = zeta_rows[kk]
-                    for t in range(phi):
-                        if row[t]:
-                            coeffs[t] += m_kk * row[t]
-            if total != degree:
-                raise ConsistencyError("root-of-unity multiplicities do not sum "
-                                       "to the degree")
-            values.append(Cyclotomic(e, coeffs))
+        theta = np.array([degree * omega[t] * inv_sizes[t] % q for t in range(k)],
+                         dtype=np.int64)
+        mults = _root_multiplicities(theta[pm_arr], zmat, inv_e, q)
+        if np.any(mults.sum(axis=1) != degree):
+            raise ConsistencyError("root-of-unity multiplicities do not sum "
+                                   "to the degree")
+        values = tuple(Cyclotomic(e, row) for row in (mults @ zeta_rows).tolist())
         if not values[0].equals_rational(degree):
             raise ConsistencyError("identity value differs from the degree")
-        chars.append(Character(g, degree, tuple(values), True))
+        chars.append(Character(g, degree, values, True))
 
     chars.sort(key=lambda ch: (ch.degree, tuple(v.coeffs for v in ch.values)))
     if sum(ch.degree ** 2 for ch in chars) != g.order:
@@ -323,32 +315,50 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
 # ---------------------------------------------------------------------------
 # operations on characters
 
+def _coefficient_array(chi: Character, e: int) -> tuple[np.ndarray, int]:
+    """Values of ``chi`` at conductor ``e`` as a (classes, phi(e)) array of
+    Python ints, and the common denominator they were scaled by."""
+    rows = [v.embed(e).coeffs for v in chi.values]
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return np.array([[c.numerator * (den // c.denominator) for c in row]
+                     for row in rows], dtype=object), den
+
+
+def _pairings(chi: Character, others: Sequence[Character]) -> list[Fraction]:
+    """<chi, psi> for every psi in ``others``, in one integer matrix product."""
+    g = chi.group
+    e = math.lcm(chi.conductor, *(psi.conductor for psi in others))
+    a, den_a = _coefficient_array(chi, e)
+    arrays = [_coefficient_array(psi, e) for psi in others]
+    k, phi = a.shape
+    sizes = np.array(g.conjugacy_classes().sizes, dtype=object)
+    b = np.stack([arr for arr, _ in arrays], axis=1).reshape(k, -1)
+    gram = ((a.T * sizes) @ b).reshape(phi, len(others), phi).transpose(1, 0, 2)
+    folded = np.zeros((len(others), e), dtype=object)
+    idx = (np.arange(phi)[:, None] - np.arange(phi)) % e
+    np.add.at(folded, (slice(None), idx), gram)
+    totals = folded @ np.array(_zeta_powers(e), dtype=object)
+    if np.any(totals[:, 1:] != 0):
+        raise ConsistencyError("inner product of characters must be rational")
+    return [Fraction(t, den_a * den_b * g.order)
+            for t, (_, den_b) in zip(totals[:, 0], arrays)]
+
+
 def inner_product(chi: Character, psi: Character) -> Fraction:
     """Standard inner product <chi, psi>; always rational for characters."""
     if chi.group is not psi.group:
         raise InputError("characters live on different groups")
-    e = math.lcm(chi.conductor, psi.conductor)
-    classes = chi.group.conjugacy_classes()
-    total = Cyclotomic.zero(e)
-    for size, a, b in zip(classes.sizes, chi.values, psi.values):
-        total = total + size * (a.embed(e) * b.embed(e).conj())
-    r = total.as_rational()
-    if r is None:
-        raise ConsistencyError("inner product of characters must be rational")
-    return r / chi.group.order
+    return _pairings(chi, [psi])[0]
 
 
 def decompose(chi: Character, table: CharacterTable) -> tuple[int, ...]:
     """Multiplicities of ``chi`` against the irreducibles of ``table``."""
     if chi.group is not table.group:
         raise InputError("character does not live on the table's group")
-    mults = []
-    for irr in table.irreducibles:
-        m = inner_product(chi, irr)
-        if m.denominator != 1 or m < 0:
-            raise InputError("class function is not a genuine character")
-        mults.append(int(m))
-    return tuple(mults)
+    mults = _pairings(chi, table.irreducibles)
+    if any(m.denominator != 1 or m < 0 for m in mults):
+        raise InputError("class function is not a genuine character")
+    return tuple(int(m) for m in mults)
 
 
 def _transversal(g: Group, h: Subgroup) -> list[int]:

@@ -2,10 +2,11 @@
 tables, run property checks and claim verifications.
 
 Exit codes: 0 = pass, 1 = property or verification failed, 2 = invalid
-input, 3 = resource limit hit, 4 = hypotheses not met.  Output is fully
-deterministic: identical invocations produce byte-identical bytes (JSON is
-emitted with sorted keys and fixed separators, and nothing in the payload
-depends on time or process state).
+input, 3 = resource limit hit, 4 = hypotheses not met, 5 = internal error
+(two computations that must agree did not; nothing is written to stdout).
+Output is fully deterministic: identical invocations produce byte-identical
+bytes (JSON is emitted with sorted keys and fixed separators, and nothing in
+the payload depends on time or process state).
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import sys
 
 from .chartable import CharacterTable, character_table, degree_set
 from .constructions import from_spec
-from .errors import HypothesisNotMet, InputError, ResourceError
+from .errors import (ConsistencyError, HypothesisNotMet, InputError,
+                     ResourceError)
 from .groups import Group, generated_by
 from .gvz import _CLAIMS, is_gcp, is_gvz, verify_all, verify_claim
+from .modular import is_prime
 
 SCHEMA = "report-v1"
 DEFAULT_MAX_ORDER = 20000
@@ -127,7 +130,7 @@ def _table_text(t: CharacterTable, decimal: bool) -> str:
 
 def cmd_table(args) -> int:
     g, doc = _build_group(args)
-    t = character_table(g, parallel=args.parallel)
+    t = character_table(g)
     env = _envelope("table", g, doc, _table_payload(t), True)
     _emit(args, env, _table_text(t, args.decimal))
     return 0
@@ -157,7 +160,7 @@ def _resolve_normal(g: Group, option: str):
 
 def cmd_check(args) -> int:
     g, doc = _build_group(args)
-    t = character_table(g, parallel=args.parallel)
+    t = character_table(g)
     if args.kind == "gvz":
         rep = is_gvz(t)
         payload = {"kind": "gvz", "result": rep.to_dict()}
@@ -228,7 +231,7 @@ def _verify_text(reports) -> str:
 
 def cmd_verify(args) -> int:
     g, doc = _build_group(args)
-    t = character_table(g, parallel=args.parallel)
+    t = character_table(g)
     if args.target == "all":
         reports = [r.to_dict() for r in verify_all(t)]
     else:
@@ -243,21 +246,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # gen
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def cmd_gen(args) -> int:
     if args.family != "gn":
         raise InputError(f"unknown family {args.family!r}; only 'gn' is supported")
-    if not _is_odd_prime(args.p):
+    if args.p == 2 or not is_prime(args.p):
         raise InputError(f"p = {args.p} is not an odd prime")
     if args.n < 1:
         raise InputError(f"n = {args.n} must be at least 1")
@@ -286,8 +278,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=False,
                        help="group spec as JSON, or @file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--parallel", type=int, default=1, metavar="K",
-                       help="worker threads for class-matrix precomputation")
         p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
                        metavar="N", help="refuse groups larger than N")
 
@@ -332,6 +322,9 @@ def main(argv=None) -> int:
     except HypothesisNotMet as exc:
         sys.stderr.write(f"hypothesis not met: {exc}\n")
         return 4
+    except ConsistencyError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 5
 
 
 def app() -> None:

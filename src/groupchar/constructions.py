@@ -22,17 +22,7 @@ from itertools import combinations
 from .errors import ConsistencyError, InputError, ResourceError
 from .groups import (ENUMERATION_CAP, Group, build_group,
                      enumerate_from_permutations, perm_from_cycles)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+from .modular import is_prime
 
 
 def cyclic(m: int, *, cap: int = ENUMERATION_CAP) -> Group:
@@ -50,7 +40,7 @@ def cyclic(m: int, *, cap: int = ENUMERATION_CAP) -> Group:
 
 
 def elementary_abelian(p: int, k: int, *, cap: int = ENUMERATION_CAP) -> Group:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if k < 0:
         raise InputError("rank must be nonnegative")
@@ -92,7 +82,7 @@ def direct_product(a: Group, b: Group, *, cap: int = ENUMERATION_CAP) -> Group:
 
 def gn(p: int, n: int, *, cap: int = ENUMERATION_CAP) -> Group:
     """The two-degree family of order p^(2n+1) and exponent p (p an odd prime)."""
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise InputError("p must be an odd prime")
     if n < 1:
         raise InputError("n must be at least 1")

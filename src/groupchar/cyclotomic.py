@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import InputError
 
@@ -259,10 +258,3 @@ def root_of_unity(k: int, e: int) -> Cyclotomic:
     if e < 1:
         raise InputError("order must be positive")
     return Cyclotomic(e, _zeta_powers(e)[k % e])
-
-
-def common_conductor(*values: Cyclotomic) -> int:
-    out = 1
-    for v in values:
-        out = out * v.conductor // gcd(out, v.conductor)
-    return out

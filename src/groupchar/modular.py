@@ -1,4 +1,5 @@
-"""Dense linear algebra over a prime field F_q on numpy int64 matrices.
+"""Dense linear algebra over a prime field F_q on numpy int64 matrices, and
+the primality test that picks such fields.
 
 Everything here is deterministic: pivots are chosen as the first nonzero
 entry scanning down, and nullspace bases come out in the standard reduced
@@ -8,6 +9,20 @@ form (one vector per free column, ascending).
 from __future__ import annotations
 
 import numpy as np
+
+
+def is_prime(n: int) -> bool:
+    """Trial division: fast enough for field primes below ``PRIME_BOUND``."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def rref(a: np.ndarray, q: int) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -246,7 +246,6 @@ def test_table_is_independent_of_splitting_strategy(tables):
         variants = [
             character_table(base.group, split_order=list(range(k - 1, 0, -1))),
             character_table(base.group, randomized=True, seed=123),
-            character_table(base.group, parallel=2),
         ]
         base_keys = [value_key(ch, base.exponent) for ch in base.irreducibles]
         for v in variants:

@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from groupchar import ConsistencyError, cli
 from groupchar.cli import main
 
 SCHEMA = json.loads(
@@ -130,6 +131,17 @@ def test_abelian_gvz_is_hypothesis_failure(capsys):
     assert code == 4 and "hypothesis" in err
 
 
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(g):
+        raise ConsistencyError("class matrices failed to separate all characters")
+
+    monkeypatch.setattr(cli, "character_table", broken)
+    for argv in (("table",), ("verify", "all"), ("check", "gvz")):
+        code, out, err = _run(capsys, *argv, "--group", S3, "--format", "json")
+        assert code == 5 and out == ""
+        assert "internal error" in err
+
+
 def test_argparse_rejects_unknown_claim(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm7.7", "--group", HEIS3])
@@ -155,7 +167,6 @@ def test_json_output_is_deterministic(capsys):
     first = _run(capsys, "verify", "all", "--group", HEIS3, "--format", "json")
     second = _run(capsys, "verify", "all", "--group", HEIS3, "--format", "json")
     assert first == second
-    one = _run(capsys, "table", "--group", S3, "--format", "json",
-               "--parallel", "2")
+    one = _run(capsys, "table", "--group", S3, "--format", "json")
     two = _run(capsys, "table", "--group", S3, "--format", "json")
     assert one == two
