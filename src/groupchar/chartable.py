@@ -3,10 +3,19 @@
 The table is computed by the classical class-matrix method: the structure
 constants a_ijk of the class sums give commuting integer matrices whose
 simultaneous eigenvectors over a suitable prime field F_q are the central
-characters.  Degrees are recovered from the second orthogonality relation
-inside F_q, and values are lifted exactly into Q(zeta_e) (e = exponent of
-the group) by extracting, for each class, the multiplicity of each e-th
-root of unity among the eigenvalues of a representing matrix:
+characters.  Each class matrix refines the current common eigenspaces
+(Schneider 1990): on a space of dimension d the restricted matrix A gives
+the minimal polynomial of a fixed start vector, from its Krylov sequence
+x, A x, A^2 x, ... reduced mod q; one vectorised Horner pass over F_q finds
+its roots, and only those candidates pay for a nullspace.  A start vector
+that lies in a proper invariant subspace misses some eigenvalues, so when
+the eigenspaces found do not fill the space the remaining values of F_q are
+scanned one by one.
+
+Degrees are recovered from the second orthogonality relation inside F_q,
+and values are lifted exactly into Q(zeta_e) (e = exponent of the group)
+by extracting, for each class, the multiplicity of each e-th root of unity
+among the eigenvalues of a representing matrix:
 
     m_k = e^-1 * sum_s theta(g^s) z^(-s k)   in F_q,
 
@@ -39,6 +48,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -159,10 +169,63 @@ def class_matrix(g: Group, classes: ConjugacyClasses, i: int) -> np.ndarray:
     return m
 
 
+def _minimal_polynomial(a: np.ndarray, x: np.ndarray, q: int) -> list[int]:
+    """Monic minimal polynomial of ``x`` under ``a`` mod q, coefficients
+    in ascending order.
+
+    The Krylov vectors x, a x, a^2 x, ... are reduced one at a time against
+    the earlier ones, each row carrying its combination of powers of ``a``;
+    the first power that reduces to zero gives the polynomial.  Entries stay
+    in [0, q), so each int64 sum of d products is exact for d < 2**63 / q**2.
+    """
+    d = a.shape[0]
+    basis = np.zeros((0, 2 * d + 1), dtype=np.int64)  # [vector | polynomial]
+    pivots: list[int] = []
+    v = x % q
+    for m in range(d + 1):
+        row = np.zeros(2 * d + 1, dtype=np.int64)
+        row[:d] = v
+        row[d + m] = 1  # this row is a^m x
+        row = (row - row[pivots] @ basis) % q
+        nz = np.flatnonzero(row[:d])
+        if nz.size == 0:
+            return row[d:d + m + 1].tolist()
+        p = int(nz[0])
+        row = row * pow(int(row[p]), -1, q) % q
+        basis = np.vstack([(basis - np.outer(basis[:, p], row)) % q, row])
+        pivots.append(p)
+        v = a @ v % q
+    raise ConsistencyError("Krylov sequence failed to become dependent")
+
+
+def _roots_mod(poly: list[int], q: int) -> list[int]:
+    """Roots in F_q of ``poly`` (ascending coefficients), by a vectorised
+    Horner pass over chunks of 4096 values that stops once deg(poly) roots
+    are found."""
+    degree = len(poly) - 1
+    roots: list[int] = []
+    for lo in range(0, q, 4096):
+        lams = np.arange(lo, min(lo + 4096, q), dtype=np.int64)
+        acc = np.zeros_like(lams)
+        for c in reversed(poly):
+            acc = (acc * lams + c) % q
+        roots.extend(int(r) for r in lams[acc == 0])
+        if len(roots) >= degree:
+            break
+    return roots
+
+
 def _split_spaces(spaces, matrix, q):
-    """Refine a list of (rows, pivots) common eigenspaces under one matrix."""
+    """Refine a list of (rows, pivots) common eigenspaces under one matrix.
+
+    Eigenvalue candidates on each space are the roots of the minimal
+    polynomial of a fixed start vector; each is accepted only through its
+    ``nullspace``.  If those eigenspaces do not fill the space (the start
+    vector lies in a proper invariant subspace), the remaining values of
+    F_q are scanned in ascending order.  Pieces come out in ascending order
+    of their eigenvalue.
+    """
     out = []
-    changed = False
     for rows, pivots in spaces:
         d = rows.shape[0]
         if d == 1:
@@ -171,25 +234,36 @@ def _split_spaces(spaces, matrix, q):
         b = rows.T  # columns span the space; rows[pivots] is the identity
         restricted = (matrix @ b % q)[list(pivots), :] % q
         eye = np.eye(d, dtype=np.int64)
-        pieces = []
+        # The first basis vector: on the whole space it is the identity
+        # class, whose component along every eigenvector is chi(1)^2/|G|.
+        candidates = _roots_mod(_minimal_polynomial(restricted, eye[0], q), q)
+        pieces = {}
         found = 0
-        for lam in range(q):
+        for lam in candidates:
             ns = modular.nullspace((restricted - lam * eye) % q, q)
             if ns.shape[0]:
-                pieces.append(ns)
+                pieces[lam] = ns
                 found += ns.shape[0]
-                if found == d:
-                    break
+        if found < d:
+            tried = set(candidates)
+            for lam in range(q):
+                if lam in tried:
+                    continue
+                ns = modular.nullspace((restricted - lam * eye) % q, q)
+                if ns.shape[0]:
+                    pieces[lam] = ns
+                    found += ns.shape[0]
+                    if found == d:
+                        break
         if found != d:
             raise ConsistencyError("class matrix not diagonalisable over F_q")
         if len(pieces) == 1:
             out.append((rows, pivots))
             continue
-        changed = True
-        for ns in pieces:
-            new_rows, new_pivots = modular.rref(ns @ rows % q, q)
+        for lam in sorted(pieces):
+            new_rows, new_pivots = modular.rref(pieces[lam] @ rows % q, q)
             out.append((new_rows, new_pivots))
-    return out, changed
+    return out
 
 
 def _root_multiplicities(theta_pm: np.ndarray, zmat: np.ndarray, inv_e: int,
@@ -257,7 +331,7 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
             combo = np.zeros((k, k), dtype=np.int64)
             for i in range(1, k):
                 combo = (combo + rng.randrange(q) * matrix(i)) % q
-            spaces, _ = _split_spaces(spaces, combo, q)
+            spaces = _split_spaces(spaces, combo, q)
 
     order_list = list(split_order) if split_order is not None else list(range(1, k))
     for i in order_list:
@@ -265,7 +339,7 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
             raise InputError(f"split order entry {i} is not a class index")
         if all(rows.shape[0] == 1 for rows, _ in spaces):
             break
-        spaces, _ = _split_spaces(spaces, matrix(i), q)
+        spaces = _split_spaces(spaces, matrix(i), q)
     if any(rows.shape[0] != 1 for rows, _ in spaces):
         raise ConsistencyError("class matrices failed to separate all characters")
     if len(spaces) != k:
@@ -320,6 +394,8 @@ def _coefficient_array(chi: Character, e: int) -> tuple[np.ndarray, int]:
     Python ints, and the common denominator they were scaled by."""
     rows = [v.embed(e).coeffs for v in chi.values]
     den = math.lcm(*(c.denominator for row in rows for c in row))
+    if den == 1:  # the usual case: character values are algebraic integers
+        return np.array(rows, dtype=object), 1
     return np.array([[c.numerator * (den // c.denominator) for c in row]
                      for row in rows], dtype=object), den
 
@@ -425,13 +501,24 @@ def kernel(chi: Character) -> Subgroup:
     return Subgroup(chi.group, members)
 
 
+@lru_cache(maxsize=None)
+def _root_multiples(d: int, e: int) -> frozenset:
+    """Coefficient vectors of d*eps for each root of unity eps in Q(zeta_e)."""
+    return frozenset(tuple(s * d * c for c in row)
+                     for row in _zeta_powers(e) for s in (1, -1))
+
+
 def char_center(chi: Character) -> Subgroup:
-    """Elements where the value has absolute value equal to the degree."""
+    """Elements where the value has absolute value equal to the degree.
+
+    For a character this means chi(g) = chi(1) * eps for a root of unity eps
+    (Isaacs, Lemma 2.27), and eps = chi(g)/chi(1) lies in Q(zeta_e), whose
+    roots of unity are the +-zeta^j.  So the test is a lookup.
+    """
     classes = chi.group.conjugacy_classes()
-    target = Fraction(chi.degree) ** 2
     members: list[int] = []
     for mem, v in zip(classes.members, chi.values):
-        if v.abs_squared().equals_rational(target):
+        if v.coeffs in _root_multiples(chi.degree, v.conductor):
             members.extend(mem)
     return Subgroup(chi.group, members)
 

@@ -3,7 +3,9 @@ tables, run property checks and claim verifications.
 
 Exit codes: 0 = pass, 1 = property or verification failed, 2 = invalid
 input, 3 = resource limit hit, 4 = hypotheses not met, 5 = internal error
-(two computations that must agree did not; nothing is written to stdout).
+(two computations that must agree did not, or any other unexpected
+exception; the message and traceback go to stderr and nothing is written
+to stdout).
 Output is fully deterministic: identical invocations produce byte-identical
 bytes (JSON is emitted with sorted keys and fixed separators, and nothing in
 the payload depends on time or process state).
@@ -15,6 +17,7 @@ import argparse
 import cmath
 import json
 import sys
+from typing import Callable
 
 from .chartable import CharacterTable, character_table, degree_set
 from .constructions import from_spec
@@ -73,11 +76,14 @@ def _envelope(command: str, g: Group, doc: dict, payload: dict,
     }
 
 
-def _emit(args, envelope: dict, text: str) -> None:
+def _emit(args, envelope: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Write the JSON envelope or the text rendering, building only the one
+    that ``--format`` asks for."""
     if args.format == "json":
-        sys.stdout.write(_canonical(envelope) + "\n")
+        sys.stdout.write(_canonical(envelope()) + "\n")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        out = text()
+        sys.stdout.write(out if out.endswith("\n") else out + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +137,8 @@ def _table_text(t: CharacterTable, decimal: bool) -> str:
 def cmd_table(args) -> int:
     g, doc = _build_group(args)
     t = character_table(g)
-    env = _envelope("table", g, doc, _table_payload(t), True)
-    _emit(args, env, _table_text(t, args.decimal))
+    _emit(args, lambda: _envelope("table", g, doc, _table_payload(t), True),
+          lambda: _table_text(t, args.decimal))
     return 0
 
 
@@ -192,8 +198,8 @@ def cmd_check(args) -> int:
         payload = {"kind": "two-degree", "degrees": list(ds), "holds": holds}
         text = [f"check two-degree on {g.name}: {'PASS' if holds else 'FAIL'}",
                 f"  degrees: {list(ds)}"]
-    env = _envelope("check", g, doc, payload, holds)
-    _emit(args, env, "\n".join(text))
+    _emit(args, lambda: _envelope("check", g, doc, payload, holds),
+          lambda: "\n".join(text))
     return 0 if holds else 1
 
 
@@ -238,8 +244,8 @@ def cmd_verify(args) -> int:
         reports = [verify_claim(t, args.target).to_dict()]
     passed = all(d["passed"] for d in reports)
     payload = {"target": args.target, "reports": reports}
-    env = _envelope("verify", g, doc, payload, passed)
-    _emit(args, env, _verify_text(reports))
+    _emit(args, lambda: _envelope("verify", g, doc, payload, passed),
+          lambda: _verify_text(reports))
     return 0 if passed else 1
 
 
@@ -324,6 +330,12 @@ def main(argv=None) -> int:
         return 4
     except ConsistencyError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
+        return 5
+    except Exception as exc:  # anything else is a bug, not a failed property
+        import traceback
+
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc(file=sys.stderr)
         return 5
 
 

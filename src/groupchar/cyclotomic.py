@@ -2,8 +2,13 @@
 
 A value is a rational-coefficient vector over the power basis
 1, z, ..., z^(phi(e)-1) of Q(zeta_e), reduced modulo the e-th cyclotomic
-polynomial.  There is no floating point anywhere in this module; equality
-is literal equality of reduced coefficient vectors at a shared conductor.
+polynomial.  Each coefficient is stored as a Python ``int`` when it is
+integral and as a ``Fraction`` only otherwise; character values are
+algebraic integers, so their coefficient vectors are tuples of ints.  Ints
+compare and hash equal to the matching Fractions, so the two forms are
+interchangeable in keys and comparisons.  There is no floating point
+anywhere in this module; equality is literal equality of reduced
+coefficient vectors at a shared conductor.
 Binary operations require both operands at the same conductor; use
 ``embed`` to move to a larger conductor first (index multiplication).
 """
@@ -15,8 +20,11 @@ from functools import lru_cache
 
 from .errors import InputError
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _normalise(c) -> int | Fraction:
+    """``c`` as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return int(c.numerator) if c.denominator == 1 else c  # numpy ints too
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +97,7 @@ class Cyclotomic:
 
     def __init__(self, conductor: int, coeffs):
         self.conductor = conductor
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is int else _normalise(c) for c in coeffs)
         if len(coeffs) != euler_phi(conductor):
             raise InputError("coefficient vector has the wrong length")
         self.coeffs = coeffs
@@ -98,12 +106,12 @@ class Cyclotomic:
 
     @staticmethod
     def zero(e: int) -> "Cyclotomic":
-        return Cyclotomic(e, [_ZERO] * euler_phi(e))
+        return Cyclotomic(e, [0] * euler_phi(e))
 
     @staticmethod
     def from_rational(r, e: int = 1) -> "Cyclotomic":
-        coeffs = [_ZERO] * euler_phi(e)
-        coeffs[0] = Fraction(r)
+        coeffs = [0] * euler_phi(e)
+        coeffs[0] = r
         return Cyclotomic(e, coeffs)
 
     @staticmethod
@@ -144,7 +152,7 @@ class Cyclotomic:
         self._check(other)
         a, b = self.coeffs, other.coeffs
         phi = len(a)
-        conv = [_ZERO] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -154,7 +162,7 @@ class Cyclotomic:
         for deg in range(len(conv) - 1, phi - 1, -1):
             c = conv[deg]
             if c:
-                conv[deg] = _ZERO
+                conv[deg] = 0
                 base = deg - phi
                 for t in range(phi):
                     conv[base + t] -= c * mod[t]
@@ -169,7 +177,7 @@ class Cyclotomic:
         e = self.conductor
         zp = _zeta_powers(e)
         phi = len(self.coeffs)
-        acc = [_ZERO] * phi
+        acc = [0] * phi
         for i, c in enumerate(self.coeffs):
             if c:
                 row = zp[(e - i) % e]
@@ -191,7 +199,7 @@ class Cyclotomic:
         m = e2 // e
         zp = _zeta_powers(e2)
         phi2 = euler_phi(e2)
-        acc = [_ZERO] * phi2
+        acc = [0] * phi2
         for i, c in enumerate(self.coeffs):
             if c:
                 row = zp[(i * m) % e2]
@@ -203,17 +211,16 @@ class Cyclotomic:
     # -- predicates and views -----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def as_rational(self) -> Fraction | None:
         """The value as a rational, or None if it is not rational."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.coeffs[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def equals_rational(self, r) -> bool:
-        v = self.as_rational()
-        return v is not None and v == Fraction(r)
+        return self.coeffs[0] == r and not any(self.coeffs[1:])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -142,6 +142,19 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
         assert "internal error" in err
 
 
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(g):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "character_table", broken)
+    for argv in (("table",), ("verify", "all"), ("check", "gvz")):
+        for fmt in ("json", "text"):
+            code, out, err = _run(capsys, *argv, "--group", S3, "--format", fmt)
+            assert code == 5 and out == ""
+            assert "internal error: RuntimeError: simulated fault" in err
+            assert "Traceback" in err
+
+
 def test_argparse_rejects_unknown_claim(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm7.7", "--group", HEIS3])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from groupchar import Cyclotomic, InputError, cyclotomic_polynomial, euler_phi, root_of_unity
@@ -161,3 +162,40 @@ def test_render_strings():
     assert root_of_unity(1, 5).render() == "z"
     v = Cyclotomic(5, [2, 0, 1, 1])
     assert v.render() == "2 + z^2 + z^3"
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    v = Cyclotomic(6, [Fraction(3, 1), Fraction(-4, 2)])
+    assert v.coeffs == (3, -2)
+    assert all(type(c) is int for c in v.coeffs)
+    assert type(Cyclotomic.from_rational(Fraction(5, 1), 4).coeffs[0]) is int
+    assert all(type(c) is int for c in (root_of_unity(2, 5) * root_of_unity(4, 5)
+                                        + root_of_unity(1, 5).conj()
+                                        ).embed(10).coeffs)
+    w = Cyclotomic(3, [np.int64(2), True])  # numpy and bool integers too
+    assert w.coeffs == (2, 1) and all(type(c) is int for c in w.coeffs)
+    half = Cyclotomic(4, [Fraction(1, 2), 3])
+    assert type(half.coeffs[0]) is Fraction and type(half.coeffs[1]) is int
+    assert type((half + half).coeffs[0]) is int  # 1/2 + 1/2 normalises to 1
+
+
+def test_int_and_fraction_values_are_interchangeable():
+    rng = random.Random(3)
+    for e in (3, 4, 5, 12):
+        ints = [rng.randrange(-9, 10) for _ in range(euler_phi(e))]
+        a = Cyclotomic(e, ints)
+        b = Cyclotomic(e, [Fraction(c) for c in ints])
+        c = Cyclotomic(e, [Fraction(2 * c, 2) for c in ints])
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert a.coeffs == tuple(Fraction(x) for x in ints)
+        assert hash(a.coeffs) == hash(tuple(Fraction(x) for x in ints))
+        assert a.render() == b.render()
+        assert len({a, b, c}) == 1
+
+
+def test_render_of_non_integral_values():
+    assert Cyclotomic(4, [0, Fraction(1, 2)]).render() == "1/2*z"
+    assert Cyclotomic(3, [Fraction(-3, 4), Fraction(-1, 2)]).render() == "-3/4 - 1/2*z"
+    assert Cyclotomic.from_rational(Fraction(6, 4), 5).render() == "3/2"
+    assert Cyclotomic.from_rational(Fraction(6, 4), 5).as_rational() == Fraction(3, 2)

@@ -1,0 +1,76 @@
+"""Golden output: SHA-256 digests of the CLI's JSON stdout.
+
+Speed-ups of the table and verifier internals must leave every output byte
+unchanged.  The digests below pin ``table --format json`` and
+``verify all --format json`` on a fixed set of groups; a change that alters
+any table entry, field prime, verdict or key order fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from groupchar.cli import main
+
+GROUPS = {
+    "s3": {"type": "named", "name": "s3"},
+    "heis5": {"type": "gn", "p": 5, "n": 1},
+    "c3wrc3": {"type": "named", "name": "c3wrc3"},
+    "gn(3,2)": {"type": "gn", "p": 3, "n": 2},
+    "gn(7,1)": {"type": "gn", "p": 7, "n": 1},
+    "cyclic(60)": {"type": "cyclic", "n": 60},
+    "d5 x C12": {"type": "product",
+                 "factors": [{"type": "named", "name": "d5"},
+                             {"type": "cyclic", "n": 12}]},
+    "S6": {"type": "perm", "points": 6,
+           "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]},
+}
+
+DIGESTS = {
+    ("s3", "table"):
+        "33b0c408a457890d6915f16ca0f01a16b21a23f4528055795e76d8d558680562",
+    ("s3", "verify"):
+        "0064988377c9cb6e0ccd9dda7461fbcf624210557d880aedc0f5603193c3e106",
+    ("heis5", "table"):
+        "2bd3ba8c8893bc9e65d7a539773609f84f6bf4eb1515340812996f4fae24354e",
+    ("heis5", "verify"):
+        "37feac22d3d0daab30f8104e12ac51255c6ad3a47e1f7d3169bf19ed66337aac",
+    ("c3wrc3", "table"):
+        "569370883e89a891e9ac6d6af841de3dc7e082b018fade42008b76d337c139f2",
+    ("c3wrc3", "verify"):
+        "848405d1c91b71884e2e08a8ce50798537ee1259e34e0aeb7ed4131004b9c6f8",
+    ("gn(3,2)", "table"):
+        "4b8d55357838319a0dd6221c116cfc913ef0941f2f207f1541ea5eacb757f362",
+    ("gn(3,2)", "verify"):
+        "8dcd7a2e47f7eaa4035d51fe649748a4e1ed0e81783830c65bbbc5318632c7b3",
+    ("gn(7,1)", "table"):
+        "e41ccbe4ab69f361342f5ece16aa826f7adea8d217fc1e2dac9a5f90bbb70b11",
+    ("gn(7,1)", "verify"):
+        "98f9b3786bde82660d16b88f1b4d0c5707c7aee5ebda3ad7480bf4baa05706f0",
+    ("cyclic(60)", "table"):
+        "3e4c8804d0761a96f23df883c489e002f83967fde6b173b91650aa55190bf1eb",
+    ("cyclic(60)", "verify"):
+        "93ddd647dc229e0d4af35b3e7fe1330aae77fe676008c4319aae106d0bf73f62",
+    ("d5 x C12", "table"):
+        "aacf2f293f8bedf7e9b3a72b3f5031209d2c4d280dce1734aded35590f8c76f6",
+    ("d5 x C12", "verify"):
+        "b7623c5390a0ade92e4022b8c755135bca9481f8724b67a70dcd15f01c86b309",
+    ("S6", "table"):
+        "484407fcffeb9bace27510985c29788a71beb61dfcc21d428f68237ac393c2e0",
+    ("S6", "verify"):
+        "7eb710d6e6262f8da86befdf1fb9c847e43fe2957354bfc154d17d1ab2f60d2b",
+}
+
+VERBS = {"table": ("table",), "verify": ("verify", "all")}
+
+
+@pytest.mark.parametrize("name, verb", sorted(DIGESTS))
+def test_json_stdout_matches_golden_digest(name, verb, capsys):
+    code = main([*VERBS[verb], "--group", json.dumps(GROUPS[name]),
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(name, verb)]

@@ -1,10 +1,11 @@
-"""The integer-matrix kernels of ``chartable`` against the scalar loops they
-replaced.
+"""The fast paths of ``chartable`` against the scalar routes they replaced.
 
 The references below are the per-class root-of-unity multiplicity loop of
-the value lift and the ``Cyclotomic`` inner product, kept here verbatim in
-their loop form.  The kernels must reproduce them exactly: same rows, same
-rationals, same refusal of an irrational pairing.
+the value lift, the ``Cyclotomic`` inner product, the eigenspace split that
+scans every value of F_q, and the centre test through ``abs_squared``, kept
+here verbatim in their loop form.  The fast paths must reproduce them
+exactly: same rows, same rationals, same pieces, same members, same refusal
+of an irrational pairing or of a matrix that is not diagonalisable.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 from groupchar import (Character, ConsistencyError, Cyclotomic, InputError,
-                       character_table, decompose, from_spec, inner_product,
-                       restrict, root_of_unity)
-from groupchar import chartable
+                       Subgroup, char_center, character_table, decompose,
+                       from_spec, induce, inner_product, restrict,
+                       root_of_unity)
+from groupchar import chartable, modular
 from groupchar.cyclotomic import _zeta_powers, euler_phi
 from groupchar.modular import is_prime
 
@@ -65,6 +67,46 @@ def _reference_lift(theta_pm, e, q, degree):
         assert total == degree
         values.append(Cyclotomic(e, coeffs))
     return values
+
+
+def _reference_split(spaces, matrix, q):
+    """The eigenspace split by a full scan of lambda over F_q."""
+    out = []
+    for rows, pivots in spaces:
+        d = rows.shape[0]
+        if d == 1:
+            out.append((rows, pivots))
+            continue
+        b = rows.T
+        restricted = (matrix @ b % q)[list(pivots), :] % q
+        eye = np.eye(d, dtype=np.int64)
+        pieces = []
+        found = 0
+        for lam in range(q):
+            ns = modular.nullspace((restricted - lam * eye) % q, q)
+            if ns.shape[0]:
+                pieces.append(ns)
+                found += ns.shape[0]
+                if found == d:
+                    break
+        if found != d:
+            raise ConsistencyError("class matrix not diagonalisable over F_q")
+        if len(pieces) == 1:
+            out.append((rows, pivots))
+            continue
+        for ns in pieces:
+            out.append(modular.rref(ns @ rows % q, q))
+    return out
+
+
+def _reference_char_center(chi):
+    classes = chi.group.conjugacy_classes()
+    target = Fraction(chi.degree) ** 2
+    members = []
+    for mem, v in zip(classes.members, chi.values):
+        if v.abs_squared().equals_rational(target):
+            members.extend(mem)
+    return Subgroup(chi.group, members)
 
 
 def _reference_inner_product(chi, psi):
@@ -208,3 +250,140 @@ def test_irrational_pairing_is_refused(tables):
         inner_product(odd, trivial)
     with pytest.raises(ConsistencyError):
         decompose(odd, t)
+
+
+# ---------------------------------------------------------------------------
+# eigenspace split
+
+def _as_lists(spaces):
+    return [(rows.tolist(), tuple(pivots)) for rows, pivots in spaces]
+
+
+@pytest.mark.parametrize("name", list(LIFT_SPECS))
+def test_split_matches_full_scan(name):
+    # Every class matrix refines the spaces in the order character_table
+    # uses them.  Each also splits the whole space, except that past 24
+    # classes only one class per element order does, to bound the scan.
+    g = from_spec(LIFT_SPECS[name])
+    classes = g.conjugacy_classes()
+    k = len(classes)
+    q = chartable.dixon_prime(g.order, g.exponent)
+    orders = g.element_orders()
+    per_order = {orders[r]: i for i, r in enumerate(classes.reps)}
+    whole = [(np.eye(k, dtype=np.int64), tuple(range(k)))]
+    refined = whole
+    for i in range(1, k):
+        m = chartable.class_matrix(g, classes, i)
+        if k <= 24 or per_order[orders[classes.reps[i]]] == i:
+            assert (_as_lists(chartable._split_spaces(whole, m, q))
+                    == _as_lists(_reference_split(whole, m, q)))
+        got = chartable._split_spaces(refined, m, q)
+        assert _as_lists(got) == _as_lists(_reference_split(refined, m, q))
+        refined = got
+    assert len(refined) == k
+
+
+def _record_eigenvalues(monkeypatch, a):
+    """Patch ``modular.nullspace`` to record the lambda of each a - lambda*I."""
+    lams = []
+    original = modular.nullspace
+
+    def spy(shifted, q):
+        lams.append(int((a[0, 0] - shifted[0, 0]) % q))
+        return original(shifted, q)
+
+    monkeypatch.setattr(modular, "nullspace", spy)
+    return lams
+
+
+def test_split_falls_back_when_the_start_vector_misses(monkeypatch):
+    # e_0 is an eigenvector (eigenvalue 2) of this diagonalisable matrix,
+    # so its minimal polynomial is x - 2 and misses the eigenvalue 3.
+    q = 7
+    a = np.array([[2, 1], [0, 3]], dtype=np.int64)
+    assert chartable._minimal_polynomial(a, np.array([1, 0]), q) == [q - 2, 1]
+    space = [(np.eye(2, dtype=np.int64), (0, 1))]
+    seen = _record_eigenvalues(monkeypatch, a)
+    got = chartable._split_spaces(space, a, q)
+    assert seen == [2, 0, 1, 3]  # the candidate, then the scan without it
+    monkeypatch.undo()
+    assert _as_lists(got) == _as_lists(_reference_split(space, a, q))
+    assert len(got) == 2
+
+
+def test_split_refuses_a_matrix_that_is_not_diagonalisable():
+    q = 7
+    a = np.array([[2, 1], [0, 2]], dtype=np.int64)
+    space = [(np.eye(2, dtype=np.int64), (0, 1))]
+    with pytest.raises(ConsistencyError):
+        _reference_split(space, a, q)
+    with pytest.raises(ConsistencyError):
+        chartable._split_spaces(space, a, q)
+
+
+def test_minimal_polynomial_annihilates_its_vector():
+    rng = np.random.default_rng(5)
+    q = 61
+    for d in (1, 2, 5, 9):
+        for rank in range(d + 1):
+            # a d x d matrix of the given rank, and a vector in its image
+            a = rng.integers(0, q, (d, rank)) @ rng.integers(0, q, (rank, d)) % q
+            x = rng.integers(0, q, d)
+            poly = chartable._minimal_polynomial(a, x, q)
+            assert poly[-1] == 1
+            krylov = [x % q]
+            for _ in range(len(poly) - 1):
+                krylov.append(a @ krylov[-1] % q)
+            acc = sum(c * v for c, v in zip(poly, krylov)) % q
+            assert not acc.any()
+            # the lower powers are independent, so no smaller degree works
+            assert modular.rank(np.array(krylov[:-1]).reshape(-1, d), q) == len(poly) - 1
+
+
+def _poly_from_roots(roots, q):
+    poly = [1]
+    for r in roots:  # multiply by (x - r), ascending coefficients
+        poly = [(shifted - r * c) % q for shifted, c in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def test_roots_mod_finds_every_root():
+    q = 10007
+    for roots in ([0, 3, 4095, 4096, 9000, q - 1], [1, 5000], [q - 1]):
+        assert chartable._roots_mod(_poly_from_roots(roots, q), q) == roots
+    assert chartable._roots_mod([1, 0, 1], 7) == []  # x^2 + 1 has no root mod 7
+
+
+# ---------------------------------------------------------------------------
+# centre of a character
+
+def _centre_cases(tables):
+    groups = [t.group for t in tables.values()]
+    groups += [from_spec(LIFT_SPECS["d5 x C12"]), from_spec(LIFT_SPECS["S6"])]
+    for g in groups:
+        t = character_table(g)
+        yield from t.irreducibles
+        for h in (g.center(), g.derived_subgroup()):
+            if h.order in (1, g.order):
+                continue
+            ht = character_table(h.as_group())
+            for chi in t.irreducibles:
+                yield restrict(chi, h)
+            for lam in ht.irreducibles:
+                yield induce(lam, h, g)
+
+
+def test_char_center_lookup_matches_abs_squared(tables):
+    count = 0
+    for chi in _centre_cases(tables):
+        assert char_center(chi).members == _reference_char_center(chi).members
+        count += 1
+    assert count > 300
+    # -1 is a root of unity even at an odd conductor such as 1
+    t = tables["s3"]
+    sign = next(ch for ch in t.linear() if not ch.values[1].equals_rational(1)
+                or not ch.values[2].equals_rational(1))
+    rational = Character(t.group, 1, tuple(Cyclotomic.from_rational(v.as_rational(), 1)
+                                           for v in sign.values), False)
+    assert char_center(rational).order == 6
+    assert _reference_char_center(rational).order == 6
