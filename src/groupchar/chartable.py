@@ -45,18 +45,18 @@ point is involved anywhere.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import modular
 from .cyclotomic import Cyclotomic, _zeta_powers
 from .errors import ConsistencyError, InputError, ResourceError
-from .groups import ConjugacyClasses, Group, QuotientMap, Subgroup
+from .groups import (ConjugacyClasses, Group, QuotientMap, Subgroup,
+                     right_coset_minima)
 from .modular import is_prime
 
 PRIME_BOUND = 10_000_000
@@ -159,14 +159,10 @@ def class_matrix(g: Group, classes: ConjugacyClasses, i: int) -> np.ndarray:
     """Matrix M_i with M_i[j, t] = a_ijt, the number of ways z_t = x*y with
     x in class i and y in class j."""
     k = len(classes)
-    m = np.zeros((k, k), dtype=np.int64)
-    class_of = classes.class_of
-    reps = classes.reps
-    for x in classes.members[i]:
-        xi = g.inv(x)
-        for t in range(k):
-            m[class_of[g.mul(xi, reps[t])], t] += 1
-    return m
+    class_of = np.array(classes.class_of)
+    x_inv = g.inverse[list(classes.members[i])]
+    cells = class_of[g.table[np.ix_(x_inv, classes.reps)]] * k + np.arange(k)
+    return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k)
 
 
 def _minimal_polynomial(a: np.ndarray, x: np.ndarray, q: int) -> list[int]:
@@ -284,35 +280,29 @@ def _root_multiplicities(theta_pm: np.ndarray, zmat: np.ndarray, inv_e: int,
 
 
 def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, ...], ...]:
-    class_of = classes.class_of
-    pm = []
-    for rep in classes.reps:
-        row = []
-        x = 0
-        for _ in range(e):
-            row.append(class_of[x])
-            x = g.mul(x, rep)
-        pm.append(tuple(row))
-    return tuple(pm)
+    """``pm[c][s]`` is the class of rep_c^s, for s = 0..e-1."""
+    reps = np.array(classes.reps, dtype=np.intp)
+    powers = np.zeros((e, reps.size), dtype=np.intp)
+    for s in range(1, e):
+        powers[s] = g.table[powers[s - 1], reps]
+    return tuple(map(tuple, np.array(classes.class_of)[powers.T].tolist()))
 
 
 # ---------------------------------------------------------------------------
 # the table itself
 
-def character_table(g: Group, *, split_order: Sequence[int] | None = None,
-                    randomized: bool = False, seed: int = 0,
-                    prime_bound: int = PRIME_BOUND) -> CharacterTable:
+def character_table(g: Group, *,
+                    split_order: Sequence[int] | None = None) -> CharacterTable:
     """Exact character table of ``g``.
 
     ``split_order`` overrides the order in which class matrices are used to
     refine the common eigenspaces (the resulting table is identical, as rows
-    are sorted canonically).  ``randomized`` enables a seeded fast path that
-    first splits on a random linear combination of all class matrices.
+    are sorted canonically).
     """
     classes = g.conjugacy_classes()
     k = len(classes)
     e = g.exponent
-    q = dixon_prime(g.order, e, prime_bound)
+    q = dixon_prime(g.order, e)
     matrices: dict[int, np.ndarray] = {}
 
     def matrix(i: int) -> np.ndarray:
@@ -322,16 +312,6 @@ def character_table(g: Group, *, split_order: Sequence[int] | None = None,
 
     eye = np.eye(k, dtype=np.int64)
     spaces = [(eye.copy(), tuple(range(k)))]
-
-    if randomized and k > 1:
-        rng = random.Random(seed)
-        for _ in range(3):
-            if all(rows.shape[0] == 1 for rows, _ in spaces):
-                break
-            combo = np.zeros((k, k), dtype=np.int64)
-            for i in range(1, k):
-                combo = (combo + rng.randrange(q) * matrix(i)) % q
-            spaces = _split_spaces(spaces, combo, q)
 
     order_list = list(split_order) if split_order is not None else list(range(1, k))
     for i in order_list:
@@ -439,14 +419,7 @@ def decompose(chi: Character, table: CharacterTable) -> tuple[int, ...]:
 
 def _transversal(g: Group, h: Subgroup) -> list[int]:
     """Representatives t of the right cosets H t, ascending in first element."""
-    covered = [False] * g.order
-    reps = []
-    for x in range(g.order):
-        if not covered[x]:
-            reps.append(x)
-            for m in h.members:
-                covered[g.mul(m, x)] = True
-    return reps
+    return np.flatnonzero(right_coset_minima(h) == np.arange(g.order)).tolist()
 
 
 def induce(lam: Character, h: Subgroup, g: Group) -> Character:
@@ -457,25 +430,23 @@ def induce(lam: Character, h: Subgroup, g: Group) -> Character:
     if lam.group is not hg:
         raise InputError("character is not on the given subgroup")
     e = g.exponent
-    h_classes = hg.conjugacy_classes()
-    lam_e = [v.embed(e) for v in lam.values]
-    member_set = frozenset(h.members)
-    sub_index = {m: i for i, m in enumerate(h.members)}
-    transversal = _transversal(g, h)
-    values = []
-    for rep in g.conjugacy_classes().reps:
-        acc = Cyclotomic.zero(e)
-        for t in transversal:
-            y = g.mul(g.mul(t, rep), g.inv(t))
-            if y in member_set:
-                acc = acc + lam_e[h_classes.class_of[sub_index[y]]]
-        values.append(acc)
+    reps = g.conjugacy_classes().reps
+    k, kh = len(reps), len(lam.values)
+    trans = np.array(_transversal(g, h), dtype=np.intp)
+    # t x t^-1 for every t in the transversal (rows) and class rep x (columns)
+    conj = g.table[g.table[np.ix_(trans, reps)], g.inverse[trans][:, None]]
+    h_class = np.full(g.order, -1)  # class in H of each member, -1 outside
+    h_class[list(h.members)] = hg.conjugacy_classes().class_of
+    hc = h_class[conj]
+    cells = (hc + kh * np.arange(k))[hc >= 0]
+    counts = np.bincount(cells, minlength=k * kh).reshape(k, kh)
+    lam_e = np.array([v.embed(e).coeffs for v in lam.values], dtype=object)
+    values = tuple(Cyclotomic(e, row) for row in counts.astype(object) @ lam_e)
     degree = (g.order // h.order) * lam.degree
     if not values[0].equals_rational(degree):
         raise ConsistencyError("induced degree mismatch")
-    result = Character(g, degree, tuple(values), False)
-    return Character(g, degree, tuple(values),
-                     inner_product(result, result) == 1)
+    result = Character(g, degree, values, False)
+    return Character(g, degree, values, inner_product(result, result) == 1)
 
 
 def restrict(chi: Character, h: Subgroup) -> Character:

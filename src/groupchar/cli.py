@@ -23,12 +23,11 @@ from .chartable import CharacterTable, character_table, degree_set
 from .constructions import from_spec
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      ResourceError)
-from .groups import Group, generated_by
+from .groups import ORDER_CAP, Group, generated_by
 from .gvz import _CLAIMS, is_gcp, is_gvz, verify_all, verify_claim
 from .modular import is_prime
 
 SCHEMA = "report-v1"
-DEFAULT_MAX_ORDER = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +283,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=False,
                        help="group spec as JSON, or @file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-                       metavar="N", help="refuse groups larger than N")
+        p.add_argument("--max-order", type=int, default=ORDER_CAP,
+                       metavar="N", help="refuse groups larger than N "
+                                         f"(at most {ORDER_CAP})")
 
     p = sub.add_parser("table", help="print the exact character table")
     common(p)

@@ -19,33 +19,30 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ConsistencyError, InputError, ResourceError
-from .groups import (ENUMERATION_CAP, Group, build_group,
+from .errors import ConsistencyError, InputError
+from .groups import (ORDER_CAP, Group, admit, build_group,
                      enumerate_from_permutations, perm_from_cycles)
 from .modular import is_prime
 
 
-def cyclic(m: int, *, cap: int = ENUMERATION_CAP) -> Group:
+def cyclic(m: int, *, cap: int = ORDER_CAP) -> Group:
     if m < 1:
         raise InputError("cyclic group order must be at least 1")
-    if m > cap:
-        raise ResourceError(f"order {m} exceeds the cap ({cap})")
+    admit(m, cap)
 
     def word(x):
         return "1" if x == 0 else ("g" if x == 1 else f"g^{x}")
 
     return build_group(f"C{m}", [1] if m > 1 else [], lambda a, b: (a + b) % m, 0,
-                       gen_names=["g"], label_inverse=lambda a: (-a) % m,
-                       cap=cap, word_fn=word)
+                       gen_names=["g"], cap=cap, word_fn=word)
 
 
-def elementary_abelian(p: int, k: int, *, cap: int = ENUMERATION_CAP) -> Group:
+def elementary_abelian(p: int, k: int, *, cap: int = ORDER_CAP) -> Group:
     if not is_prime(p):
         raise InputError(f"{p} is not a prime")
     if k < 0:
         raise InputError("rank must be nonnegative")
-    if p ** k > cap:
-        raise ResourceError(f"order {p ** k} exceeds the cap ({cap})")
+    admit(p ** k, cap)
     gens = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
 
     def word(v):
@@ -57,13 +54,11 @@ def elementary_abelian(p: int, k: int, *, cap: int = ENUMERATION_CAP) -> Group:
                        lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
                        tuple(0 for _ in range(k)),
                        gen_names=[f"g{i + 1}" for i in range(k)],
-                       label_inverse=lambda a: tuple((-x) % p for x in a),
                        cap=cap, word_fn=word)
 
 
-def direct_product(a: Group, b: Group, *, cap: int = ENUMERATION_CAP) -> Group:
-    if a.order * b.order > cap:
-        raise ResourceError(f"order {a.order * b.order} exceeds the cap ({cap})")
+def direct_product(a: Group, b: Group, *, cap: int = ORDER_CAP) -> Group:
+    admit(a.order * b.order, cap)
     gens = [(g, 0) for g in a.generators] + [(0, g) for g in b.generators]
     names = [f"({a.words[g]},1)" for g in a.generators] + \
             [f"(1,{b.words[g]})" for g in b.generators]
@@ -75,20 +70,17 @@ def direct_product(a: Group, b: Group, *, cap: int = ENUMERATION_CAP) -> Group:
         return "1" if u == (0, 0) else f"({a.words[u[0]]},{b.words[u[1]]})"
 
     return build_group(f"{a.name} x {b.name}", gens, comp, (0, 0),
-                       gen_names=names,
-                       label_inverse=lambda u: (a.inv(u[0]), b.inv(u[1])),
-                       cap=cap, word_fn=word)
+                       gen_names=names, cap=cap, word_fn=word)
 
 
-def gn(p: int, n: int, *, cap: int = ENUMERATION_CAP) -> Group:
+def gn(p: int, n: int, *, cap: int = ORDER_CAP) -> Group:
     """The two-degree family of order p^(2n+1) and exponent p (p an odd prime)."""
     if not is_prime(p) or p == 2:
         raise InputError("p must be an odd prime")
     if n < 1:
         raise InputError("n must be at least 1")
     order = p ** (2 * n + 1)
-    if order > cap:
-        raise ResourceError(f"order {order} exceeds the cap ({cap})")
+    admit(order, cap)
 
     # label = (x_1..x_n, t, y_1..y_n): (prod a_i^x_i) * a^t * (prod b_i^y_i)
     zero = tuple(0 for _ in range(2 * n + 1))
@@ -97,12 +89,6 @@ def gn(p: int, n: int, *, cap: int = ENUMERATION_CAP) -> Group:
         t = u[n]
         return tuple(
             (u[i] + v[i]) % p if i <= n else (u[i] + v[i] - t * v[i - n - 1]) % p
-            for i in range(2 * n + 1))
-
-    def invert(u):
-        t = u[n]
-        return tuple(
-            (-u[i]) % p if i <= n else (-u[i] - t * u[i - n - 1]) % p
             for i in range(2 * n + 1))
 
     def unit(pos):
@@ -127,8 +113,7 @@ def gn(p: int, n: int, *, cap: int = ENUMERATION_CAP) -> Group:
         return "*".join(parts) or "1"
 
     g = build_group(f"gn({p},{n})", gen_labels, comp, zero,
-                    gen_names=gen_names, label_inverse=invert, cap=cap,
-                    word_fn=word)
+                    gen_names=gen_names, cap=cap, word_fn=word)
     if g.order != order:
         raise ConsistencyError("collected enumeration missed elements")
 
@@ -160,7 +145,7 @@ def gn(p: int, n: int, *, cap: int = ENUMERATION_CAP) -> Group:
     return g
 
 
-def heisenberg(p: int, *, cap: int = ENUMERATION_CAP) -> Group:
+def heisenberg(p: int, *, cap: int = ORDER_CAP) -> Group:
     """Extraspecial group of order p^3 and exponent p (p odd): gn(p, 1)."""
     return gn(p, 1, cap=cap)
 
@@ -200,7 +185,7 @@ _PERM_CATALOG: dict[str, tuple[int, list[list[list[int]]], list[str]]] = {
 }
 
 
-def named(name: str, *, cap: int = ENUMERATION_CAP) -> Group:
+def named(name: str, *, cap: int = ORDER_CAP) -> Group:
     """One of the catalogued groups; raises InputError listing the catalogue."""
     if name in _PERM_CATALOG:
         points, cycle_gens, gen_names = _PERM_CATALOG[name]
@@ -219,7 +204,7 @@ def named(name: str, *, cap: int = ENUMERATION_CAP) -> Group:
     raise InputError(f"unknown group name {name!r}; available: {', '.join(known)}")
 
 
-def from_spec(spec, *, cap: int = ENUMERATION_CAP) -> Group:
+def from_spec(spec, *, cap: int = ORDER_CAP) -> Group:
     """Build a group from the JSON group description used by the CLI."""
     if not isinstance(spec, dict):
         raise InputError("group spec must be a JSON object")

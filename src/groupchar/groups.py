@@ -2,15 +2,19 @@
 
 Elements of a group are the integers 0..order-1 in a canonical order: the
 identity is index 0 and the rest follow in breadth-first discovery order from
-the generators (taken in input order).  Every algorithm downstream works
-through the index-level multiplication oracle, so permutation groups,
-collected presentations, direct products and quotient groups all share one
-code path.
+the generators (taken in input order).  Every group holds its Cayley table as
+one dense ``uint16`` array, ``table[a, b]`` being the index of a*b, and the
+algorithms downstream (orders, classes, centre, commutators, cosets,
+quotients) are array operations on that table, so permutation groups,
+collected presentations, direct products, subgroups and quotient groups all
+share one code path.  Orders are admitted up to ``ORDER_CAP``, where the
+table takes 800 MB.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -18,8 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError, InputError, NotNilpotent, ResourceError
 
-ENUMERATION_CAP = 10**6
-DENSE_TABLE_CAP = 4096
+ORDER_CAP = 20000  # a uint16 table of this order takes 800 MB
 
 Label = Hashable
 
@@ -28,6 +31,13 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 def _default_gen_names(count: int) -> list[str]:
     return [_LETTERS[i] if i < len(_LETTERS) else f"g{i}" for i in range(count)]
+
+
+def admit(order: int, cap: int = ORDER_CAP) -> None:
+    """Raise ResourceError if a group of this order is over the cap."""
+    limit = min(cap, ORDER_CAP)
+    if order > limit:
+        raise ResourceError(f"order {order} exceeds the cap ({limit})")
 
 
 @dataclass(frozen=True)
@@ -51,20 +61,20 @@ class ConjugacyClasses:
 
 
 class Group:
-    """A concrete finite group on indices 0..order-1; index 0 is the identity."""
+    """A concrete finite group on indices 0..order-1; index 0 is the identity.
+
+    ``table`` is the (order, order) ``uint16`` Cayley table and ``inverse[a]``
+    the index of a^-1.
+    """
 
     __slots__ = (
         "name", "order", "elements", "words", "generators", "meta",
-        "_index", "_table", "_compose", "_label_inverse", "_inv",
+        "table", "inverse", "_index",
         "_orders", "_exponent", "_classes", "_center", "_derived",
     )
 
     def __init__(self, name: str, elements: Sequence[Label], words: Sequence[str],
-                 generators: Sequence[int], *, table=None,
-                 compose: Callable[[Label, Label], Label] | None = None,
-                 label_inverse: Callable[[Label], Label] | None = None,
-                 inverses: Sequence[int] | None = None,
-                 meta: dict | None = None):
+                 generators: Sequence[int], table, *, meta: dict | None = None):
         self.name = name
         self.elements = tuple(elements)
         self.order = len(self.elements)
@@ -74,17 +84,11 @@ class Group:
         self._index = {lab: i for i, lab in enumerate(self.elements)}
         if len(self._index) != self.order:
             raise InputError("duplicate element labels")
-        self._table = table
-        self._compose = compose
-        self._label_inverse = label_inverse
-        if table is None and compose is None:
-            raise InputError("need a multiplication table or a compose function")
-        if inverses is not None:
-            self._inv = list(inverses)
-        elif table is not None:
-            self._inv = [row.index(0) for row in table]
-        else:
-            self._inv = None
+        admit(self.order)
+        self.table = np.asarray(table, dtype=np.uint16)
+        if self.table.shape != (self.order, self.order):
+            raise InputError("the multiplication table must be order x order")
+        self.inverse = np.argmin(self.table, axis=1)  # where each row hits 0
         self._orders = None
         self._exponent = None
         self._classes = None
@@ -94,18 +98,13 @@ class Group:
     def __repr__(self) -> str:
         return f"Group({self.name!r}, order={self.order})"
 
-    # -- multiplication oracle -------------------------------------------
+    # -- multiplication --------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
-        return self._index[self._compose(self.elements[a], self.elements[b])]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        if self._inv is not None:
-            return self._inv[a]
-        lab = self._label_inverse(self.elements[a])
-        return self._index[lab]
+        return int(self.inverse[a])
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -129,26 +128,21 @@ class Group:
     def element_orders(self) -> tuple[int, ...]:
         if self._orders is None:
             n = self.order
-            orders = [0] * n
-            orders[0] = 1
-            for x in range(1, n):
-                if orders[x]:
-                    continue
-                # walk the cyclic subgroup of x once, then read off all powers
-                chain = [x]
-                p = self.mul(x, x)
-                while p != 0:
-                    chain.append(p)
-                    if len(chain) > n:
-                        raise InputError(
-                            f"powers of {self.words[x]!r} never reach the "
-                            "identity; the multiplication is not a group law")
-                    p = self.mul(p, x)
-                m = len(chain) + 1  # includes the identity
-                for j, el in enumerate(chain, start=1):
-                    if not orders[el]:
-                        orders[el] = m // math.gcd(j, m)
-            self._orders = tuple(orders)
+            orders = np.ones(n, dtype=np.int64)
+            todo = np.arange(1, n)  # elements whose power has not hit 1 yet
+            powers = todo.copy()
+            for k in range(2, n + 1):
+                if not todo.size:
+                    break
+                powers = self.table[powers, todo]
+                done = powers == 0
+                orders[todo[done]] = k
+                todo, powers = todo[~done], powers[~done]
+            if todo.size:
+                raise InputError(
+                    f"powers of {self.words[todo[0]]!r} never reach the "
+                    "identity; the multiplication is not a group law")
+            self._orders = tuple(orders.tolist())
         return self._orders
 
     @property
@@ -157,44 +151,46 @@ class Group:
             self._exponent = math.lcm(*self.element_orders())
         return self._exponent
 
+    def _distinct_generators(self) -> np.ndarray:
+        return np.array(list(dict.fromkeys(self.generators)), dtype=np.intp)
+
     def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
+        gens = self._distinct_generators()
+        block = self.table[np.ix_(gens, gens)]
+        return bool((block == block.T).all())
 
     def conjugacy_classes(self) -> ConjugacyClasses:
         if self._classes is None:
-            n = self.order
-            class_of = [-1] * n
-            gens = list(dict.fromkeys(self.generators))
-            inv_gens = [self.inv(g) for g in gens]
-            reps: list[int] = []
-            members: list[tuple[int, ...]] = []
-            for x in range(n):
-                if class_of[x] >= 0:
-                    continue
-                ci = len(reps)
-                class_of[x] = ci
-                orbit = [x]
-                qi = 0
-                while qi < len(orbit):
-                    y = orbit[qi]
-                    qi += 1
-                    for g, gi in zip(gens, inv_gens):
-                        z = self.mul(self.mul(gi, y), g)
-                        if class_of[z] < 0:
-                            class_of[z] = ci
-                            orbit.append(z)
-                reps.append(x)
-                members.append(tuple(sorted(orbit)))
-            self._classes = ConjugacyClasses(tuple(reps), tuple(members), tuple(class_of))
+            t, inv = self.table, self.inverse
+            # conjugation by each generator and by its inverse, as permutations
+            gens = self._distinct_generators()
+            perms = [t[t[inv[g]], g] for g in gens] + [t[t[g], inv[g]] for g in gens]
+            # Each label falls to the smallest index reachable along the
+            # permutations, with pointer jumping; at the fixed point every
+            # element is labelled by the smallest member of its class.
+            label = np.arange(self.order)
+            while True:
+                low = label.copy()
+                for p in perms:
+                    np.minimum(low, label[p], out=low)
+                low = low[low]
+                if np.array_equal(low, label):
+                    break
+                label = low
+            reps, class_of = np.unique(label, return_inverse=True)
+            by_class = np.argsort(class_of, kind="stable")
+            bounds = np.cumsum(np.bincount(class_of))[:-1]
+            members = tuple(tuple(m.tolist()) for m in np.split(by_class, bounds))
+            self._classes = ConjugacyClasses(tuple(reps.tolist()), members,
+                                             tuple(class_of.tolist()))
         return self._classes
 
     def center(self) -> "Subgroup":
         if self._center is None:
-            gens = list(dict.fromkeys(self.generators))
-            members = [z for z in range(self.order)
-                       if all(self.mul(z, g) == self.mul(g, z) for g in gens)]
-            self._center = Subgroup(self, members)
+            gens = self._distinct_generators()
+            t = self.table
+            self._center = Subgroup(
+                self, np.flatnonzero((t[:, gens] == t[gens].T).all(axis=1)))
         return self._center
 
     def derived_subgroup(self) -> "Subgroup":
@@ -210,15 +206,15 @@ class Group:
 def build_group(name: str, gen_labels: Sequence[Label],
                 compose: Callable[[Label, Label], Label], identity: Label, *,
                 gen_names: Sequence[str] | None = None,
-                label_inverse: Callable[[Label], Label] | None = None,
-                cap: int = ENUMERATION_CAP,
+                cap: int = ORDER_CAP,
                 word_fn: Callable[[Label], str] | None = None,
                 meta: dict | None = None) -> Group:
     """Enumerate the closure of ``gen_labels`` under ``compose``.
 
     The element order is canonical: identity first, then breadth-first
     discovery multiplying on the right by the generators in input order.
-    Raises ResourceError once the closure exceeds ``cap`` elements.
+    Raises ResourceError once the closure exceeds ``min(cap, ORDER_CAP)``
+    elements.
     """
     gens: list[Label] = []
     for lab in gen_labels:
@@ -228,6 +224,7 @@ def build_group(name: str, gen_labels: Sequence[Label],
         gen_names = _default_gen_names(len(gens))
     elif len(gen_names) < len(gens):
         raise InputError("fewer generator names than generators")
+    limit = min(cap, ORDER_CAP)
 
     elements: list[Label] = [identity]
     index: dict[Label, int] = {identity: 0}
@@ -238,9 +235,9 @@ def build_group(name: str, gen_labels: Sequence[Label],
         for gpos, glab in enumerate(gens):
             y = compose(base, glab)
             if y not in index:
-                if len(elements) >= cap:
+                if len(elements) >= limit:
                     raise ResourceError(
-                        f"closure of {name} exceeds the enumeration cap ({cap})")
+                        f"closure of {name} exceeds the order cap ({limit})")
                 index[y] = len(elements)
                 elements.append(y)
                 parents.append((i, gpos))
@@ -256,28 +253,25 @@ def build_group(name: str, gen_labels: Sequence[Label],
             par, gpos = parents[j]
             words[j] = gen_names[gpos] if par == 0 else words[par] + "*" + gen_names[gpos]
 
-    table = None
-    inverses = None
-    if n <= DENSE_TABLE_CAP:
-        tbl = np.empty((n, n), dtype=np.int32)
-        tbl[:, 0] = np.arange(n)
-        gen_cols = [np.fromiter((index[compose(el, glab)] for el in elements),
-                                dtype=np.int32, count=n) for glab in gens]
-        for j in range(1, n):
-            par, gpos = parents[j]
-            tbl[:, j] = gen_cols[gpos][tbl[:, par]]
-        inverses = np.argmin(tbl, axis=1).tolist()
-        table = tbl.tolist()
+    # row j is x -> w_j x; with w_j = w_par g it is row par read at g x
+    left = [np.fromiter((index.get(compose(glab, el), -1) for el in elements),
+                        dtype=np.intp, count=n) for glab in gens]
+    if any((col < 0).any() for col in left):
+        raise InputError(f"left products escape the closure of {name}; "
+                         "the multiplication is not a group law")
+    table = np.empty((n, n), dtype=np.uint16)
+    table[0] = np.arange(n)
+    for j in range(1, n):
+        par, gpos = parents[j]
+        table[j] = table[par, left[gpos]]
 
-    return Group(name, elements, words, [index[g] for g in gens],
-                 table=table, compose=compose, label_inverse=label_inverse,
-                 inverses=inverses, meta=meta)
+    return Group(name, elements, words, [index[g] for g in gens], table, meta=meta)
 
 
 def enumerate_from_permutations(degree: int, perms: Sequence[Sequence[int]], *,
                                 name: str | None = None,
                                 gen_names: Sequence[str] | None = None,
-                                cap: int = ENUMERATION_CAP) -> Group:
+                                cap: int = ORDER_CAP) -> Group:
     """Group generated by permutations of {0..degree-1} given as image tuples."""
     if degree < 1:
         raise InputError("degree must be at least 1")
@@ -291,15 +285,8 @@ def enumerate_from_permutations(degree: int, perms: Sequence[Sequence[int]], *,
     def compose(p, r):  # p∘r: apply r first
         return tuple(p[r[i]] for i in range(degree))
 
-    def invert(p):
-        out = [0] * degree
-        for i, pi in enumerate(p):
-            out[pi] = i
-        return tuple(out)
-
     return build_group(name or f"perm({degree})", labels, compose,
-                       tuple(range(degree)), gen_names=gen_names,
-                       label_inverse=invert, cap=cap)
+                       tuple(range(degree)), gen_names=gen_names, cap=cap)
 
 
 def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -320,7 +307,7 @@ class Subgroup:
     __slots__ = ("parent", "members", "_member_set", "_group", "_small_gens")
 
     def __init__(self, parent: Group, members: Iterable[int]):
-        mt = tuple(sorted(set(int(m) for m in members)))
+        mt = tuple(np.unique(np.fromiter(members, dtype=np.intp)).tolist())
         if not mt or mt[0] != 0:
             raise InputError("a subgroup must contain the identity (index 0)")
         if mt[-1] >= parent.order:
@@ -373,40 +360,30 @@ class Subgroup:
         """The subgroup as a Group of its own; labels are parent indices."""
         if self._group is None:
             par = self.parent
-            lookup = {m: i for i, m in enumerate(self.members)}
-            table = []
-            for a in self.members:
-                row = []
-                for b in self.members:
-                    p = par.mul(a, b)
-                    idx = lookup.get(p)
-                    if idx is None:
-                        raise InputError(
-                            f"not closed under multiplication: "
-                            f"{par.words[a]} * {par.words[b]} escapes")
-                    row.append(idx)
-                table.append(row)
-            gens = [lookup[g] for g in self.small_generators()]
+            m = np.array(self.members, dtype=np.intp)
+            outside = np.iinfo(np.uint16).max  # above every admitted index
+            lookup = np.full(par.order, outside, dtype=np.uint16)
+            lookup[m] = np.arange(len(m))
+            table = lookup[par.table[np.ix_(m, m)]]
+            escapes = np.argwhere(table == outside)
+            if escapes.size:
+                a, b = m[escapes[0]]
+                raise InputError(
+                    f"not closed under multiplication: "
+                    f"{par.words[a]} * {par.words[b]} escapes")
+            gens = [int(lookup[g]) for g in self.small_generators()]
             self._group = Group(f"{self.parent.name}|{self.describe()}",
                                 self.members,
-                                [par.words[m] for m in self.members],
-                                gens, table=table)
+                                [par.words[x] for x in self.members],
+                                gens, table)
         return self._group
 
     def to_parent(self, sub_index: int) -> int:
         return self.members[sub_index]
 
     def from_parent(self, parent_index: int) -> int:
-        i = self.members
-        lo, hi = 0, len(i)
-        # members are sorted: binary search
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if i[mid] < parent_index:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(i) or i[lo] != parent_index:
+        lo = bisect_left(self.members, parent_index)
+        if lo == len(self.members) or self.members[lo] != parent_index:
             raise InputError("element is not in the subgroup")
         return lo
 
@@ -427,23 +404,24 @@ class QuotientMap:
 
 def generated_by(g: Group, seeds: Iterable[int]) -> Subgroup:
     """Subgroup generated by the given element indices."""
-    seed_list = [s for s in dict.fromkeys(int(s) for s in seeds)]
-    members = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in seed_list:
-                y = g.mul(x, s)
-                if y not in members:
-                    members.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return Subgroup(g, members)
+    seeds = np.array(list(dict.fromkeys(int(s) for s in seeds)), dtype=np.intp)
+    reached = np.zeros(g.order, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    step = max(1, 2 ** 20 // max(1, seeds.size))  # bounds each block
+    while frontier.size:
+        new = []
+        for lo in range(0, frontier.size, step):
+            ys = g.table[np.ix_(frontier[lo:lo + step], seeds)].ravel()
+            ys = np.unique(ys[~reached[ys]])
+            reached[ys] = True
+            new.append(ys)
+        frontier = np.concatenate(new)
+    return Subgroup(g, np.flatnonzero(reached))
 
 
 def centralizer(g: Group, x: int) -> Subgroup:
-    return Subgroup(g, (y for y in range(g.order) if g.mul(y, x) == g.mul(x, y)))
+    return Subgroup(g, np.flatnonzero(g.table[:, x] == g.table[x]))
 
 
 def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:
@@ -451,79 +429,77 @@ def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:
     if h.parent is not k.parent:
         raise InputError("subgroups live in different parent groups")
     g = h.parent
-    comms = set()
-    for a in h.members:
-        ia = g.inv(a)
-        for b in k.members:
-            comms.add(g.mul(g.mul(ia, g.inv(b)), g.mul(a, b)))
-    return generated_by(g, sorted(comms))
+    t, inv = g.table, g.inverse
+    a = np.array(h.members, dtype=np.intp)
+    b = np.array(k.members, dtype=np.intp)
+    hit = np.zeros(g.order, dtype=bool)
+    step = max(1, 2 ** 20 // b.size)  # rows of a per block
+    for lo in range(0, a.size, step):
+        blk = a[lo:lo + step]
+        hit[t[t[np.ix_(inv[blk], inv[b])], t[np.ix_(blk, b)]]] = True
+    return generated_by(g, np.flatnonzero(hit))
+
+
+def _normality_witness(g: Group, h: Subgroup) -> tuple[int, int, int] | None:
+    """The first (member m, generator x, x^-1 m x) with the conjugate
+    outside ``h``, or None when ``h`` is normal."""
+    if h.parent is not g:
+        raise InputError("subgroup of a different group")
+    m = np.array(h.members, dtype=np.intp)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[m] = True
+    for x in g._distinct_generators():
+        conj = g.table[g.table[g.inverse[x], m], x]
+        out = np.flatnonzero(~inside[conj])
+        if out.size:
+            return int(m[out[0]]), int(x), int(conj[out[0]])
+    return None
 
 
 def is_normal(g: Group, h: Subgroup) -> bool:
-    if h.parent is not g:
-        raise InputError("subgroup of a different group")
-    for gen in dict.fromkeys(g.generators):
-        gi = g.inv(gen)
-        for m in h.members:
-            if g.mul(g.mul(gi, m), gen) not in h:
-                return False
-    return True
+    return _normality_witness(g, h) is None
 
 
 def coset(x: int, n: Subgroup) -> tuple[int, ...]:
     """The left coset x·N as a sorted tuple of element indices."""
-    g = n.parent
-    return tuple(sorted(g.mul(x, m) for m in n.members))
+    return tuple(np.sort(n.parent.table[x, list(n.members)]).tolist())
+
+
+def right_coset_minima(h: Subgroup) -> np.ndarray:
+    """For every element x, the smallest element of the right coset H x."""
+    t = h.parent.table
+    low = np.arange(h.parent.order)
+    for m in h.members[1:]:
+        np.minimum(low, t[m], out=low)
+    return low
 
 
 def quotient(g: Group, n: Subgroup) -> QuotientMap:
-    """Quotient by a normal subgroup; raises InputError naming a witness if not normal."""
-    if n.parent is not g:
-        raise InputError("subgroup of a different group")
-    for gen in dict.fromkeys(g.generators):
-        gi = g.inv(gen)
-        for m in n.members:
-            c = g.mul(g.mul(gi, m), gen)
-            if c not in n:
-                raise InputError(
-                    f"subgroup is not normal in {g.name}: conjugating "
-                    f"{g.words[m]} by {g.words[gen]} gives {g.words[c]}, "
-                    "which is outside the subgroup")
+    """Quotient by a normal subgroup; raises InputError naming a witness if not normal.
 
-    cid_of = [-1] * g.order
-    coset_members: list[tuple[int, ...]] = []
-    for x in range(g.order):
-        if cid_of[x] >= 0:
-            continue
-        mem = tuple(sorted(g.mul(x, m) for m in n.members))
-        cid = len(coset_members)
-        coset_members.append(mem)
-        for y in mem:
-            cid_of[y] = cid
+    Each coset is labelled by its smallest element, which is also the section.
+    """
+    witness = _normality_witness(g, n)
+    if witness is not None:
+        m, x, c = witness
+        raise InputError(
+            f"subgroup is not normal in {g.name}: conjugating "
+            f"{g.words[m]} by {g.words[x]} gives {g.words[c]}, "
+            "which is outside the subgroup")
 
-    def comp(c1, c2):
-        return coset_members[cid_of[g.mul(c1[0], c2[0])]]
-
-    def invert(c):
-        return coset_members[cid_of[g.inv(c[0])]]
-
-    gen_indices = list(dict.fromkeys(g.generators))
-    target = build_group(
-        f"{g.name}/{n.describe()}",
-        [coset_members[cid_of[gen]] for gen in gen_indices],
-        comp, coset_members[cid_of[0]],
-        gen_names=[g.words[gen] for gen in gen_indices],
-        label_inverse=invert, cap=g.order + 1)
-
+    low = right_coset_minima(n)  # N is normal, so x N = N x
+    gens: dict[int, str] = {}  # coset of each generator, named by the first
+    for x in g.generators:
+        gens.setdefault(int(low[x]), g.words[x])
+    target = build_group(f"{g.name}/{n.describe()}", list(gens),
+                         lambda a, b: int(low[g.table[a, b]]), 0,
+                         gen_names=list(gens.values()))
     if target.order * n.order != g.order:
         raise ConsistencyError("coset count does not match the index")
-    if target.elements[0] != n.members:
-        raise ConsistencyError("identity coset differs from the kernel")
-
-    target_of_cid = {cid: target.index_of(mem) for cid, mem in enumerate(coset_members)}
-    projection = tuple(target_of_cid[cid_of[x]] for x in range(g.order))
-    section = tuple(lab[0] for lab in target.elements)
-    return QuotientMap(g, n, target, projection, section)
+    section = target.elements
+    position = np.zeros(g.order, dtype=np.intp)
+    position[list(section)] = np.arange(target.order)
+    return QuotientMap(g, n, target, tuple(position[low].tolist()), section)
 
 
 def nilpotency_class(g: Group) -> int:

@@ -243,13 +243,9 @@ def test_table_is_independent_of_splitting_strategy(tables):
     for name in ("s3", "heis3"):
         base = tables[name]
         k = len(base.classes)
-        variants = [
-            character_table(base.group, split_order=list(range(k - 1, 0, -1))),
-            character_table(base.group, randomized=True, seed=123),
-        ]
+        v = character_table(base.group, split_order=list(range(k - 1, 0, -1)))
         base_keys = [value_key(ch, base.exponent) for ch in base.irreducibles]
-        for v in variants:
-            assert [value_key(ch, v.exponent) for ch in v.irreducibles] == base_keys
+        assert [value_key(ch, v.exponent) for ch in v.irreducibles] == base_keys
 
 
 def test_dixon_prime_choice():

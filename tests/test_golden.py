@@ -3,7 +3,10 @@
 Speed-ups of the table and verifier internals must leave every output byte
 unchanged.  The digests below pin ``table --format json`` and
 ``verify all --format json`` on a fixed set of groups; a change that alters
-any table entry, field prime, verdict or key order fails here.
+any table entry, field prime, verdict or key order fails here.  The S7
+(order 5040) and gn(17,1) (order 4913) digests come from the earlier
+implementation, in which groups above 4096 elements had no Cayley table and
+multiplied through label-level callbacks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ GROUPS = {
                              {"type": "cyclic", "n": 12}]},
     "S6": {"type": "perm", "points": 6,
            "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]},
+    "S7": {"type": "perm", "points": 7,
+           "generators": [[[1, 2, 3, 4, 5, 6, 7]], [[1, 2]]]},
+    "gn(17,1)": {"type": "gn", "p": 17, "n": 1},
 }
 
 DIGESTS = {
@@ -62,6 +68,12 @@ DIGESTS = {
         "484407fcffeb9bace27510985c29788a71beb61dfcc21d428f68237ac393c2e0",
     ("S6", "verify"):
         "7eb710d6e6262f8da86befdf1fb9c847e43fe2957354bfc154d17d1ab2f60d2b",
+    ("S7", "table"):
+        "c4e6a0e0edfc04368bf1b110e0ddae122f38285aba5a9833866578f7f51af6d0",
+    ("S7", "verify"):
+        "6a62721d98ba1b68c07f31b040c58e85eaa05cc5421380e4a00a2ac739442e60",
+    ("gn(17,1)", "table"):
+        "f91292e5323453133f674bded98c460c0462f1a0b9935d935923573695dc8af6",
 }
 
 VERBS = {"table": ("table",), "verify": ("verify", "all")}
