@@ -30,9 +30,13 @@ where P[j, s] is the class of g_j^s (the k x e power map),
 Z[s, k] = z^(-s k) mod q, and row k of W holds the power-basis coefficients
 of zeta^k.
 
+A ``Character`` holds exactly these coefficients, one read-only int64 array
+of shape (classes, phi(e)); the operations below are row gathers on it and
+products with ``embedding(e, e2)``, and ``Cyclotomic`` scalars are made only
+for rendering (``Character.values``).
+
 Inner products use the same integer coefficients.  With A[c, i] and
-B[c, j] the power-basis coefficients of chi and psi on class c, scaled to
-integers by their common denominators,
+B[c, j] the power-basis coefficients of chi and psi on class c,
 
     sum_c |C_c| chi(c) conj(psi(c)) = sum_{i,j} G[i, j] zeta^(i - j),
     G = A^T diag(|C|) B,
@@ -47,43 +51,63 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from . import modular
-from .cyclotomic import Cyclotomic, _zeta_powers
+from .cyclotomic import Cyclotomic, _zeta_powers, embedding, euler_phi
 from .errors import ConsistencyError, InputError, ResourceError
-from .groups import (ConjugacyClasses, Group, QuotientMap, Subgroup,
+from .groups import (ConjugacyClasses, Group, QuotientMap, Subgroup, quotient,
                      right_coset_minima)
-from .modular import is_prime
+from .modular import is_prime, prime_factors
 
 PRIME_BOUND = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
 class Character:
-    """A class function on a group with values in Q(zeta_e).
+    """A class function on a group with values in Q(zeta_conductor).
 
-    ``values[c]`` is the value on conjugacy class ``c`` of ``group``.  For
+    ``coeffs[c]`` holds the power-basis coefficients of the value on class
+    ``c`` of ``group``, in a private read-only int64 array of shape
+    (classes, phi(conductor)); character values are algebraic integers.  For
     genuine characters the value on class 0 equals ``degree``.
     """
 
     group: Group
     degree: int
-    values: tuple[Cyclotomic, ...]
+    conductor: int
+    coeffs: np.ndarray
     is_irreducible: bool
 
-    @property
-    def conductor(self) -> int:
-        return self.values[0].conductor
+    def __post_init__(self):
+        arr = np.asarray(self.coeffs)
+        shape = (len(self.group.conjugacy_classes()), euler_phi(self.conductor))
+        # objects are checked one by one: the int64 cast truncates a Fraction
+        integral = arr.dtype.kind in "iu" or (
+            arr.dtype == object and all(c == int(c) for c in arr.flat))
+        if arr.shape != shape or not integral:
+            raise InputError(f"character values need an integer array of shape {shape}")
+        arr = arr.astype(np.int64)
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+
+    @cached_property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        """The value on each class as a ``Cyclotomic`` scalar."""
+        return tuple(Cyclotomic(self.conductor, row)
+                     for row in self.coeffs.tolist())
 
     def value_at(self, element: int) -> Cyclotomic:
         return self.values[self.group.conjugacy_classes().class_of[element]]
 
-    def is_linear(self) -> bool:
-        return self.degree == 1
+    def at(self, e: int) -> np.ndarray:
+        """The coefficient array at conductor ``e``, a multiple of ours."""
+        if e == self.conductor:
+            return self.coeffs
+        return self.coeffs @ embedding(self.conductor, e)
 
     def __repr__(self) -> str:
         return f"Character(degree={self.degree} on {self.group.name})"
@@ -134,17 +158,7 @@ def _element_of_order(e: int, q: int) -> int:
     """Smallest-seeded element of multiplicative order exactly e in F_q."""
     if e == 1:
         return 1
-    prime_parts = []
-    n = e
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            prime_parts.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        prime_parts.append(n)
+    prime_parts = prime_factors(e)
     for c in range(2, q):
         z = pow(c, (q - 1) // e, q)
         if z != 1 and all(pow(z, e // pp, q) != 1 for pp in prime_parts):
@@ -355,12 +369,12 @@ def character_table(g: Group, *,
         if np.any(mults.sum(axis=1) != degree):
             raise ConsistencyError("root-of-unity multiplicities do not sum "
                                    "to the degree")
-        values = tuple(Cyclotomic(e, row) for row in (mults @ zeta_rows).tolist())
-        if not values[0].equals_rational(degree):
+        coeffs = mults @ zeta_rows
+        if not _rational_rows(coeffs[:1], degree)[0]:
             raise ConsistencyError("identity value differs from the degree")
-        chars.append(Character(g, degree, values, True))
+        chars.append(Character(g, degree, e, coeffs, True))
 
-    chars.sort(key=lambda ch: (ch.degree, tuple(v.coeffs for v in ch.values)))
+    chars.sort(key=lambda ch: (ch.degree, ch.coeffs.ravel().tolist()))
     if sum(ch.degree ** 2 for ch in chars) != g.order:
         raise ConsistencyError("degrees fail the sum-of-squares identity")
     return CharacterTable(g, classes, tuple(chars), e, q, inverse_class, pm)
@@ -369,26 +383,19 @@ def character_table(g: Group, *,
 # ---------------------------------------------------------------------------
 # operations on characters
 
-def _coefficient_array(chi: Character, e: int) -> tuple[np.ndarray, int]:
-    """Values of ``chi`` at conductor ``e`` as a (classes, phi(e)) array of
-    Python ints, and the common denominator they were scaled by."""
-    rows = [v.embed(e).coeffs for v in chi.values]
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    if den == 1:  # the usual case: character values are algebraic integers
-        return np.array(rows, dtype=object), 1
-    return np.array([[c.numerator * (den // c.denominator) for c in row]
-                     for row in rows], dtype=object), den
+def _rational_rows(coeffs: np.ndarray, r: int) -> np.ndarray:
+    """Mask of the rows of a coefficient array whose value is the rational r."""
+    return (coeffs[:, 0] == r) & ~coeffs[:, 1:].any(axis=1)
 
 
 def _pairings(chi: Character, others: Sequence[Character]) -> list[Fraction]:
     """<chi, psi> for every psi in ``others``, in one integer matrix product."""
     g = chi.group
     e = math.lcm(chi.conductor, *(psi.conductor for psi in others))
-    a, den_a = _coefficient_array(chi, e)
-    arrays = [_coefficient_array(psi, e) for psi in others]
+    a = chi.at(e).astype(object)
     k, phi = a.shape
     sizes = np.array(g.conjugacy_classes().sizes, dtype=object)
-    b = np.stack([arr for arr, _ in arrays], axis=1).reshape(k, -1)
+    b = np.stack([psi.at(e) for psi in others], axis=1).reshape(k, -1).astype(object)
     gram = ((a.T * sizes) @ b).reshape(phi, len(others), phi).transpose(1, 0, 2)
     folded = np.zeros((len(others), e), dtype=object)
     idx = (np.arange(phi)[:, None] - np.arange(phi)) % e
@@ -396,8 +403,7 @@ def _pairings(chi: Character, others: Sequence[Character]) -> list[Fraction]:
     totals = folded @ np.array(_zeta_powers(e), dtype=object)
     if np.any(totals[:, 1:] != 0):
         raise ConsistencyError("inner product of characters must be rational")
-    return [Fraction(t, den_a * den_b * g.order)
-            for t, (_, den_b) in zip(totals[:, 0], arrays)]
+    return [Fraction(t, g.order) for t in totals[:, 0]]
 
 
 def inner_product(chi: Character, psi: Character) -> Fraction:
@@ -431,7 +437,7 @@ def induce(lam: Character, h: Subgroup, g: Group) -> Character:
         raise InputError("character is not on the given subgroup")
     e = g.exponent
     reps = g.conjugacy_classes().reps
-    k, kh = len(reps), len(lam.values)
+    k, kh = len(reps), lam.coeffs.shape[0]
     trans = np.array(_transversal(g, h), dtype=np.intp)
     # t x t^-1 for every t in the transversal (rows) and class rep x (columns)
     conj = g.table[g.table[np.ix_(trans, reps)], g.inverse[trans][:, None]]
@@ -440,13 +446,12 @@ def induce(lam: Character, h: Subgroup, g: Group) -> Character:
     hc = h_class[conj]
     cells = (hc + kh * np.arange(k))[hc >= 0]
     counts = np.bincount(cells, minlength=k * kh).reshape(k, kh)
-    lam_e = np.array([v.embed(e).coeffs for v in lam.values], dtype=object)
-    values = tuple(Cyclotomic(e, row) for row in counts.astype(object) @ lam_e)
+    coeffs = counts @ lam.at(e)
     degree = (g.order // h.order) * lam.degree
-    if not values[0].equals_rational(degree):
+    if not _rational_rows(coeffs[:1], degree)[0]:
         raise ConsistencyError("induced degree mismatch")
-    result = Character(g, degree, values, False)
-    return Character(g, degree, values, inner_product(result, result) == 1)
+    result = Character(g, degree, e, coeffs, False)
+    return Character(g, degree, e, coeffs, inner_product(result, result) == 1)
 
 
 def restrict(chi: Character, h: Subgroup) -> Character:
@@ -456,20 +461,22 @@ def restrict(chi: Character, h: Subgroup) -> Character:
         raise InputError("subgroup does not live in the character's group")
     hg = h.as_group()
     g_class_of = g.conjugacy_classes().class_of
-    values = tuple(chi.values[g_class_of[h.to_parent(r)]]
-                   for r in hg.conjugacy_classes().reps)
-    result = Character(hg, chi.degree, values, False)
-    return Character(hg, chi.degree, values, inner_product(result, result) == 1)
+    coeffs = chi.coeffs[[g_class_of[h.to_parent(r)]
+                         for r in hg.conjugacy_classes().reps]]
+    result = Character(hg, chi.degree, chi.conductor, coeffs, False)
+    return Character(hg, chi.degree, chi.conductor, coeffs,
+                     inner_product(result, result) == 1)
+
+
+def _classes_where(chi: Character, hit) -> Subgroup:
+    """The union of the classes of ``chi.group`` whose entry of ``hit`` is true."""
+    class_of = np.asarray(chi.group.conjugacy_classes().class_of)
+    return Subgroup(chi.group, np.flatnonzero(np.asarray(hit)[class_of]))
 
 
 def kernel(chi: Character) -> Subgroup:
     """Elements where the character value equals its degree."""
-    classes = chi.group.conjugacy_classes()
-    members: list[int] = []
-    for mem, v in zip(classes.members, chi.values):
-        if v.equals_rational(chi.degree):
-            members.extend(mem)
-    return Subgroup(chi.group, members)
+    return _classes_where(chi, _rational_rows(chi.coeffs, chi.degree))
 
 
 @lru_cache(maxsize=None)
@@ -486,12 +493,8 @@ def char_center(chi: Character) -> Subgroup:
     (Isaacs, Lemma 2.27), and eps = chi(g)/chi(1) lies in Q(zeta_e), whose
     roots of unity are the +-zeta^j.  So the test is a lookup.
     """
-    classes = chi.group.conjugacy_classes()
-    members: list[int] = []
-    for mem, v in zip(classes.members, chi.values):
-        if v.coeffs in _root_multiples(chi.degree, v.conductor):
-            members.extend(mem)
-    return Subgroup(chi.group, members)
+    roots = _root_multiples(chi.degree, chi.conductor)
+    return _classes_where(chi, [tuple(row) in roots for row in chi.coeffs.tolist()])
 
 
 def degree_set(table: CharacterTable) -> tuple[int, ...]:
@@ -504,16 +507,13 @@ def lift(chibar: Character, qm: QuotientMap) -> Character:
         raise InputError("character is not on the quotient group")
     e = qm.source.exponent
     target_class_of = qm.target.conjugacy_classes().class_of
-    values = tuple(
-        chibar.values[target_class_of[qm.projection[rep]]].embed(e)
-        for rep in qm.source.conjugacy_classes().reps)
-    return Character(qm.source, chibar.degree, values, chibar.is_irreducible)
+    coeffs = chibar.at(e)[[target_class_of[qm.projection[rep]]
+                           for rep in qm.source.conjugacy_classes().reps]]
+    return Character(qm.source, chibar.degree, e, coeffs, chibar.is_irreducible)
 
 
 def deflate(chi: Character, n_or_qm: Subgroup | QuotientMap) -> Character | None:
     """View ``chi`` as a character of G/N; None unless N is inside the kernel."""
-    from .groups import quotient  # local import to keep module load cheap
-
     if isinstance(n_or_qm, QuotientMap):
         qm = n_or_qm
     else:
@@ -523,16 +523,16 @@ def deflate(chi: Character, n_or_qm: Subgroup | QuotientMap) -> Character | None
     if not kernel(chi).contains_set(qm.kernel):
         return None
     source_class_of = qm.source.conjugacy_classes().class_of
-    values = tuple(chi.values[source_class_of[qm.section[rep]]]
-                   for rep in qm.target.conjugacy_classes().reps)
-    return Character(qm.target, chi.degree, values, chi.is_irreducible)
+    coeffs = chi.coeffs[[source_class_of[qm.section[rep]]
+                         for rep in qm.target.conjugacy_classes().reps]]
+    return Character(qm.target, chi.degree, chi.conductor, coeffs, chi.is_irreducible)
 
 
 def value_key(chi: Character, e: int | None = None):
     """Canonical comparison key for a character's values at conductor ``e``."""
     if e is None:
         e = chi.conductor
-    return (chi.degree, tuple(v.embed(e).coeffs for v in chi.values))
+    return (chi.degree, tuple(map(tuple, chi.at(e).tolist())))
 
 
 def same_values(a: Character, b: Character) -> bool:

@@ -20,7 +20,7 @@ import sys
 from typing import Callable
 
 from .chartable import CharacterTable, character_table, degree_set
-from .constructions import from_spec
+from .constructions import from_spec, is_integer
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      ResourceError)
 from .groups import ORDER_CAP, Group, generated_by
@@ -56,6 +56,8 @@ def _canonical(doc) -> str:
 def _build_group(args) -> tuple[Group, dict]:
     if not getattr(args, "group", None):
         raise InputError("missing --group <json|@file>")
+    if args.max_order < 1:
+        raise InputError(f"--max-order {args.max_order} must be positive")
     doc = _load_spec(args.group)
     g = from_spec(doc, cap=args.max_order)
     if g.order > args.max_order:
@@ -155,7 +157,7 @@ def _resolve_normal(g: Group, option: str):
         raise InputError("--normal must be 'center', 'derived', or a JSON "
                          "list of generator indices") from None
     if (not isinstance(seeds, list)
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(map(is_integer, seeds))):
         raise InputError("--normal generator list must contain integers")
     for s in seeds:
         if not 0 <= s < g.order:

@@ -21,7 +21,7 @@ from itertools import combinations
 
 from .errors import ConsistencyError, InputError
 from .groups import (ORDER_CAP, Group, admit, build_group,
-                     enumerate_from_permutations, perm_from_cycles)
+                     enumerate_from_permutations, generated_by, perm_from_cycles)
 from .modular import is_prime
 
 
@@ -155,8 +155,6 @@ def predicted_centres(g: Group) -> list[tuple[int, ...]]:
 
     Returned as sorted member tuples.  Other groups have no prediction.
     """
-    from .groups import generated_by
-
     meta = g.meta
     if meta.get("family") != "gn":
         return []
@@ -204,6 +202,11 @@ def named(name: str, *, cap: int = ORDER_CAP) -> Group:
     raise InputError(f"unknown group name {name!r}; available: {', '.join(known)}")
 
 
+def is_integer(value) -> bool:
+    """Whether a JSON value is an integer (true parses to a bool, an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_spec(spec, *, cap: int = ORDER_CAP) -> Group:
     """Build a group from the JSON group description used by the CLI."""
     if not isinstance(spec, dict):
@@ -211,12 +214,12 @@ def from_spec(spec, *, cap: int = ORDER_CAP) -> Group:
     kind = spec.get("type")
     if kind == "gn":
         p, n = spec.get("p"), spec.get("n")
-        if not isinstance(p, int) or not isinstance(n, int):
+        if not is_integer(p) or not is_integer(n):
             raise InputError('gn spec needs integer "p" and "n"')
         return gn(p, n, cap=cap)
     if kind == "cyclic":
         m = spec.get("n")
-        if not isinstance(m, int):
+        if not is_integer(m):
             raise InputError('cyclic spec needs an integer "n"')
         return cyclic(m, cap=cap)
     if kind == "named":
@@ -227,12 +230,15 @@ def from_spec(spec, *, cap: int = ORDER_CAP) -> Group:
     if kind == "perm":
         points = spec.get("points")
         gens = spec.get("generators")
-        if not isinstance(points, int) or points < 1:
+        if not is_integer(points) or points < 1:
             raise InputError('perm spec needs a positive integer "points"')
         if (not isinstance(gens, list) or not gens
                 or not all(isinstance(c, list) for c in gens)):
             raise InputError('perm spec needs a nonempty list "generators" '
                              'of cycle lists')
+        if not all(isinstance(cyc, list) and all(map(is_integer, cyc))
+                   for gen in gens for cyc in gen):
+            raise InputError("perm spec cycles must be lists of integer points")
         perms = [perm_from_cycles(points, cycles) for cycles in gens]
         return enumerate_from_permutations(points, perms, cap=cap)
     if kind == "product":

@@ -1,14 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e).
 
-A value is a rational-coefficient vector over the power basis
-1, z, ..., z^(phi(e)-1) of Q(zeta_e), reduced modulo the e-th cyclotomic
-polynomial.  Each coefficient is stored as a Python ``int`` when it is
-integral and as a ``Fraction`` only otherwise; character values are
-algebraic integers, so their coefficient vectors are tuples of ints.  Ints
-compare and hash equal to the matching Fractions, so the two forms are
-interchangeable in keys and comparisons.  There is no floating point
-anywhere in this module; equality is literal equality of reduced
-coefficient vectors at a shared conductor.
+A value is a coefficient vector over the power basis 1, z, ...,
+z^(phi(e)-1) of Q(zeta_e), reduced modulo the e-th cyclotomic polynomial.
+Characters hold theirs as integer arrays, moved between conductors by
+``embedding``.  ``Cyclotomic`` is one value as a scalar, in two roles: the
+view that rendering and library callers get from ``Character.values``, and
+the loop arithmetic (``embed``, ``conj``, ``__mul__``, ``abs_squared``)
+that tests compare the array kernels against.  Its coefficients are
+``int``s, or ``Fraction``s where not integral; the two compare and hash
+alike.  There is no floating point anywhere in this module; equality is
+literal equality of reduced coefficient vectors at a shared conductor.
 Binary operations require both operands at the same conductor; use
 ``embed`` to move to a larger conductor first (index multiplication).
 """
@@ -18,7 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InputError
+from .modular import prime_factors
 
 
 def _normalise(c) -> int | Fraction:
@@ -32,15 +36,8 @@ def euler_phi(e: int) -> int:
     if e < 1:
         raise InputError("conductor must be positive")
     result = e
-    n, p = e, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p in prime_factors(e):
+        result -= result // p
     return result
 
 
@@ -88,6 +85,17 @@ def _zeta_powers(e: int) -> tuple[tuple[int, ...], ...]:
             for t in range(phi):
                 cur[t] -= lead * mod[t]
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def embedding(e: int, e2: int) -> np.ndarray:
+    """Read-only int64 matrix taking power-basis coefficients at conductor
+    ``e`` to a multiple ``e2``: row i is zeta_e^i = zeta_e2^(i * e2/e)."""
+    if e2 % e != 0:
+        raise InputError(f"cannot embed conductor {e} into {e2}")
+    out = np.array(_zeta_powers(e2)[::e2 // e][:euler_phi(e)], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class Cyclotomic:

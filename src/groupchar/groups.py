@@ -14,7 +14,6 @@ table takes 800 MB.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -364,13 +363,16 @@ class Subgroup:
             outside = np.iinfo(np.uint16).max  # above every admitted index
             lookup = np.full(par.order, outside, dtype=np.uint16)
             lookup[m] = np.arange(len(m))
-            table = lookup[par.table[np.ix_(m, m)]]
-            escapes = np.argwhere(table == outside)
-            if escapes.size:
-                a, b = m[escapes[0]]
-                raise InputError(
-                    f"not closed under multiplication: "
-                    f"{par.words[a]} * {par.words[b]} escapes")
+            if self.order == par.order:  # the whole group: indices agree
+                table = par.table
+            else:
+                table = lookup[par.table[np.ix_(m, m)]]
+                escapes = np.argwhere(table == outside)
+                if escapes.size:
+                    a, b = m[escapes[0]]
+                    raise InputError(
+                        f"not closed under multiplication: "
+                        f"{par.words[a]} * {par.words[b]} escapes")
             gens = [int(lookup[g]) for g in self.small_generators()]
             self._group = Group(f"{self.parent.name}|{self.describe()}",
                                 self.members,
@@ -380,12 +382,6 @@ class Subgroup:
 
     def to_parent(self, sub_index: int) -> int:
         return self.members[sub_index]
-
-    def from_parent(self, parent_index: int) -> int:
-        lo = bisect_left(self.members, parent_index)
-        if lo == len(self.members) or self.members[lo] != parent_index:
-            raise InputError("element is not in the subgroup")
-        return lo
 
 
 @dataclass(frozen=True)
@@ -397,9 +393,6 @@ class QuotientMap:
     target: Group
     projection: tuple[int, ...]
     section: tuple[int, ...]
-
-    def project(self, x: int) -> int:
-        return self.projection[x]
 
 
 def generated_by(g: Group, seeds: Iterable[int]) -> Subgroup:

@@ -25,14 +25,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .chartable import (Character, CharacterTable, char_center, deflate,
-                        degree_set, decompose, induce, inner_product, kernel,
-                        lift, restrict, value_key)
+import numpy as np
+
+from .chartable import (Character, CharacterTable, char_center,
+                        character_table, deflate, degree_set, decompose,
+                        induce, inner_product, kernel, lift, restrict,
+                        value_key)
 from .constructions import predicted_centres
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      TheoremViolation)
 from .groups import (QuotientMap, Subgroup, commutator_subgroup, coset,
                      is_normal, nilpotency_class, quotient)
+from .modular import prime_factors
 
 
 def _j(value):
@@ -70,6 +74,11 @@ class TheoremReport:
 
     def add(self, label, status, lhs=None, rhs=None, witness=None) -> None:
         self.checks.append(CheckRecord(label, status, lhs, rhs, witness))
+
+    def add_failures(self, label, bad: list, limit: int | None = None) -> None:
+        """A check that passes when ``bad`` lists no counterexample."""
+        self.add(label, "fail" if bad else "pass", lhs=len(bad),
+                 witness=bad[:limit] or None)
 
     def to_dict(self) -> dict:
         return {"claim": self.claim, "group": self.group,
@@ -128,13 +137,11 @@ class _Ctx:
     def quotient_table(self, qm: QuotientMap) -> CharacterTable:
         key = qm.kernel.members
         if key not in self._quotient_tables:
-            from .chartable import character_table
             self._quotient_tables[key] = character_table(qm.target)
         return self._quotient_tables[key]
 
     def subgroup_table(self, sub: Subgroup) -> CharacterTable:
         if sub.members not in self._subgroup_tables:
-            from .chartable import character_table
             self._subgroup_tables[sub.members] = character_table(sub.as_group())
         return self._subgroup_tables[sub.members]
 
@@ -155,12 +162,11 @@ class _Ctx:
 
     def vanishes_off_centre(self, pos: int) -> tuple[bool, int | None]:
         """Whether chi is zero on every class outside Z(chi); witness class."""
-        chi = self.table.irreducibles[pos]
         centre = self.centre(pos)
-        for c, rep in enumerate(self.table.classes.reps):
-            if rep not in centre and not chi.values[c].is_zero():
-                return False, c
-        return True, None
+        nonzero = self.table.irreducibles[pos].coeffs.any(axis=1)
+        witness = next((c for c, rep in enumerate(self.table.classes.reps)
+                        if rep not in centre and nonzero[c]), None)
+        return witness is None, witness
 
     def gvz_flags(self, pos: int) -> tuple[bool, bool, int | None]:
         """(degree criterion, vanishing criterion, witness class); must agree."""
@@ -290,7 +296,7 @@ def is_gcp(table: CharacterTable, n: Subgroup, *, _ctx: _Ctx | None = None) -> G
     for c, rep in enumerate(table.classes.reps):
         if rep in n:
             continue
-        vanishing = all(ch.values[c].is_zero() for ch in nl)
+        vanishing = not any(ch.coeffs[c].any() for ch in nl)
         class_is_coset = table.classes.members[c] == coset(rep, derived)
         if vanishing != class_is_coset:
             raise ConsistencyError(
@@ -298,7 +304,7 @@ def is_gcp(table: CharacterTable, n: Subgroup, *, _ctx: _Ctx | None = None) -> G
                 "condition disagree; this is a bug")
         if not vanishing and witness is None:
             holds = False
-            bad = next(ch for ch in nl if not ch.values[c].is_zero())
+            bad = next(ch for ch in nl if ch.coeffs[c].any())
             witness = {
                 "element": g.words[rep], "class_size": len(table.classes.members[c]),
                 "coset_size": derived.order,
@@ -425,19 +431,14 @@ def unique_nonlinear_constituent(table: CharacterTable, lam: Character,
     checks = [("the index of the centre is a perfect square", root * root == index)]
 
     e = g.exponent
-    centre_set = set(centre.members)
-    class_of = table.classes.class_of
-    h_class_of = centre.as_group().conjugacy_classes().class_of
-    vanishes = True
-    value_formula = True
-    for c, rep in enumerate(table.classes.reps):
-        if rep not in centre_set:
-            if not theta.values[c].is_zero():
-                vanishes = False
-        else:
-            lam_val = lam.values[h_class_of[centre.from_parent(rep)]].embed(e)
-            if theta.values[c] * lam.degree != root * lam_val:
-                value_formula = False
+    theta_e = theta.at(e)
+    reps = np.array(table.classes.reps)
+    inside = np.isin(reps, centre.members)
+    vanishes = not theta_e[~inside].any()
+    # each class of G inside the centre, as a class of the centre's group
+    h_class_of = np.array(centre.as_group().conjugacy_classes().class_of)
+    lam_e = lam.at(e)[h_class_of[np.searchsorted(centre.members, reps[inside])]]
+    value_formula = np.array_equal(theta_e[inside] * lam.degree, root * lam_e)
     checks.append(("theta vanishes outside the centre", vanishes))
     checks.append(("theta agrees with sqrt(index)/lambda(1) * lambda on the centre",
                    value_formula))
@@ -602,6 +603,12 @@ def verify_coset_criterion(table: CharacterTable, *,
     return report
 
 
+def _maps_onto_centre(sub: Subgroup, qm: QuotientMap) -> bool:
+    """Whether the image of ``sub`` in G/N is the centre of G/N."""
+    image = sorted({qm.projection[x] for x in sub.members})
+    return tuple(image) == qm.target.center().members
+
+
 def _curated_normals(ctx: _Ctx) -> list[Subgroup]:
     keys = {(0,), tuple(range(ctx.g.order))}
     keys.add(ctx.derived().members)
@@ -628,34 +635,27 @@ def verify_identity_suite(table: CharacterTable, *,
     bad = [pos for pos in range(k)
            if (table.irreducibles[pos].degree == 1)
            != (ctx.commutator_with_group(ctx.centre(pos)).members == derived.members)]
-    report.add("a character is linear exactly when [Z(chi),G] is the whole "
-               "derived subgroup", "pass" if not bad else "fail",
-               lhs=len(bad), witness=bad or None)
+    report.add_failures("a character is linear exactly when [Z(chi),G] is "
+                        "the whole derived subgroup", bad)
 
     # Z(G/[Z(chi),G]) = Z(chi)/[Z(chi),G]
-    bad = []
-    for pos in range(k):
-        centre = ctx.centre(pos)
-        qm = ctx.quotient_by(ctx.commutator_with_group(centre))
-        projected = sorted({qm.projection[x] for x in centre.members})
-        if tuple(projected) != qm.target.center().members:
-            bad.append(pos)
-    report.add("the centre of G/[Z(chi),G] is the image of Z(chi)",
-               "pass" if not bad else "fail", lhs=len(bad), witness=bad or None)
+    bad = [pos for pos in range(k) if not _maps_onto_centre(
+        ctx.centre(pos), ctx.quotient_by(ctx.commutator_with_group(ctx.centre(pos))))]
+    report.add_failures("the centre of G/[Z(chi),G] is the image of Z(chi)", bad)
 
     # restriction norm: [chi_H, chi_H] = [G:H] [chi,chi] iff vanishing off H
     bad = []
     for pos in range(k):
         chi = table.irreducibles[pos]
         centre = ctx.centre(pos)
-        lhs = inner_product(restrict(chi, centre), restrict(chi, centre))
+        down = restrict(chi, centre)
+        lhs = inner_product(down, down)
         rhs = Fraction(g.order, centre.order) * inner_product(chi, chi)
         vanishes, _ = ctx.vanishes_off_centre(pos)
         if lhs > rhs or (lhs == rhs) != vanishes:
             bad.append(pos)
-    report.add("the restricted norm meets [G:H][chi,chi] exactly for "
-               "characters vanishing off H (H = Z(chi))",
-               "pass" if not bad else "fail", lhs=len(bad), witness=bad or None)
+    report.add_failures("the restricted norm meets [G:H][chi,chi] exactly "
+                        "for characters vanishing off H (H = Z(chi))", bad)
 
     # degree bound chi(1)^2 <= |G:Z(chi)| with equality iff vanishing
     bad = []
@@ -665,27 +665,22 @@ def verify_identity_suite(table: CharacterTable, *,
         vanishes, _ = ctx.vanishes_off_centre(pos)
         if chi.degree ** 2 > index or (chi.degree ** 2 == index) != vanishes:
             bad.append(pos)
-    report.add("chi(1)^2 is bounded by |G:Z(chi)| with equality exactly at "
-               "vanishing off the centre", "pass" if not bad else "fail",
-               lhs=len(bad), witness=bad or None)
+    report.add_failures("chi(1)^2 is bounded by |G:Z(chi)| with equality "
+                        "exactly at vanishing off the centre", bad)
 
     # abelian central quotient forces the extreme degree
     bad = [pos for pos in range(k)
            if ctx.centre(pos).contains_set(derived)
            and table.irreducibles[pos].degree ** 2
            * ctx.centre(pos).order != g.order]
-    report.add("when G/Z(chi) is abelian, chi(1)^2 equals |G:Z(chi)|",
-               "pass" if not bad else "fail", lhs=len(bad), witness=bad or None)
+    report.add_failures("when G/Z(chi) is abelian, chi(1)^2 equals |G:Z(chi)|",
+                        bad)
 
     # Z(chi)/ker chi = Z(G/ker chi)
-    bad = []
-    for pos in range(k):
-        qm = ctx.quotient_by(ctx.kernel_of(pos))
-        projected = sorted({qm.projection[x] for x in ctx.centre(pos).members})
-        if tuple(projected) != qm.target.center().members:
-            bad.append(pos)
-    report.add("the centre of chi maps onto the centre of G/ker(chi)",
-               "pass" if not bad else "fail", lhs=len(bad), witness=bad or None)
+    bad = [pos for pos in range(k) if not _maps_onto_centre(
+        ctx.centre(pos), ctx.quotient_by(ctx.kernel_of(pos)))]
+    report.add_failures("the centre of chi maps onto the centre of G/ker(chi)",
+                        bad)
 
     # \{chi with N <= ker chi\} is exactly the lifted Irr(G/N), over a
     # curated family of normal subgroups
@@ -696,16 +691,14 @@ def verify_identity_suite(table: CharacterTable, *,
         lifted = set(ctx.lifted_irreducible_keys(ctx.quotient_by(n)))
         if over != lifted:
             bad_n.append(n.describe())
-    report.add("the characters with N inside the kernel are exactly the "
-               "lifts from G/N", "pass" if not bad_n else "fail",
-               lhs=len(bad_n), witness=bad_n or None)
+    report.add_failures("the characters with N inside the kernel are exactly "
+                        "the lifts from G/N", bad_n)
 
     # [Z(chi),G] <= ker chi
     bad = [pos for pos in range(k)
            if not ctx.kernel_of(pos).contains_set(
                ctx.commutator_with_group(ctx.centre(pos)))]
-    report.add("[Z(chi),G] lies inside the kernel of chi",
-               "pass" if not bad else "fail", lhs=len(bad), witness=bad or None)
+    report.add_failures("[Z(chi),G] lies inside the kernel of chi", bad)
 
     # Z(chi) <= Z(phi) iff phi factors through G/[Z(chi),G]
     nl = ctx.nonlinear_positions()
@@ -723,13 +716,14 @@ def verify_identity_suite(table: CharacterTable, *,
             factors = value_key(table.irreducibles[other], e) in lifted
             if contained != factors:
                 bad_pairs.append((pos, other))
-    report.add("Z(chi) is contained in Z(phi) exactly when phi factors "
-               "through G/[Z(chi),G]", "pass" if not bad_pairs else "fail",
-               lhs=len(bad_pairs), witness=bad_pairs[:5] or None)
+    report.add_failures("Z(chi) is contained in Z(phi) exactly when phi "
+                        "factors through G/[Z(chi),G]", bad_pairs, 5)
 
     met, why = ctx.two_degree_gvz()
 
     # equal centres <-> nonlinear on the quotient by [Z(chi),G]
+    label = ("two nonlinear characters share a centre exactly when one lives "
+             "on the other's quotient")
     if met:
         bad_pairs = []
         for pos in nl:
@@ -741,16 +735,14 @@ def verify_identity_suite(table: CharacterTable, *,
                 in_quotient_nl = value_key(table.irreducibles[other], e) in lifted
                 if same_centre != in_quotient_nl:
                     bad_pairs.append((pos, other))
-        report.add("two nonlinear characters share a centre exactly when one "
-                   "lives on the other's quotient",
-                   "pass" if not bad_pairs else "fail",
-                   lhs=len(bad_pairs), witness=bad_pairs[:5] or None)
+        report.add_failures(label, bad_pairs, 5)
     else:
-        report.add("two nonlinear characters share a centre exactly when one "
-                   "lives on the other's quotient", "skip", witness=why)
+        report.add(label, "skip", witness=why)
 
     # nonlinear count = |Z(chi)| - |Z(chi)|/|G'| for every nonlinear chi,
     # and the degree set is {1, sqrt(|G:Z(chi)|)}
+    label = ("the nonlinear count is |Z(chi)| - |Z(chi)|/|G'| and the degrees "
+             "are {1, sqrt(|G:Z(chi)|)}")
     if met:
         bad = []
         ds = degree_set(table)
@@ -761,15 +753,13 @@ def verify_identity_suite(table: CharacterTable, *,
             if len(nl) != expected or ds != (1, root):
                 bad.append((pos, f"count {len(nl)} vs {expected}, "
                                  f"degrees {list(ds)} vs [1, {root}]"))
-        report.add("the nonlinear count is |Z(chi)| - |Z(chi)|/|G'| and the "
-                   "degrees are {1, sqrt(|G:Z(chi)|)}",
-                   "pass" if not bad else "fail", lhs=len(bad),
-                   witness=bad[:5] or None)
+        report.add_failures(label, bad, 5)
     else:
-        report.add("the nonlinear count is |Z(chi)| - |Z(chi)|/|G'| and the "
-                   "degrees are {1, sqrt(|G:Z(chi)|)}", "skip", witness=why)
+        report.add(label, "skip", witness=why)
 
     # with all centres equal: they equal Z(G) and count from the group centre
+    label = ("with all nonlinear centres equal, they are Z(G) and the "
+             "nonlinear count is |Z(G)| - |Z(G)|/|G'|")
     if met:
         if len({ctx.centre(p).members for p in nl}) == 1:
             common = ctx.centre(nl[0])
@@ -777,20 +767,17 @@ def verify_identity_suite(table: CharacterTable, *,
                                                     derived.order)
             ok = (common.members == centre_of_g.members
                   and len(nl) == expected)
-            report.add("with all nonlinear centres equal, they are Z(G) and "
-                       "the nonlinear count is |Z(G)| - |Z(G)|/|G'|",
-                       "pass" if ok else "fail",
+            report.add(label, "pass" if ok else "fail",
                        lhs=len(nl), rhs=expected)
         else:
-            report.add("with all nonlinear centres equal, they are Z(G) and "
-                       "the nonlinear count is |Z(G)| - |Z(G)|/|G'|", "skip",
+            report.add(label, "skip",
                        witness="the nonlinear centres are not all equal")
     else:
-        report.add("with all nonlinear centres equal, they are Z(G) and the "
-                   "nonlinear count is |Z(G)| - |Z(G)|/|G'|", "skip",
-                   witness=why)
+        report.add(label, "skip", witness=why)
 
     # Camina-type pair with the centre: degrees and nonlinear count
+    label = ("for a Camina-type pair with the centre, the degrees are "
+             "{1, sqrt(|G:Z|)} and the nonlinear count is |Z(G)| - |Z(G)|/|G'|")
     gcp = is_gcp(table, centre_of_g, _ctx=ctx)
     if gcp.holds:
         index = g.order // centre_of_g.order
@@ -801,17 +788,12 @@ def verify_identity_suite(table: CharacterTable, *,
                                                    derived.order)
         ok = (root * root == index and ds == expected_ds
               and len(nl) == expected_nl)
-        report.add("for a Camina-type pair with the centre, the degrees are "
-                   "{1, sqrt(|G:Z|)} and the nonlinear count is "
-                   "|Z(G)| - |Z(G)|/|G'|", "pass" if ok else "fail",
+        report.add(label, "pass" if ok else "fail",
                    lhs={"degrees": list(ds), "nonlinear": len(nl)},
                    rhs={"degrees": list(expected_ds),
                         "nonlinear": _j(expected_nl)})
     else:
-        report.add("for a Camina-type pair with the centre, the degrees are "
-                   "{1, sqrt(|G:Z|)} and the nonlinear count is "
-                   "|Z(G)| - |Z(G)|/|G'|", "skip",
-                   witness="(G, Z(G)) is not such a pair")
+        report.add(label, "skip", witness="(G, Z(G)) is not such a pair")
     return report
 
 
@@ -822,11 +804,7 @@ def verify_p4_criterion(table: CharacterTable, *,
     ctx = _ctx or _Ctx(table)
     g = ctx.g
     order = g.order
-    p = 2
-    while p * p <= order and order % p:
-        p += 1
-    if order % p:
-        p = order
+    p = (prime_factors(order) or [1])[0]  # order 1 = 1^4 is refused as abelian
     if order != p ** 4:
         raise HypothesisNotMet(f"|{g.name}| = {order} is not the fourth power "
                                "of a prime")

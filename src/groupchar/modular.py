@@ -1,5 +1,5 @@
 """Dense linear algebra over a prime field F_q on numpy int64 matrices, and
-the primality test that picks such fields.
+the primality test and factorisation that pick such fields.
 
 Everything here is deterministic: pivots are chosen as the first nonzero
 entry scanning down, and nullspace bases come out in the standard reduced
@@ -9,6 +9,18 @@ form (one vector per free column, ascending).
 from __future__ import annotations
 
 import numpy as np
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 def is_prime(n: int) -> bool:

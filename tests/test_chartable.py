@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from groupchar import (
@@ -145,11 +146,35 @@ def test_decompose_recovers_multiplicities(tables):
     chi, psi = t.irreducibles[0], t.irreducibles[-1]
     sum_vals = tuple(a.embed(t.exponent) + b.embed(t.exponent) * 2
                      for a, b in zip(chi.values, psi.values))
-    virtual = Character(t.group, chi.degree + 2 * psi.degree, sum_vals, False)
+    virtual = Character(t.group, chi.degree + 2 * psi.degree, t.exponent,
+                        [v.coeffs for v in sum_vals], False)
     mults = decompose(virtual, t)
     expected = [0] * len(t)
     expected[0], expected[len(t) - 1] = 1, 2
     assert list(mults) == expected
+
+
+def test_character_holds_a_private_integer_array(tables):
+    t = tables["c3"]
+    chi = t.irreducibles[1]
+    rows = chi.coeffs.tolist()
+    rows[0][0] = Fraction(1)  # integral, so accepted
+    copy = Character(t.group, 1, t.exponent, rows, False)
+    assert copy.coeffs.dtype == np.int64 and not copy.coeffs.flags.writeable
+    assert copy.values == chi.values
+    source = np.array(chi.coeffs)
+    held = Character(t.group, 1, t.exponent, source, False)
+    source[0, 0] = 7
+    assert held.coeffs[0, 0] == 1
+    rows[1][0] = Fraction(1, 2)
+    with pytest.raises(InputError):  # int64 would truncate this to 0
+        Character(t.group, 1, t.exponent, rows, False)
+    with pytest.raises(InputError):
+        Character(t.group, 1, t.exponent, chi.coeffs.astype(float), False)
+    with pytest.raises(InputError):  # one class short
+        Character(t.group, 1, t.exponent, chi.coeffs[:-1], False)
+    with pytest.raises(InputError):  # phi(5) = 4 coefficients per value
+        Character(t.group, 1, 5, chi.coeffs, False)
 
 
 def test_frobenius_reciprocity(tables):

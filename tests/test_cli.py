@@ -126,6 +126,27 @@ def test_max_order_resource_limit(capsys):
     assert code == 3 and "resource limit" in err
 
 
+def test_json_booleans_are_not_integers(capsys):
+    # JSON true parses to a Python bool, which isinstance(_, int) accepts
+    for spec in ('{"type":"cyclic","n":true}', '{"type":"gn","p":3,"n":true}',
+                 '{"type":"gn","p":true,"n":1}',
+                 '{"type":"perm","points":true,"generators":[[[1]]]}',
+                 '{"type":"perm","points":3,"generators":[[[1,true]]]}',
+                 '{"type":"perm","points":3,"generators":[[1,2]]}'):
+        code, out, err = _run(capsys, "table", "--group", spec)
+        assert code == 2 and out == "" and "error:" in err, spec
+    code, out, err = _run(capsys, "check", "gcp", "--group", HEIS3,
+                          "--normal", "[true]")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_max_order_must_be_positive(capsys):
+    for bound in ("0", "-5"):
+        code, out, err = _run(capsys, "table", "--group", S3,
+                              "--max-order", bound)
+        assert code == 2 and out == "" and "error:" in err
+
+
 def test_abelian_gvz_is_hypothesis_failure(capsys):
     code, _, err = _run(capsys, "check", "gvz", "--group", C6)
     assert code == 4 and "hypothesis" in err

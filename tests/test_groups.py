@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from groupchar import (InputError, NotNilpotent, ResourceError, Subgroup,
@@ -135,6 +136,14 @@ def test_subgroup_as_group_roundtrip():
     for i in range(zg.order):
         for j in range(zg.order):
             assert z.to_parent(zg.mul(i, j)) == g.mul(z.to_parent(i), z.to_parent(j))
+
+
+def test_whole_subgroup_shares_the_parent_table(zoo):
+    for g in zoo.values():
+        whole = g.full_subgroup().as_group()
+        assert np.shares_memory(whole.table, g.table)
+        assert whole.conjugacy_classes() == g.conjugacy_classes()
+        assert whole.words == g.words
 
 
 def test_cosets_partition():

@@ -22,7 +22,7 @@ from groupchar import (Character, ConsistencyError, Cyclotomic, InputError,
                        from_spec, induce, inner_product, restrict,
                        root_of_unity)
 from groupchar import chartable, modular
-from groupchar.cyclotomic import _zeta_powers, euler_phi
+from groupchar.cyclotomic import _zeta_powers, embedding, euler_phi
 from groupchar.modular import is_prime
 
 LIFT_SPECS = {
@@ -179,7 +179,8 @@ def test_root_multiplicities_do_not_overflow(bound):
 # inner products
 
 def _combination(table, coeffs, conductor=None):
-    """The class function sum a_i chi_i, re-embedded at ``conductor``."""
+    """The class function sum a_i chi_i (integer a_i), re-embedded at
+    ``conductor``."""
     e = table.exponent
     values = []
     for c in range(len(table.classes)):
@@ -187,12 +188,12 @@ def _combination(table, coeffs, conductor=None):
         for a, ch in zip(coeffs, table.irreducibles):
             acc = acc + ch.values[c].embed(e) * a
         values.append(acc.embed(conductor or e))
-    return Character(table.group, values[0].as_rational(), tuple(values), False)
+    return Character(table.group, int(values[0].as_rational()),
+                     conductor or e, [v.coeffs for v in values], False)
 
 
 def _random_coeffs(rng, table):
-    return [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 7)))
-            for _ in table.irreducibles]
+    return [rng.randint(-4, 4) for _ in table.irreducibles]
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "heis3", "c3wrc3", "c5"])
@@ -209,6 +210,17 @@ def test_inner_product_matches_cyclotomic_loop(name, tables):
     for chi in t.irreducibles:
         for psi in t.irreducibles:
             assert inner_product(chi, psi) == _reference_inner_product(chi, psi)
+
+
+def test_embedding_matches_cyclotomic_embed():
+    rng = random.Random(3)
+    for e, e2 in [(1, 4), (2, 6), (3, 6), (4, 12), (5, 15), (6, 60), (12, 60)]:
+        for _ in range(5):
+            coeffs = [rng.randint(-5, 5) for _ in range(euler_phi(e))]
+            got = np.array(coeffs) @ embedding(e, e2)
+            assert tuple(got.tolist()) == Cyclotomic(e, coeffs).embed(e2).coeffs
+    with pytest.raises(InputError):
+        embedding(4, 6)
 
 
 def test_inner_product_of_restrictions_across_conductors(tables):
@@ -231,8 +243,13 @@ def test_decompose_matches_cyclotomic_loop(tables):
         chi = _combination(t, a, conductor=3 * t.exponent)
         assert list(decompose(chi, t)) == a == [
             _reference_inner_product(chi, irr) for irr in t.irreducibles]
+        with pytest.raises(InputError):  # not a genuine character
+            decompose(_combination(t, [-1] + a[1:]), t)
+        k, phi = len(t.classes), euler_phi(t.exponent)
+        delta = np.zeros((k, phi), dtype=np.int64)
+        delta[0, 0] = 1  # integral values, but <delta, 1> = 1/|G|
         with pytest.raises(InputError):
-            decompose(_combination(t, [Fraction(1, 2)] + a[1:]), t)
+            decompose(Character(t.group, 1, t.exponent, delta, False), t)
 
 
 def test_irrational_pairing_is_refused(tables):
@@ -241,9 +258,8 @@ def test_irrational_pairing_is_refused(tables):
     trivial = next(ch for ch in t.irreducibles
                    if all(v.equals_rational(1) for v in ch.values))
     z = root_of_unity(1, 3)
-    odd = Character(g, 1, (z,) + tuple(Cyclotomic.one(3)
-                                       for _ in range(len(t.classes) - 1)),
-                    False)
+    odd = Character(g, 1, 3, [z.coeffs] + [Cyclotomic.one(3).coeffs]
+                    * (len(t.classes) - 1), False)
     with pytest.raises(ConsistencyError):
         _reference_inner_product(odd, trivial)
     with pytest.raises(ConsistencyError):
@@ -383,7 +399,7 @@ def test_char_center_lookup_matches_abs_squared(tables):
     t = tables["s3"]
     sign = next(ch for ch in t.linear() if not ch.values[1].equals_rational(1)
                 or not ch.values[2].equals_rational(1))
-    rational = Character(t.group, 1, tuple(Cyclotomic.from_rational(v.as_rational(), 1)
-                                           for v in sign.values), False)
+    rational = Character(t.group, 1, 1, [Cyclotomic.from_rational(v.as_rational(), 1).coeffs
+                                         for v in sign.values], False)
     assert char_center(rational).order == 6
     assert _reference_char_center(rational).order == 6
