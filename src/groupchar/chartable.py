@@ -35,6 +35,13 @@ of shape (classes, phi(e)); the operations below are row gathers on it and
 products with ``embedding(e, e2)``, and ``Cyclotomic`` scalars are made only
 for rendering (``Character.values``).
 
+Abelian groups skip the split and the lift.  Their irreducibles are the
+homomorphisms to the e-th roots of unity, built by cyclic extension along
+the generators as exponents of zeta_e in exact integer arithmetic mod e
+(``_abelian_exponents``) and checked to be |G| distinct multiplicative
+rows.  ``field_prime`` is still reported for them, for a stable schema, but
+no arithmetic mod q runs.
+
 Inner products use the same integer coefficients.  With A[c, i] and
 B[c, j] the power-basis coefficients of chi and psi on class c,
 
@@ -74,13 +81,16 @@ class Character:
     ``c`` of ``group``, in a private read-only int64 array of shape
     (classes, phi(conductor)); character values are algebraic integers.  For
     genuine characters the value on class 0 equals ``degree``.
+    ``irreducible`` says whether the character is irreducible; ``None``
+    leaves it to ``is_irreducible``, which then pairs the character with
+    itself on first read.
     """
 
     group: Group
     degree: int
     conductor: int
     coeffs: np.ndarray
-    is_irreducible: bool
+    irreducible: bool | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs)
@@ -93,6 +103,12 @@ class Character:
         arr = arr.astype(np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
+
+    @cached_property
+    def is_irreducible(self) -> bool:
+        if self.irreducible is not None:
+            return self.irreducible
+        return inner_product(self, self) == 1
 
     @cached_property
     def values(self) -> tuple[Cyclotomic, ...]:
@@ -309,10 +325,32 @@ def character_table(g: Group, *,
                     split_order: Sequence[int] | None = None) -> CharacterTable:
     """Exact character table of ``g``.
 
+    Abelian groups are built directly by cyclic extension
+    (``_abelian_table``); every other group goes through the Dixon split.
     ``split_order`` overrides the order in which class matrices are used to
     refine the common eigenspaces (the resulting table is identical, as rows
-    are sorted canonically).
+    are sorted canonically); an abelian table splits nothing and ignores it.
     """
+    if g.is_abelian():
+        return _abelian_table(g)
+    return _dixon_table(g, split_order)
+
+
+def _inverse_class(g: Group, classes: ConjugacyClasses) -> tuple[int, ...]:
+    return tuple(classes.class_of[g.inv(r)] for r in classes.reps)
+
+
+def _finish(g: Group, classes: ConjugacyClasses, chars: list, q: int,
+            inverse_class, pm) -> CharacterTable:
+    """Sort the rows canonically and check the sum of squared degrees."""
+    chars.sort(key=lambda ch: (ch.degree, ch.coeffs.ravel().tolist()))
+    if sum(ch.degree ** 2 for ch in chars) != g.order:
+        raise ConsistencyError("degrees fail the sum-of-squares identity")
+    return CharacterTable(g, classes, tuple(chars), g.exponent, q, inverse_class, pm)
+
+
+def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
+    """The table by the class-matrix split over F_q and the value lift."""
     classes = g.conjugacy_classes()
     k = len(classes)
     e = g.exponent
@@ -339,7 +377,7 @@ def character_table(g: Group, *,
     if len(spaces) != k:
         raise ConsistencyError("wrong number of one-dimensional eigenspaces")
 
-    inverse_class = tuple(classes.class_of[g.inv(r)] for r in classes.reps)
+    inverse_class = _inverse_class(g, classes)
     inv_sizes = [pow(len(m), -1, q) for m in classes.members]
     pm = _power_map(g, classes, e)
     pm_arr = np.array(pm, dtype=np.int64)
@@ -373,11 +411,93 @@ def character_table(g: Group, *,
         if not _rational_rows(coeffs[:1], degree)[0]:
             raise ConsistencyError("identity value differs from the degree")
         chars.append(Character(g, degree, e, coeffs, True))
+    return _finish(g, classes, chars, q, inverse_class, pm)
 
-    chars.sort(key=lambda ch: (ch.degree, ch.coeffs.ravel().tolist()))
-    if sum(ch.degree ** 2 for ch in chars) != g.order:
-        raise ConsistencyError("degrees fail the sum-of-squares identity")
-    return CharacterTable(g, classes, tuple(chars), e, q, inverse_class, pm)
+
+def _abelian_exponents(g: Group) -> np.ndarray:
+    """Irr(g) of an abelian group as exponents mod e: ``f[c, x]`` with
+    lambda_c(x) = zeta_e^f[c, x], one row per character, one column per
+    element.
+
+    Cyclic extension (Isaacs, Ch. 2): along A_{i+1} = A_i <x>, with m the
+    order of x modulo A_i, each lambda of A_i extends in exactly m ways,
+    lambda(a x^j) = lambda(a) + j b where m b = lambda(x^m) (mod e).  Since
+    m divides the order of x, which divides e, the solutions are
+    b = lambda(x^m)/m + s e/m for s = 0..m-1.  Exponents stay below
+    e <= ORDER_CAP, so sums of two fit ``uint16``.
+    """
+    n, e, t = g.order, g.exponent, g.table
+    f = np.zeros((n, n), dtype=np.uint16)  # rows [0, r) are Irr(A_i)
+    cols = np.zeros(1, dtype=np.intp)  # the members of A_i
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    r = 1
+    for x in g._distinct_generators():
+        powers = [0]  # x^j for j < m
+        p = int(x)
+        while not inside[p]:
+            powers.append(p)
+            p = int(t[p, x])
+        m = len(powers)
+        if m == 1:
+            continue
+        old = f[:r][:, cols]
+        at_xm = f[:r, p].astype(np.int64)  # lambda(x^m)
+        if np.any(at_xm % m):
+            raise ConsistencyError("lambda(x^m) has no m-th root mod e")
+        # b[s, c]: the s-th solution for character c; new row s*r + c
+        b = (at_xm // m + (e // m) * np.arange(m)[:, None]) % e
+        for j, xj in enumerate(powers):
+            step = (j * b % e).astype(np.uint16)[:, :, None]
+            f[:m * r, t[xj, cols]] = ((old + step) % e).reshape(m * r, -1)
+        cols = t[np.ix_(powers, cols)].ravel().astype(np.intp)
+        inside[cols] = True
+        r *= m
+    if r != n or not inside.all():
+        raise ConsistencyError("the generators do not reach the whole group")
+    return f
+
+
+def _check_abelian(g: Group, f: np.ndarray) -> None:
+    """Each row of ``f`` must be a homomorphism g -> Z/e, and the rows must
+    be |g| distinct ones.
+
+    Multiplicativity is checked on each generator against the whole Cayley
+    table, in blocks of rows.  A homomorphism is fixed by its values on the
+    generators, so distinct rows are rows distinct there.
+    """
+    n, e, t = g.order, g.exponent, g.table
+    gens = g._distinct_generators()
+    if f.shape != (n, n):
+        raise ConsistencyError("wrong number of linear characters")
+    step = max(1, 2 ** 22 // n)
+    for lo in range(0, n, step):
+        blk = f[lo:lo + step]
+        for x in gens:
+            if not np.array_equal(blk[:, t[x]], (blk[:, [x]] + blk) % e):
+                raise ConsistencyError("a linear character is not multiplicative")
+    keys = f[:, gens]
+    if gens.size:
+        keys = keys[np.lexsort(keys.T)]  # equal rows become neighbours
+    if (keys[1:] == keys[:-1]).all(axis=1).any():
+        raise ConsistencyError("linear characters are not pairwise distinct")
+
+
+def _abelian_table(g: Group) -> CharacterTable:
+    """The table of an abelian group by cyclic extension; no prime field,
+    class matrix or nullspace is used.  ``field_prime`` is still the Dixon
+    prime, so the report is the same and an order with no usable prime
+    still exits 3."""
+    classes = g.conjugacy_classes()
+    e = g.exponent
+    q = dixon_prime(g.order, e)
+    f = _abelian_exponents(g)
+    _check_abelian(g, f)
+    zeta_rows = np.array(_zeta_powers(e), dtype=np.int64)
+    reps = list(classes.reps)
+    chars = [Character(g, 1, e, zeta_rows[row[reps]], True) for row in f]
+    return _finish(g, classes, chars, q, _inverse_class(g, classes),
+                   _power_map(g, classes, e))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +570,7 @@ def induce(lam: Character, h: Subgroup, g: Group) -> Character:
     degree = (g.order // h.order) * lam.degree
     if not _rational_rows(coeffs[:1], degree)[0]:
         raise ConsistencyError("induced degree mismatch")
-    result = Character(g, degree, e, coeffs, False)
-    return Character(g, degree, e, coeffs, inner_product(result, result) == 1)
+    return Character(g, degree, e, coeffs)
 
 
 def restrict(chi: Character, h: Subgroup) -> Character:
@@ -463,9 +582,7 @@ def restrict(chi: Character, h: Subgroup) -> Character:
     g_class_of = g.conjugacy_classes().class_of
     coeffs = chi.coeffs[[g_class_of[h.to_parent(r)]
                          for r in hg.conjugacy_classes().reps]]
-    result = Character(hg, chi.degree, chi.conductor, coeffs, False)
-    return Character(hg, chi.degree, chi.conductor, coeffs,
-                     inner_product(result, result) == 1)
+    return Character(hg, chi.degree, chi.conductor, coeffs)
 
 
 def _classes_where(chi: Character, hit) -> Subgroup:
@@ -509,7 +626,7 @@ def lift(chibar: Character, qm: QuotientMap) -> Character:
     target_class_of = qm.target.conjugacy_classes().class_of
     coeffs = chibar.at(e)[[target_class_of[qm.projection[rep]]
                            for rep in qm.source.conjugacy_classes().reps]]
-    return Character(qm.source, chibar.degree, e, coeffs, chibar.is_irreducible)
+    return Character(qm.source, chibar.degree, e, coeffs, chibar.irreducible)
 
 
 def deflate(chi: Character, n_or_qm: Subgroup | QuotientMap) -> Character | None:
@@ -525,7 +642,7 @@ def deflate(chi: Character, n_or_qm: Subgroup | QuotientMap) -> Character | None
     source_class_of = qm.source.conjugacy_classes().class_of
     coeffs = chi.coeffs[[source_class_of[qm.section[rep]]
                          for rep in qm.target.conjugacy_classes().reps]]
-    return Character(qm.target, chi.degree, chi.conductor, coeffs, chi.is_irreducible)
+    return Character(qm.target, chi.degree, chi.conductor, coeffs, chi.irreducible)
 
 
 def value_key(chi: Character, e: int | None = None):

@@ -395,8 +395,8 @@ class QuotientMap:
     section: tuple[int, ...]
 
 
-def generated_by(g: Group, seeds: Iterable[int]) -> Subgroup:
-    """Subgroup generated by the given element indices."""
+def _closure(g: Group, seeds: Iterable[int]) -> np.ndarray:
+    """Membership mask of the subgroup generated by the given indices."""
     seeds = np.array(list(dict.fromkeys(int(s) for s in seeds)), dtype=np.intp)
     reached = np.zeros(g.order, dtype=bool)
     reached[0] = True
@@ -410,20 +410,59 @@ def generated_by(g: Group, seeds: Iterable[int]) -> Subgroup:
             reached[ys] = True
             new.append(ys)
         frontier = np.concatenate(new)
-    return Subgroup(g, np.flatnonzero(reached))
+    return reached
+
+
+def generated_by(g: Group, seeds: Iterable[int]) -> Subgroup:
+    """Subgroup generated by the given element indices."""
+    return Subgroup(g, np.flatnonzero(_closure(g, seeds)))
 
 
 def centralizer(g: Group, x: int) -> Subgroup:
     return Subgroup(g, np.flatnonzero(g.table[:, x] == g.table[x]))
 
 
+def _normal_closure(g: Group, seeds: np.ndarray) -> Subgroup:
+    """The smallest normal subgroup of ``g`` containing ``seeds``.
+
+    Generators are added one at a time, each a seed or a conjugate of an
+    earlier generator by a generator of ``g`` that lies outside the closure
+    so far; every addition at least doubles it, so there are at most
+    log2 |g| of them.  The closure is normal once it holds every such
+    conjugate.
+    """
+    t, inv, xs = g.table, g.inverse, g._distinct_generators()
+    gens: list[int] = []
+    reached = np.zeros(g.order, dtype=bool)
+    reached[0] = True
+    while True:
+        missing = seeds[~reached[seeds]]
+        if not missing.size and gens:
+            conj = t[t[np.ix_(inv[xs], gens)], xs[:, None]]  # x^-1 c x
+            missing = conj[~reached[conj]]
+        if not missing.size:
+            return Subgroup(g, np.flatnonzero(reached))
+        gens.append(int(missing.flat[0]))
+        reached = _closure(g, gens)
+
+
 def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators [a,b] = a^-1 b^-1 a b, a in H, b in K."""
+    """Subgroup generated by all commutators [a,b] = a^-1 b^-1 a b, a in H, b in K.
+
+    When K is the whole group, [H, G] is the normal closure of the
+    [h, x] with x a generator of G (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory): [h, xy] = [h, y] [h, x]^y.  Other pairs
+    take every commutator, in blocks of table lookups.
+    """
     if h.parent is not k.parent:
         raise InputError("subgroups live in different parent groups")
     g = h.parent
     t, inv = g.table, g.inverse
     a = np.array(h.members, dtype=np.intp)
+    if k.order == g.order:
+        xs = g._distinct_generators()
+        return _normal_closure(
+            g, t[t[np.ix_(inv[a], inv[xs])], t[np.ix_(a, xs)]].ravel())
     b = np.array(k.members, dtype=np.intp)
     hit = np.zeros(g.order, dtype=bool)
     step = max(1, 2 ** 20 // b.size)  # rows of a per block

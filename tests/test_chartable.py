@@ -229,6 +229,33 @@ def test_restriction_of_s3_twodim_to_a3(tables):
     assert list(decompose(down, ht)).count(1) == 2
 
 
+def test_restricted_and_induced_irreducibility_is_paired_on_first_read(
+        tables, monkeypatch):
+    from groupchar import chartable
+
+    pairs = []
+    real = chartable.inner_product
+    monkeypatch.setattr(chartable, "inner_product",
+                        lambda a, b: pairs.append(a) or real(a, b))
+    cases = []  # (character, the table of its group)
+    s3, heis3 = tables["s3"].group, tables["heis3"].group
+    for gt, h in ((tables["s3"], s3.derived_subgroup()),
+                  (tables["heis3"], heis3.center())):
+        ht = character_table(h.as_group())
+        cases += [(restrict(chi, h), ht) for chi in gt.irreducibles]
+        cases += [(induce(lam, h, gt.group), gt) for lam in ht.irreducibles]
+    assert pairs == []  # nothing is paired while building
+    for chi, t in cases:
+        want = sum(m * m for m in decompose(chi, t)) == 1
+        assert chi.is_irreducible == want
+        assert chi.is_irreducible == want  # cached: paired once
+    assert pairs == [chi for chi, _ in cases]
+    # s3 -> A3: trivial and sign stay irreducible, the degree-2 one splits;
+    # the two nontrivial linear characters of A3 induce the degree-2 one
+    assert [chi.is_irreducible for chi, _ in cases[:3]] == [True, True, False]
+    assert sorted(chi.is_irreducible for chi, _ in cases[3:6]) == [False, True, True]
+
+
 def test_kernels_and_centers(tables):
     t = tables["q8"]
     two = t.nonlinear()[0]

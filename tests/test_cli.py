@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import groupchar
 from groupchar import ConsistencyError, cli
 from groupchar.cli import main
 
@@ -204,3 +208,15 @@ def test_json_output_is_deterministic(capsys):
     one = _run(capsys, "table", "--group", S3, "--format", "json")
     two = _run(capsys, "table", "--group", S3, "--format", "json")
     assert one == two
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["table", "--group", '{"type":"cyclic","n":3}', "--format", "json"]
+    src = str(Path(groupchar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "groupchar", *argv],
+                          capture_output=True, env=env, timeout=120)
+    code, out, _ = _run(capsys, *argv)
+    assert done.returncode == 0 == code
+    assert done.stdout == out.encode() and out

@@ -188,6 +188,27 @@ def test_commutator_subgroup_brute_force():
     assert commutator_subgroup(whole, whole).members == generated_by(g, expected).members
 
 
+def test_commutator_with_the_whole_group_is_a_normal_closure(monkeypatch):
+    # [H, G] for a non-normal H of S4 against the blocked route over G's
+    # members; the normal closure needs no generators of H.
+    g = enumerate_from_permutations(4, [(1, 2, 3, 0), (1, 0, 2, 3)])
+    h = generated_by(g, [g.generators[1]])  # a transposition
+    assert not is_normal(g, h)
+    k = Subgroup(g, range(g.order))
+    blocked = []
+    for a in h.members:
+        for b in k.members:
+            blocked.append(g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b)))
+
+    def refuse(self):
+        raise AssertionError("small_generators on the normal-closure path")
+
+    monkeypatch.setattr(Subgroup, "small_generators", refuse)
+    got = commutator_subgroup(h, k)
+    assert got.order == 12  # A4
+    assert got.members == generated_by(g, blocked).members
+
+
 def test_nilpotency_classes(zoo):
     assert nilpotency_class(zoo["trivial"]) == 0
     assert nilpotency_class(zoo["c6"]) == 1

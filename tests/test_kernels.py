@@ -135,7 +135,7 @@ def test_lift_kernel_matches_scalar_loop(name, monkeypatch):
 
     monkeypatch.setattr(chartable, "_root_multiplicities", spy)
     g = from_spec(LIFT_SPECS[name])
-    t = character_table(g)
+    t = chartable._dixon_table(g, None)  # abelian groups bypass it otherwise
     assert len(seen) == len(t)
     e = t.exponent
     reference = []
