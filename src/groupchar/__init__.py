@@ -10,7 +10,7 @@ from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, root_of_un
 from .chartable import (Character, CharacterTable, char_center,
                         character_table, decompose, deflate, degree_set,
                         dixon_prime, induce, inner_product, kernel, lift,
-                        restrict, same_values, value_key)
+                        restrict)
 from .constructions import (cyclic, direct_product, elementary_abelian,
                             from_spec, gn, heisenberg, named,
                             predicted_centres)
@@ -33,7 +33,6 @@ __all__ = [
     "inner_product", "irr_star", "is_gcp", "is_gvz", "is_normal", "kernel",
     "lift", "named", "nilpotency_class", "perm_from_cycles",
     "predicted_centres", "quotient", "restrict", "root_of_unity",
-    "same_values", "value_key",
     "unique_nonlinear_constituent", "verify_all", "verify_claim",
     "verify_coset_criterion", "verify_fiber_theorem", "verify_identity_suite",
     "verify_p4_criterion",

@@ -33,7 +33,10 @@ of zeta^k.
 A ``Character`` holds exactly these coefficients, one read-only int64 array
 of shape (classes, phi(e)); the operations below are row gathers on it and
 products with ``embedding(e, e2)``, and ``Cyclotomic`` scalars are made only
-for rendering (``Character.values``).
+for rendering (``Character.values``).  An irreducible is identified by its
+row: ``CharacterTable.row_of`` looks a character up by its degree and the
+bytes of its coefficients, so claims about sets of irreducibles compare
+sets of row indices.
 
 Abelian groups skip the split and the lift.  Their irreducibles are the
 homomorphisms to the e-th roots of unity, built by cyclic extension along
@@ -56,7 +59,7 @@ point is involved anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -145,9 +148,22 @@ class CharacterTable:
     field_prime: int
     inverse_class: tuple[int, ...]
     power_map: tuple[tuple[int, ...], ...]
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.irreducibles)
+
+    def row_of(self, chi: Character) -> int | None:
+        """Index of the irreducible with the degree and values of ``chi``, or
+        None.  Values meet at lcm(exponent, chi.conductor), since a deflated
+        character keeps the conductor of the larger group."""
+        if chi.group is not self.group:
+            raise InputError("character does not live on the table's group")
+        e = math.lcm(self.exponent, chi.conductor)
+        if e not in self._rows:
+            self._rows[e] = {(ch.degree, ch.at(e).tobytes()): i
+                             for i, ch in enumerate(self.irreducibles)}
+        return self._rows[e].get((chi.degree, chi.at(e).tobytes()))
 
     def linear(self) -> tuple[Character, ...]:
         return tuple(ch for ch in self.irreducibles if ch.degree == 1)
@@ -343,7 +359,13 @@ def _inverse_class(g: Group, classes: ConjugacyClasses) -> tuple[int, ...]:
 def _finish(g: Group, classes: ConjugacyClasses, chars: list, q: int,
             inverse_class, pm) -> CharacterTable:
     """Sort the rows canonically and check the sum of squared degrees."""
-    chars.sort(key=lambda ch: (ch.degree, ch.coeffs.ravel().tolist()))
+    # Big-endian with the sign bit flipped, the bytes of a row compare as one
+    # void in the order of its integers, of which the first is the degree
+    # (the value on the identity class).
+    raw = np.array([ch.coeffs.ravel() for ch in chars], dtype=">i8").view(">u8")
+    raw ^= np.uint64(1 << 63)
+    order = np.argsort(raw.view(f"V{raw.shape[1] * 8}").ravel(), kind="stable")
+    chars = [chars[i] for i in order]
     if sum(ch.degree ** 2 for ch in chars) != g.order:
         raise ConsistencyError("degrees fail the sum-of-squares identity")
     return CharacterTable(g, classes, tuple(chars), g.exponent, q, inverse_class, pm)
@@ -644,17 +666,3 @@ def deflate(chi: Character, n_or_qm: Subgroup | QuotientMap) -> Character | None
                          for rep in qm.target.conjugacy_classes().reps]]
     return Character(qm.target, chi.degree, chi.conductor, coeffs, chi.irreducible)
 
-
-def value_key(chi: Character, e: int | None = None):
-    """Canonical comparison key for a character's values at conductor ``e``."""
-    if e is None:
-        e = chi.conductor
-    return (chi.degree, tuple(map(tuple, chi.at(e).tolist())))
-
-
-def same_values(a: Character, b: Character) -> bool:
-    """Classwise equality of two class functions on the same group."""
-    if a.group is not b.group:
-        raise InputError("characters live on different groups")
-    e = math.lcm(a.conductor, b.conductor)
-    return value_key(a, e) == value_key(b, e)

@@ -23,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .chartable import (Character, CharacterTable, char_center,
                         character_table, deflate, degree_set, decompose,
-                        induce, inner_product, kernel, lift, restrict,
-                        value_key)
+                        induce, inner_product, kernel, lift, restrict)
 from .constructions import predicted_centres
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      TheoremViolation)
@@ -93,6 +93,7 @@ class _Ctx:
     def __init__(self, table: CharacterTable):
         self.table = table
         self.g = table.group
+        self.reps = np.array(table.classes.reps)
         self._canonical: dict[tuple, Subgroup] = {}
         self._centres: dict[int, Subgroup] = {}
         self._kernels: dict[int, Subgroup] = {}
@@ -100,7 +101,7 @@ class _Ctx:
         self._quotients: dict[tuple, QuotientMap] = {}
         self._quotient_tables: dict[tuple, CharacterTable] = {}
         self._subgroup_tables: dict[tuple, CharacterTable] = {}
-        self._lifted_keys: dict[tuple, tuple] = {}
+        self._lifted_rows: dict[tuple, frozenset] = {}
 
     def canonical(self, members: Iterable[int]) -> Subgroup:
         key = tuple(sorted(members))
@@ -145,15 +146,15 @@ class _Ctx:
             self._subgroup_tables[sub.members] = character_table(sub.as_group())
         return self._subgroup_tables[sub.members]
 
-    def lifted_irreducible_keys(self, qm: QuotientMap) -> tuple:
-        """Value keys (at the source conductor) of all lifted Irr(G/N)."""
+    def lifted_rows(self, qm: QuotientMap) -> frozenset:
+        """Rows of the table holding the lifts of Irr(G/N); a lift that
+        matches no row adds None."""
         key = qm.kernel.members
-        if key not in self._lifted_keys:
-            e = self.g.exponent
-            qt = self.quotient_table(qm)
-            self._lifted_keys[key] = tuple(
-                value_key(lift(ch, qm), e) for ch in qt.irreducibles)
-        return self._lifted_keys[key]
+        if key not in self._lifted_rows:
+            self._lifted_rows[key] = frozenset(
+                self.table.row_of(lift(ch, qm))
+                for ch in self.quotient_table(qm).irreducibles)
+        return self._lifted_rows[key]
 
     # -- frequently needed flags ------------------------------------------
 
@@ -162,11 +163,11 @@ class _Ctx:
 
     def vanishes_off_centre(self, pos: int) -> tuple[bool, int | None]:
         """Whether chi is zero on every class outside Z(chi); witness class."""
-        centre = self.centre(pos)
-        nonzero = self.table.irreducibles[pos].coeffs.any(axis=1)
-        witness = next((c for c, rep in enumerate(self.table.classes.reps)
-                        if rep not in centre and nonzero[c]), None)
-        return witness is None, witness
+        outside = (self.table.irreducibles[pos].coeffs.any(axis=1)
+                   & ~np.isin(self.reps, self.centre(pos).members))
+        if outside.any():
+            return False, int(outside.argmax())
+        return True, None
 
     def gvz_flags(self, pos: int) -> tuple[bool, bool, int | None]:
         """(degree criterion, vanishing criterion, witness class); must agree."""
@@ -187,6 +188,7 @@ class _Ctx:
                 return False, pos, witness
         return True, None, None
 
+    @cached_property
     def two_degree_gvz(self) -> tuple[bool, str]:
         if self.g.is_abelian():
             return False, "the group is abelian"
@@ -336,7 +338,7 @@ def fiber_count(table: CharacterTable, chi: Character, *,
     centre = ctx.centre(pos)
     count = sum(1 for i in ctx.nonlinear_positions()
                 if ctx.centre(i).members == centre.members)
-    met, _ = ctx.two_degree_gvz()
+    met, _ = ctx.two_degree_gvz
     if not met:
         return FiberCount(count, None, False, None)
     m = ctx.commutator_with_group(centre)
@@ -352,10 +354,10 @@ def fiber_count(table: CharacterTable, chi: Character, *,
 
 
 def _position_of(table: CharacterTable, chi: Character) -> int:
-    for i, ch in enumerate(table.irreducibles):
-        if ch is chi:
-            return i
-    raise InputError("character is not a row of the given table")
+    pos = table.row_of(chi)
+    if pos is None:
+        raise InputError("character is not a row of the given table")
+    return pos
 
 
 @dataclass(frozen=True)
@@ -371,7 +373,7 @@ def irr_star(table: CharacterTable, chi: Character, *,
              _ctx: _Ctx | None = None) -> IrrStar:
     """Characters of Z(chi) that kill [Z(chi),G] but not all of G'."""
     ctx = _ctx or _Ctx(table)
-    met, why = ctx.two_degree_gvz()
+    met, why = ctx.two_degree_gvz
     if not met:
         raise HypothesisNotMet(why)
     pos = _position_of(table, chi)
@@ -432,12 +434,11 @@ def unique_nonlinear_constituent(table: CharacterTable, lam: Character,
 
     e = g.exponent
     theta_e = theta.at(e)
-    reps = np.array(table.classes.reps)
-    inside = np.isin(reps, centre.members)
+    inside = np.isin(ctx.reps, centre.members)
     vanishes = not theta_e[~inside].any()
     # each class of G inside the centre, as a class of the centre's group
     h_class_of = np.array(centre.as_group().conjugacy_classes().class_of)
-    lam_e = lam.at(e)[h_class_of[np.searchsorted(centre.members, reps[inside])]]
+    lam_e = lam.at(e)[h_class_of[np.searchsorted(centre.members, ctx.reps[inside])]]
     value_formula = np.array_equal(theta_e[inside] * lam.degree, root * lam_e)
     checks.append(("theta vanishes outside the centre", vanishes))
     checks.append(("theta agrees with sqrt(index)/lambda(1) * lambda on the centre",
@@ -457,11 +458,10 @@ def verify_fiber_theorem(table: CharacterTable, *,
     """Claim ``thm1.1``: per-centre fibre counts, induced constituents and the
     bijections with the nonlinear characters of G/[Z(chi),G]."""
     ctx = _ctx or _Ctx(table)
-    met, why = ctx.two_degree_gvz()
+    met, why = ctx.two_degree_gvz
     if not met:
         raise HypothesisNotMet(why)
     report = TheoremReport("thm1.1", ctx.g.name)
-    e = ctx.g.exponent
 
     nl = ctx.nonlinear_positions()
     fibres: dict[tuple, list[int]] = {}
@@ -511,33 +511,25 @@ def verify_fiber_theorem(table: CharacterTable, *,
 
         qm = ctx.quotient_by(star.commutator)
         qtable = ctx.quotient_table(qm)
-        q_nl_keys = {value_key(ch, e) for ch in qtable.irreducibles if ch.degree > 1}
+        q_nl = {i for i, ch in enumerate(qtable.irreducibles) if ch.degree > 1}
         report.add(f"{tag}: star set size equals the quotient's nonlinear count",
-                   "pass" if len(star.lambdas) == len(q_nl_keys) else "fail",
-                   lhs=len(star.lambdas), rhs=len(q_nl_keys))
+                   "pass" if len(star.lambdas) == len(q_nl) else "fail",
+                   lhs=len(star.lambdas), rhs=len(q_nl))
 
-        theta_keys = [value_key(c.theta, e) for c in constituents]
+        thetas = [c.theta_position for c in constituents]
         report.add(f"{tag}: distinct inducing characters give distinct constituents",
-                   "pass" if len(set(theta_keys)) == len(theta_keys) else "fail",
-                   lhs=len(set(theta_keys)), rhs=len(theta_keys))
+                   "pass" if len(set(thetas)) == len(thetas) else "fail",
+                   lhs=len(set(thetas)), rhs=len(thetas))
 
-        deflated_keys = set()
-        deflation_ok = True
-        for con in constituents:
-            down = deflate(con.theta, qm)
-            if down is None:
-                deflation_ok = False
-                break
-            deflated_keys.add(value_key(down, e))
+        downs = [deflate(c.theta, qm) for c in constituents]
+        deflated = {None if d is None else qtable.row_of(d) for d in downs}
         report.add(f"{tag}: constituents deflate onto the quotient's nonlinear "
-                   "characters exactly",
-                   "pass" if deflation_ok and deflated_keys == q_nl_keys else "fail",
-                   lhs=len(deflated_keys), rhs=len(q_nl_keys))
+                   "characters exactly", "pass" if deflated == q_nl else "fail",
+                   lhs=len(deflated), rhs=len(q_nl))
 
-        fibre_keys = {value_key(table.irreducibles[p], e) for p in fibre}
         report.add(f"{tag}: constituent set equals the fibre over this centre",
-                   "pass" if set(theta_keys) == fibre_keys else "fail",
-                   lhs=len(set(theta_keys)), rhs=len(fibre_keys))
+                   "pass" if set(thetas) == set(fibre) else "fail",
+                   lhs=len(set(thetas)), rhs=len(fibre))
 
     report.add("fibres partition the nonlinear characters",
                "pass" if total == len(nl) else "fail",
@@ -626,7 +618,6 @@ def verify_identity_suite(table: CharacterTable, *,
     ctx = _ctx or _Ctx(table)
     report = TheoremReport("lemmas", ctx.g.name)
     g = ctx.g
-    e = g.exponent
     k = len(table.irreducibles)
     derived = ctx.derived()
     centre_of_g = ctx.canonical(g.center().members)
@@ -686,10 +677,8 @@ def verify_identity_suite(table: CharacterTable, *,
     # curated family of normal subgroups
     bad_n = []
     for n in _curated_normals(ctx):
-        over = {value_key(table.irreducibles[pos], e) for pos in range(k)
-                if ctx.kernel_of(pos).contains_set(n)}
-        lifted = set(ctx.lifted_irreducible_keys(ctx.quotient_by(n)))
-        if over != lifted:
+        over = {pos for pos in range(k) if ctx.kernel_of(pos).contains_set(n)}
+        if over != ctx.lifted_rows(ctx.quotient_by(n)):
             bad_n.append(n.describe())
     report.add_failures("the characters with N inside the kernel are exactly "
                         "the lifts from G/N", bad_n)
@@ -710,16 +699,16 @@ def verify_identity_suite(table: CharacterTable, *,
             continue
         seen_centres.add(centre.members)
         qm = ctx.quotient_by(ctx.commutator_with_group(centre))
-        lifted = set(ctx.lifted_irreducible_keys(qm))
+        lifted = ctx.lifted_rows(qm)
         for other in range(k):
             contained = ctx.centre(other).contains_set(centre)
-            factors = value_key(table.irreducibles[other], e) in lifted
+            factors = other in lifted
             if contained != factors:
                 bad_pairs.append((pos, other))
     report.add_failures("Z(chi) is contained in Z(phi) exactly when phi "
                         "factors through G/[Z(chi),G]", bad_pairs, 5)
 
-    met, why = ctx.two_degree_gvz()
+    met, why = ctx.two_degree_gvz
 
     # equal centres <-> nonlinear on the quotient by [Z(chi),G]
     label = ("two nonlinear characters share a centre exactly when one lives "
@@ -729,10 +718,10 @@ def verify_identity_suite(table: CharacterTable, *,
         for pos in nl:
             centre = ctx.centre(pos)
             qm = ctx.quotient_by(ctx.commutator_with_group(centre))
-            lifted = set(ctx.lifted_irreducible_keys(qm))
+            lifted = ctx.lifted_rows(qm)
             for other in nl:
                 same_centre = ctx.centre(other).members == centre.members
-                in_quotient_nl = value_key(table.irreducibles[other], e) in lifted
+                in_quotient_nl = other in lifted
                 if same_centre != in_quotient_nl:
                     bad_pairs.append((pos, other))
         report.add_failures(label, bad_pairs, 5)

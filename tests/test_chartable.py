@@ -29,9 +29,8 @@ from groupchar import (
     quotient,
     restrict,
     root_of_unity,
-    same_values,
-    value_key,
 )
+from groupchar import chartable
 from groupchar.groups import Subgroup
 
 
@@ -63,6 +62,25 @@ def test_s3_table_matches_textbook(tables):
     # canonical row order sorts by degree first
     degrees = [ch.degree for ch in t.irreducibles]
     assert degrees == sorted(degrees)
+
+
+def test_rows_sort_by_degree_then_signed_coefficients(zoo, tables):
+    for t in tables.values():
+        keys = [(ch.degree, ch.coeffs.ravel().tolist()) for ch in t.irreducibles]
+        assert keys == sorted(keys)
+    # entries of either sign and several bytes, through the sort tables use
+    t = tables["c4"]
+    rng = np.random.default_rng(7)
+    chars = []
+    for _ in range(len(t)):
+        coeffs = rng.choice([-2 ** 40, -300, -256, -1, 0, 1, 255, 256, 2 ** 40],
+                            size=t.irreducibles[0].coeffs.shape)
+        coeffs[0] = [1, 0]
+        chars.append(Character(zoo["c4"], 1, t.exponent, coeffs))
+    got = chartable._finish(zoo["c4"], t.classes, list(chars), t.field_prime,
+                            t.inverse_class, t.power_map)
+    assert ([ch.coeffs.tolist() for ch in got.irreducibles]
+            == sorted(ch.coeffs.tolist() for ch in chars))
 
 
 def test_cyclic_rows_are_powers_of_a_root(tables):
@@ -276,14 +294,11 @@ def test_lift_and_deflate_through_central_quotient(tables):
     qt = character_table(qm.target)
     lifted = [lift(ch, qm) for ch in qt.irreducibles]
     assert len(lifted) == 9
-    keys = {value_key(ch, t.exponent) for ch in t.irreducibles}
-    for up in lifted:
+    assert None not in {t.row_of(up) for up in lifted}
+    for pos, up in enumerate(lifted):
         assert up.is_irreducible
-        assert value_key(up, t.exponent) in keys
         back = deflate(up, qm)
-        assert back is not None and same_values(back, deflate(up, qm))
-        assert value_key(back, qt.exponent) in {value_key(ch, qt.exponent)
-                                                for ch in qt.irreducibles}
+        assert back is not None and qt.row_of(back) == pos
     # characters whose kernel misses the centre do not deflate
     for ch in t.nonlinear():
         assert deflate(ch, qm) is None
@@ -291,13 +306,37 @@ def test_lift_and_deflate_through_central_quotient(tables):
     assert deflate(t.linear()[0], g.center()) is not None
 
 
+def test_row_of_finds_lifts_and_deflations(tables):
+    for name in ("heis3", "gn32"):
+        t = tables[name]
+        g = t.group
+        qm = quotient(g, g.center())
+        qt = character_table(qm.target)
+        rows = [t.row_of(lift(ch, qm)) for ch in qt.irreducibles]
+        assert None not in rows and len(set(rows)) == len(qt)
+        a, b = t.irreducibles[0], t.irreducibles[-1]
+        both = Character(g, a.degree + b.degree, t.exponent, a.coeffs + b.coeffs)
+        assert t.row_of(both) is None
+        # the values of a row under another degree are not that row
+        assert t.row_of(Character(g, b.degree + 1, b.conductor, b.coeffs)) is None
+        with pytest.raises(InputError):
+            t.row_of(tables["s3"].irreducibles[0])
+    # a deflation keeps the conductor of G, a multiple of the quotient's exponent
+    t = tables["q8"]
+    qm = quotient(t.group, t.group.center())
+    qt = character_table(qm.target)
+    assert qt.exponent < t.exponent
+    downs = [deflate(ch, qm) for ch in t.linear()]
+    assert all(d.conductor == t.exponent for d in downs)
+    assert sorted(qt.row_of(d) for d in downs) == list(range(len(qt)))
+
+
 def test_table_is_independent_of_splitting_strategy(tables):
     for name in ("s3", "heis3"):
         base = tables[name]
         k = len(base.classes)
         v = character_table(base.group, split_order=list(range(k - 1, 0, -1)))
-        base_keys = [value_key(ch, base.exponent) for ch in base.irreducibles]
-        assert [value_key(ch, v.exponent) for ch in v.irreducibles] == base_keys
+        assert [base.row_of(ch) for ch in v.irreducibles] == list(range(len(base)))
 
 
 def test_dixon_prime_choice():

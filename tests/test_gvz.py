@@ -8,11 +8,13 @@ multiplicity three.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from groupchar import (
+    Character,
     HypothesisNotMet,
     InputError,
     TheoremViolation,
@@ -32,6 +34,7 @@ from groupchar import (
     verify_identity_suite,
     verify_p4_criterion,
 )
+from groupchar import gvz
 from groupchar.groups import generated_by
 
 
@@ -188,6 +191,43 @@ def test_identity_suite_statuses(tables):
     rep = verify_identity_suite(tables["s3"])
     assert rep.passed
     assert any(c.status == "skip" for c in rep.checks)
+
+
+def _copied_last_row(t):
+    """The last row (nonlinear, if any row is) replaced by the trivial row."""
+    return t.irreducibles[:-1] + t.irreducibles[:1]
+
+
+def _extra_row(t):
+    """An appended row, the sum of the first and last, which is no irreducible."""
+    a, b = t.irreducibles[0], t.irreducibles[-1]
+    return t.irreducibles + (Character(t.group, a.degree + b.degree, t.exponent,
+                                       a.coeffs + b.coeffs),)
+
+
+@pytest.mark.parametrize("doctor", [_copied_last_row, _extra_row])
+def test_bijection_checks_catch_a_wrong_quotient_table(tables, monkeypatch, doctor):
+    lifts = "the characters with N inside the kernel are exactly the lifts from G/N"
+    deflations = ("constituents deflate onto the quotient's nonlinear "
+                  "characters exactly")
+
+    def expect(status):
+        for name in ("heis3", "gn32"):
+            t = tables[name]
+            lemmas = {c.label: c.status for c in verify_identity_suite(t).checks}
+            fibres = {c.status for c in verify_fiber_theorem(t).checks
+                      if c.label.endswith(deflations)}
+            assert lemmas[lifts] == status and fibres == {status}, name
+
+    original = gvz._Ctx.quotient_table
+
+    def doctored(self, qm):
+        t = original(self, qm)
+        return dataclasses.replace(t, irreducibles=doctor(t))
+
+    expect("pass")
+    monkeypatch.setattr(gvz._Ctx, "quotient_table", doctored)
+    expect("fail")
 
 
 def test_p4_criterion_both_classes(zoo, tables):
