@@ -175,14 +175,14 @@ class CharacterTable:
 # ---------------------------------------------------------------------------
 # primes and roots of unity in F_q
 
-def dixon_prime(order: int, exponent: int, bound: int = PRIME_BOUND) -> int:
+def dixon_prime(order: int, exponent: int) -> int:
     """Smallest prime q = 1 (mod exponent) with q > 2*sqrt(order)."""
     floor_limit = math.isqrt(4 * order)  # q must exceed 2*sqrt(order)
     q = exponent + 1
     while q <= floor_limit or not is_prime(q):
         q += exponent
-        if q > bound:
-            raise ResourceError(f"no usable prime below {bound}")
+        if q > PRIME_BOUND:
+            raise ResourceError(f"no usable prime below {PRIME_BOUND}")
     return q
 
 
@@ -377,13 +377,6 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     k = len(classes)
     e = g.exponent
     q = dixon_prime(g.order, e)
-    matrices: dict[int, np.ndarray] = {}
-
-    def matrix(i: int) -> np.ndarray:
-        if i not in matrices:
-            matrices[i] = class_matrix(g, classes, i)
-        return matrices[i]
-
     eye = np.eye(k, dtype=np.int64)
     spaces = [(eye.copy(), tuple(range(k)))]
 
@@ -393,7 +386,7 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
             raise InputError(f"split order entry {i} is not a class index")
         if all(rows.shape[0] == 1 for rows, _ in spaces):
             break
-        spaces = _split_spaces(spaces, matrix(i), q)
+        spaces = _split_spaces(spaces, class_matrix(g, classes, i), q)
     if any(rows.shape[0] != 1 for rows, _ in spaces):
         raise ConsistencyError("class matrices failed to separate all characters")
     if len(spaces) != k:

@@ -20,12 +20,11 @@ import sys
 from typing import Callable
 
 from .chartable import CharacterTable, character_table, degree_set
-from .constructions import from_spec, is_integer
+from .constructions import from_spec, gn_order, is_integer
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      ResourceError)
 from .groups import ORDER_CAP, Group, generated_by
 from .gvz import _CLAIMS, is_gcp, is_gvz, verify_all, verify_claim
-from .modular import is_prime
 
 SCHEMA = "report-v1"
 
@@ -256,10 +255,7 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     if args.family != "gn":
         raise InputError(f"unknown family {args.family!r}; only 'gn' is supported")
-    if args.p == 2 or not is_prime(args.p):
-        raise InputError(f"p = {args.p} is not an odd prime")
-    if args.n < 1:
-        raise InputError(f"n = {args.n} must be at least 1")
+    gn_order(args.p, args.n)
     doc = {"type": "gn", "p": args.p, "n": args.n}
     out = _canonical(doc) + "\n"
     if args.out:

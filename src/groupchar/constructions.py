@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, ResourceError
 from .groups import (ORDER_CAP, Group, admit, build_group,
                      enumerate_from_permutations, generated_by, perm_from_cycles)
 from .modular import is_prime
@@ -73,14 +73,31 @@ def direct_product(a: Group, b: Group, *, cap: int = ORDER_CAP) -> Group:
                        gen_names=names, cap=cap, word_fn=word)
 
 
+def gn_order(p: int, n: int, *, cap: int = ORDER_CAP) -> int:
+    """The order p^(2n+1) of gn(p, n), once the parameters pass every check.
+
+    The cheap checks come first, and the order is bounded by the cap before
+    it is formed, so only a p small enough to fit reaches ``is_prime``.
+    """
+    if p < 3 or p % 2 == 0:
+        raise InputError(f"p = {p} is not an odd prime")
+    if n < 1:
+        raise InputError(f"n = {n} must be at least 1")
+    order = 1
+    for _ in range(2 * n + 1):
+        order *= p
+        if order > ORDER_CAP:
+            raise ResourceError(f"order {p}^{2 * n + 1} exceeds the cap "
+                                f"({min(cap, ORDER_CAP)})")
+    admit(order, cap)
+    if not is_prime(p):
+        raise InputError(f"p = {p} is not an odd prime")
+    return order
+
+
 def gn(p: int, n: int, *, cap: int = ORDER_CAP) -> Group:
     """The two-degree family of order p^(2n+1) and exponent p (p an odd prime)."""
-    if not is_prime(p) or p == 2:
-        raise InputError("p must be an odd prime")
-    if n < 1:
-        raise InputError("n must be at least 1")
-    order = p ** (2 * n + 1)
-    admit(order, cap)
+    order = gn_order(p, n, cap=cap)
 
     # label = (x_1..x_n, t, y_1..y_n): (prod a_i^x_i) * a^t * (prod b_i^y_i)
     zero = tuple(0 for _ in range(2 * n + 1))

@@ -21,10 +21,11 @@ is documented in the README.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -87,79 +88,73 @@ class TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# shared computation context (memoises subgroups, quotients and their tables)
+# shared computation context
 
 class _Ctx:
+    """What the claim verifiers share on one table, each computed once.
+
+    One dict, ``_memo``, holds it all under keys tagged by kind: the centre
+    and kernel of each irreducible, [N,G], G/N with its table and lifted
+    rows, the nonlinear positions, the two-degree hypothesis and the coset
+    condition per centre.  Subgroups are interned by value: ``canonical``
+    returns the first equal subgroup seen, so each centre, kernel and
+    commutator is one object that builds ``as_group()`` once.  Compare
+    subgroups with ``==``, never ``is``: one built elsewhere is equal to the
+    interned one but is another object.
+    """
+
     def __init__(self, table: CharacterTable):
         self.table = table
         self.g = table.group
         self.reps = np.array(table.classes.reps)
-        self._canonical: dict[tuple, Subgroup] = {}
-        self._centres: dict[int, Subgroup] = {}
-        self._kernels: dict[int, Subgroup] = {}
-        self._commutators: dict[tuple, tuple] = {}
-        self._quotients: dict[tuple, QuotientMap] = {}
-        self._quotient_tables: dict[tuple, CharacterTable] = {}
-        self._subgroup_tables: dict[tuple, CharacterTable] = {}
-        self._lifted_rows: dict[tuple, frozenset] = {}
+        self._memo: dict[tuple, object] = {}
 
-    def canonical(self, members: Iterable[int]) -> Subgroup:
-        key = tuple(sorted(members))
-        if key not in self._canonical:
-            self._canonical[key] = Subgroup(self.g, key)
-        return self._canonical[key]
+    def _once(self, key: tuple, make: Callable[[], object]):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def canonical(self, sub: Subgroup) -> Subgroup:
+        return self._once(("subgroup", sub), lambda: sub)
 
     def centre(self, pos: int) -> Subgroup:
-        if pos not in self._centres:
-            self._centres[pos] = self.canonical(
-                char_center(self.table.irreducibles[pos]).members)
-        return self._centres[pos]
+        return self._once(("centre", pos), lambda: self.canonical(
+            char_center(self.table.irreducibles[pos])))
 
     def kernel_of(self, pos: int) -> Subgroup:
-        if pos not in self._kernels:
-            self._kernels[pos] = self.canonical(
-                kernel(self.table.irreducibles[pos]).members)
-        return self._kernels[pos]
+        return self._once(("kernel", pos), lambda: self.canonical(
+            kernel(self.table.irreducibles[pos])))
 
     def derived(self) -> Subgroup:
-        return self.canonical(self.g.derived_subgroup().members)
+        return self.canonical(self.g.derived_subgroup())
 
     def commutator_with_group(self, sub: Subgroup) -> Subgroup:
-        if sub.members not in self._commutators:
-            m = commutator_subgroup(sub, self.g.full_subgroup())
-            self._commutators[sub.members] = m.members
-        return self.canonical(self._commutators[sub.members])
+        return self._once(("commutator", sub), lambda: self.canonical(
+            commutator_subgroup(sub, self.g.full_subgroup())))
 
     def quotient_by(self, sub: Subgroup) -> QuotientMap:
-        if sub.members not in self._quotients:
-            self._quotients[sub.members] = quotient(self.g, sub)
-        return self._quotients[sub.members]
+        return self._once(("quotient", sub), lambda: quotient(self.g, sub))
 
     def quotient_table(self, qm: QuotientMap) -> CharacterTable:
-        key = qm.kernel.members
-        if key not in self._quotient_tables:
-            self._quotient_tables[key] = character_table(qm.target)
-        return self._quotient_tables[key]
+        return self._once(("quotient_table", qm.kernel),
+                          lambda: character_table(qm.target))
 
     def subgroup_table(self, sub: Subgroup) -> CharacterTable:
-        if sub.members not in self._subgroup_tables:
-            self._subgroup_tables[sub.members] = character_table(sub.as_group())
-        return self._subgroup_tables[sub.members]
+        # not memoised: irr_star asks once per distinct centre
+        return character_table(sub.as_group())
 
     def lifted_rows(self, qm: QuotientMap) -> frozenset:
         """Rows of the table holding the lifts of Irr(G/N); a lift that
         matches no row adds None."""
-        key = qm.kernel.members
-        if key not in self._lifted_rows:
-            self._lifted_rows[key] = frozenset(
-                self.table.row_of(lift(ch, qm))
-                for ch in self.quotient_table(qm).irreducibles)
-        return self._lifted_rows[key]
+        return self._once(("lifted_rows", qm.kernel), lambda: frozenset(
+            self.table.row_of(lift(ch, qm))
+            for ch in self.quotient_table(qm).irreducibles))
 
     # -- frequently needed flags ------------------------------------------
 
-    def nonlinear_positions(self) -> list[int]:
-        return [i for i, ch in enumerate(self.table.irreducibles) if ch.degree > 1]
+    def nonlinear_positions(self) -> tuple[int, ...]:
+        return self._once(("nonlinear",), lambda: tuple(
+            i for i, ch in enumerate(self.table.irreducibles) if ch.degree > 1))
 
     def vanishes_off_centre(self, pos: int) -> tuple[bool, int | None]:
         """Whether chi is zero on every class outside Z(chi); witness class."""
@@ -188,8 +183,32 @@ class _Ctx:
                 return False, pos, witness
         return True, None, None
 
-    @cached_property
+    def coset_condition(self, centre: Subgroup) -> tuple[bool, dict | None]:
+        """Whether x[Z,G] is the class of x for every x in the centre Z that
+        lies in no other nonlinear centre; a witness element if not."""
+        return self._once(("coset_condition", centre),
+                          lambda: self._coset_condition(centre))
+
+    def _coset_condition(self, centre: Subgroup) -> tuple[bool, dict | None]:
+        classes = self.table.classes
+        m = self.commutator_with_group(centre)
+        others = {x for pos in self.nonlinear_positions()
+                  if self.centre(pos) != centre for x in self.centre(pos).members}
+        for x in centre.members:
+            if x in others:
+                continue
+            cls = classes.members[classes.class_of[x]]
+            cos = coset(x, m)
+            if cls != cos:
+                return False, {"element": self.g.words[x],
+                               "coset_size": len(cos), "class_size": len(cls)}
+        return True, None
+
+    @property
     def two_degree_gvz(self) -> tuple[bool, str]:
+        return self._once(("two_degree_gvz",), self._two_degree_gvz)
+
+    def _two_degree_gvz(self) -> tuple[bool, str]:
         if self.g.is_abelian():
             return False, "the group is abelian"
         ds = degree_set(self.table)
@@ -336,14 +355,13 @@ def fiber_count(table: CharacterTable, chi: Character, *,
     if chi.degree == 1:
         raise InputError("fibres are counted over nonlinear characters")
     centre = ctx.centre(pos)
-    count = sum(1 for i in ctx.nonlinear_positions()
-                if ctx.centre(i).members == centre.members)
+    count = sum(1 for i in ctx.nonlinear_positions() if ctx.centre(i) == centre)
     met, _ = ctx.two_degree_gvz
     if not met:
         return FiberCount(count, None, False, None)
     m = ctx.commutator_with_group(centre)
     derived = ctx.derived()
-    if m.members == derived.members:
+    if m == derived:
         raise TheoremViolation(
             "[Z(chi), G] equals the derived subgroup for a nonlinear "
             "character; that forces a zero fibre and contradicts the "
@@ -446,7 +464,7 @@ def unique_nonlinear_constituent(table: CharacterTable, lam: Character,
     checks.append(("the multiplicity equals sqrt(index)/lambda(1)",
                    mult * lam.degree == root))
     checks.append(("theta's centre is the inducing centre",
-                   ctx.centre(theta_pos).members == centre.members))
+                   ctx.centre(theta_pos) == centre))
     return Constituent(theta, theta_pos, mult, tuple(checks))
 
 
@@ -464,15 +482,14 @@ def verify_fiber_theorem(table: CharacterTable, *,
     report = TheoremReport("thm1.1", ctx.g.name)
 
     nl = ctx.nonlinear_positions()
-    fibres: dict[tuple, list[int]] = {}
+    fibres: dict[Subgroup, list[int]] = {}
     for pos in nl:
-        fibres.setdefault(ctx.centre(pos).members, []).append(pos)
+        fibres.setdefault(ctx.centre(pos), []).append(pos)
 
     total = 0
-    for centre_key in sorted(fibres):
-        fibre = fibres[centre_key]
+    for centre in sorted(fibres, key=attrgetter("members")):
+        fibre = fibres[centre]
         total += len(fibre)
-        centre = ctx.canonical(centre_key)
         tag = f"centre {centre.describe()} (order {centre.order})"
         chi = table.irreducibles[fibre[0]]
 
@@ -547,8 +564,6 @@ def verify_coset_criterion(table: CharacterTable, *,
             f"the degree set {list(degree_set(table))} does not have exactly "
             "two members")
     report = TheoremReport("thm1.2", ctx.g.name)
-    g = ctx.g
-    classes = table.classes
 
     gvz_holds, bad_pos, bad_class = ctx.is_gvz_bool()
     report.add("evaluated: every nonlinear character vanishes off its centre",
@@ -556,34 +571,10 @@ def verify_coset_criterion(table: CharacterTable, *,
                witness=None if gvz_holds else {
                    "character": bad_pos, "class": bad_class})
 
-    nl = ctx.nonlinear_positions()
-    nl_centres = [ctx.centre(p) for p in nl]
     condition = True
     witness = None
-    seen: dict[tuple, tuple[bool, dict | None]] = {}
     for pos in range(len(table.irreducibles)):
-        centre = ctx.centre(pos)
-        key = centre.members
-        if key not in seen:
-            m = ctx.commutator_with_group(centre)
-            others = set()
-            for other in nl_centres:
-                if other.members != key:
-                    others.update(other.members)
-            holds_here = True
-            wit = None
-            for x in centre.members:
-                if x in others:
-                    continue
-                cls = classes.members[classes.class_of[x]]
-                cos = coset(x, m)
-                if cls != cos:
-                    holds_here = False
-                    wit = {"element": g.words[x],
-                           "coset_size": len(cos), "class_size": len(cls)}
-                    break
-            seen[key] = (holds_here, wit)
-        holds_here, wit = seen[key]
+        holds_here, wit = ctx.coset_condition(ctx.centre(pos))
         if not holds_here and witness is None:
             condition = False
             witness = dict(wit, character=pos)
@@ -597,18 +588,17 @@ def verify_coset_criterion(table: CharacterTable, *,
 
 def _maps_onto_centre(sub: Subgroup, qm: QuotientMap) -> bool:
     """Whether the image of ``sub`` in G/N is the centre of G/N."""
-    image = sorted({qm.projection[x] for x in sub.members})
-    return tuple(image) == qm.target.center().members
+    image = Subgroup(qm.target, {qm.projection[x] for x in sub.members})
+    return image == qm.target.center()
 
 
 def _curated_normals(ctx: _Ctx) -> list[Subgroup]:
-    keys = {(0,), tuple(range(ctx.g.order))}
-    keys.add(ctx.derived().members)
-    keys.add(ctx.canonical(ctx.g.center().members).members)
+    g = ctx.g
+    subs = {Subgroup(g, [0]), g.full_subgroup(), ctx.derived(), g.center()}
     for pos in range(len(ctx.table.irreducibles)):
-        keys.add(ctx.kernel_of(pos).members)
-        keys.add(ctx.commutator_with_group(ctx.centre(pos)).members)
-    return [ctx.canonical(k) for k in sorted(keys)]
+        subs.add(ctx.kernel_of(pos))
+        subs.add(ctx.commutator_with_group(ctx.centre(pos)))
+    return sorted(map(ctx.canonical, subs), key=attrgetter("members"))
 
 
 def verify_identity_suite(table: CharacterTable, *,
@@ -620,12 +610,12 @@ def verify_identity_suite(table: CharacterTable, *,
     g = ctx.g
     k = len(table.irreducibles)
     derived = ctx.derived()
-    centre_of_g = ctx.canonical(g.center().members)
+    centre_of_g = ctx.canonical(g.center())
 
     # linearity <-> [Z(chi),G] = G'
     bad = [pos for pos in range(k)
            if (table.irreducibles[pos].degree == 1)
-           != (ctx.commutator_with_group(ctx.centre(pos)).members == derived.members)]
+           != (ctx.commutator_with_group(ctx.centre(pos)) == derived)]
     report.add_failures("a character is linear exactly when [Z(chi),G] is "
                         "the whole derived subgroup", bad)
 
@@ -695,9 +685,9 @@ def verify_identity_suite(table: CharacterTable, *,
     seen_centres = set()
     for pos in nl:
         centre = ctx.centre(pos)
-        if centre.members in seen_centres:
+        if centre in seen_centres:
             continue
-        seen_centres.add(centre.members)
+        seen_centres.add(centre)
         qm = ctx.quotient_by(ctx.commutator_with_group(centre))
         lifted = ctx.lifted_rows(qm)
         for other in range(k):
@@ -720,7 +710,7 @@ def verify_identity_suite(table: CharacterTable, *,
             qm = ctx.quotient_by(ctx.commutator_with_group(centre))
             lifted = ctx.lifted_rows(qm)
             for other in nl:
-                same_centre = ctx.centre(other).members == centre.members
+                same_centre = ctx.centre(other) == centre
                 in_quotient_nl = other in lifted
                 if same_centre != in_quotient_nl:
                     bad_pairs.append((pos, other))
@@ -750,12 +740,11 @@ def verify_identity_suite(table: CharacterTable, *,
     label = ("with all nonlinear centres equal, they are Z(G) and the "
              "nonlinear count is |Z(G)| - |Z(G)|/|G'|")
     if met:
-        if len({ctx.centre(p).members for p in nl}) == 1:
+        if len({ctx.centre(p) for p in nl}) == 1:
             common = ctx.centre(nl[0])
             expected = centre_of_g.order - Fraction(centre_of_g.order,
                                                     derived.order)
-            ok = (common.members == centre_of_g.members
-                  and len(nl) == expected)
+            ok = common == centre_of_g and len(nl) == expected
             report.add(label, "pass" if ok else "fail",
                        lhs=len(nl), rhs=expected)
         else:
@@ -800,7 +789,7 @@ def verify_p4_criterion(table: CharacterTable, *,
     if g.is_abelian():
         raise HypothesisNotMet(f"{g.name} is abelian")
     report = TheoremReport("prop2.11", g.name)
-    gcp = is_gcp(table, ctx.canonical(g.center().members), _ctx=ctx)
+    gcp = is_gcp(table, ctx.canonical(g.center()), _ctx=ctx)
     cls = nilpotency_class(g)
     report.add("nilpotency class", "pass", lhs=cls)
     report.add("(G, Z(G)) is a Camina-type pair", "pass", lhs=gcp.holds,
@@ -865,25 +854,16 @@ def centre_census(table: CharacterTable, *,
     if g.is_abelian():
         raise HypothesisNotMet(f"{g.name} is abelian; there are no nonlinear "
                                "characters to survey")
-    counts: dict[tuple, int] = {}
-    for pos in ctx.nonlinear_positions():
-        key = ctx.centre(pos).members
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(ctx.centre(pos) for pos in ctx.nonlinear_positions())
     predicted = tuple(predicted_centres(g))
-    predicted_set = set(predicted)
-    entries = []
-    for key in sorted(counts):
-        sub = ctx.canonical(key)
-        entries.append(CensusEntry(
-            key, sub.order, tuple(g.words[i] for i in sub.small_generators()),
-            counts[key], (key in predicted_set) if predicted else None))
-    if predicted:
-        all_present = all(p in counts for p in predicted)
-        unlisted = any(key not in predicted_set for key in counts)
-    else:
-        all_present = None
-        unlisted = None
-    return CensusReport("centres", g.name, tuple(entries),
+    listed = {Subgroup(g, members) for members in predicted}
+    entries = tuple(CensusEntry(
+        sub.members, sub.order, tuple(g.words[i] for i in sub.small_generators()),
+        counts[sub], (sub in listed) if predicted else None)
+        for sub in sorted(counts, key=attrgetter("members")))
+    all_present = listed <= counts.keys() if predicted else None
+    unlisted = not counts.keys() <= listed if predicted else None
+    return CensusReport("centres", g.name, entries,
                         len(ctx.nonlinear_positions()), predicted,
                         all_present, unlisted)
 

@@ -22,6 +22,7 @@ from groupchar import (
     decompose,
     deflate,
     dixon_prime,
+    from_spec,
     induce,
     inner_product,
     kernel,
@@ -337,6 +338,23 @@ def test_table_is_independent_of_splitting_strategy(tables):
         k = len(base.classes)
         v = character_table(base.group, split_order=list(range(k - 1, 0, -1)))
         assert [base.row_of(ch) for ch in v.irreducibles] == list(range(len(base)))
+
+
+def test_dixon_table_builds_each_class_matrix_at_most_once(zoo, monkeypatch):
+    built = []
+    original = chartable.class_matrix
+
+    def spy(g, classes, i):
+        built.append(i)
+        return original(g, classes, i)
+
+    monkeypatch.setattr(chartable, "class_matrix", spy)
+    s6 = from_spec({"type": "perm", "points": 6,
+                    "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]})
+    for g in (s6, zoo["gn32"]):
+        built.clear()
+        chartable._dixon_table(g, None)
+        assert built and len(built) == len(set(built)), g.name
 
 
 def test_dixon_prime_choice():

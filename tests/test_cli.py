@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -199,6 +200,19 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"type": "gn", "p": 5, "n": 1}
     assert _run(capsys, "gen", "gn", "-p", "4", "-n", "1")[0] == 2
     assert _run(capsys, "gen", "gn", "-p", "3", "-n", "0")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--group", '{"type":"gn","p":1000000000000000000000000000057,"n":1}'),
+    ("gen", "gn", "-p", "1000000000000000000000000000057", "-n", "1"),
+    ("table", "--group", '{"type":"gn","p":3,"n":1000000000000}'),
+    ("gen", "gn", "-p", "101", "-n", "1"),
+])
+def test_gn_over_the_cap_is_refused_before_it_is_built(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == "" and "exceeds the cap" in err
 
 
 def test_json_output_is_deterministic(capsys):

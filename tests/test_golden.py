@@ -33,6 +33,11 @@ GROUPS = {
     "S7": {"type": "perm", "points": 7,
            "generators": [[[1, 2, 3, 4, 5, 6, 7]], [[1, 2]]]},
     "gn(17,1)": {"type": "gn", "p": 17, "n": 1},
+    "d4": {"type": "named", "name": "d4"},
+    "q8": {"type": "named", "name": "q8"},
+    "heis3 x C3": {"type": "product",
+                   "factors": [{"type": "named", "name": "heis3"},
+                               {"type": "cyclic", "n": 3}]},
 }
 
 DIGESTS = {
@@ -74,6 +79,12 @@ DIGESTS = {
         "6a62721d98ba1b68c07f31b040c58e85eaa05cc5421380e4a00a2ac739442e60",
     ("gn(17,1)", "table"):
         "f91292e5323453133f674bded98c460c0462f1a0b9935d935923573695dc8af6",
+    ("d4", "verify"):
+        "5edb2068f51dc92c29d68d62fee59d2c05a4d93390e8eb4fb036b19ef446f0c8",
+    ("q8", "verify"):
+        "27ac159cdc21c511985aa6cc520078898f0c80735a55e14401b50f76ca641e1a",
+    ("heis3 x C3", "verify"):
+        "6707a3facac0887cd1b75090f490e9735ac0488a735c47d18d516511bb4e6b77",
 }
 
 VERBS = {"table": ("table",), "verify": ("verify", "all")}

@@ -34,8 +34,8 @@ from groupchar import (
     verify_identity_suite,
     verify_p4_criterion,
 )
-from groupchar import gvz
-from groupchar.groups import generated_by
+from groupchar import char_center, gvz, kernel
+from groupchar.groups import Subgroup, generated_by
 
 
 def test_is_gvz_verdicts(tables):
@@ -135,6 +135,36 @@ def test_unique_nonlinear_constituent(tables):
         assert con.formula_holds, con.checks
         seen.add(con.theta_position)
     assert len(seen) == 2  # distinct inducing characters, distinct constituents
+
+
+def test_context_interns_subgroups_by_value(tables):
+    t = tables["gn32"]
+    g = t.group
+    k = len(t.irreducibles)
+    ctx = gvz._Ctx(t)
+    kernels = [ctx.kernel_of(i) for i in range(k)]  # asked before the centres
+    centres = [ctx.centre(i) for i in range(k)]
+    for i in range(k):
+        assert kernels[i] == kernel(t.irreducibles[i])
+        assert centres[i] == char_center(t.irreducibles[i])
+    assert len({c.members for c in centres}) < k  # some centres are shared
+    for a in centres:
+        for b in centres:
+            assert (a is b) == (a.members == b.members)
+    for sub in centres + kernels:
+        assert ctx.canonical(Subgroup(g, sub.members)) is sub
+    for pos in ctx.nonlinear_positions():
+        assert ctx.subgroup_table(centres[pos]).group is centres[pos].as_group()
+
+    # a centre from another context is equal, not identical, and serves as well
+    other = gvz._Ctx(t)
+    for i in range(k):
+        assert other.centre(i) == centres[i] and other.centre(i) is not centres[i]
+    pos = ctx.nonlinear_positions()[0]
+    star = irr_star(t, t.irreducibles[pos], _ctx=other)
+    for lam in star.lambdas:
+        con = unique_nonlinear_constituent(t, lam, star.centre, _ctx=ctx)
+        assert con.formula_holds, con.checks
 
 
 def test_trivial_inducing_character_violates_uniqueness(tables):
