@@ -32,11 +32,14 @@ of zeta^k.
 
 A ``Character`` holds exactly these coefficients, one read-only int64 array
 of shape (classes, phi(e)); the operations below are row gathers on it and
-products with ``embedding(e, e2)``, and ``Cyclotomic`` scalars are made only
-for rendering (``Character.values``).  An irreducible is identified by its
-row: ``CharacterTable.row_of`` looks a character up by its degree and the
-bytes of its coefficients, so claims about sets of irreducibles compare
-sets of row indices.
+products with ``embedding(e, e2)``.  No code path of the package makes a
+``Cyclotomic`` per table entry: the CLI renders each distinct row of a
+table once, a reported witness converts its one value (``Character.value``),
+and ``Character.values`` (one scalar per class) is a view for library
+callers and tests.  An irreducible is identified by its row:
+``CharacterTable.row_of`` looks a character up by its degree and the bytes
+of its coefficients, so claims about sets of irreducibles compare sets of
+row indices.
 
 Abelian groups skip the split and the lift.  Their irreducibles are the
 homomorphisms to the e-th roots of unity, built by cyclic extension along
@@ -52,8 +55,9 @@ B[c, j] the power-basis coefficients of chi and psi on class c,
     G = A^T diag(|C|) B,
 
 so G is folded onto the exponents (i - j) mod e and reduced through W; the
-result must be rational.  Python integers carry these sums, and no floating
-point is involved anywhere.
+result must be rational.  These sums run in int64 when an a-priori bound
+on every partial sum is below 2**62 (``_pairing_dtype``), else in Python
+integers; no floating point is involved anywhere.
 """
 
 from __future__ import annotations
@@ -116,8 +120,11 @@ class Character:
     @cached_property
     def values(self) -> tuple[Cyclotomic, ...]:
         """The value on each class as a ``Cyclotomic`` scalar."""
-        return tuple(Cyclotomic(self.conductor, row)
-                     for row in self.coeffs.tolist())
+        return tuple(self.value(c) for c in range(len(self.coeffs)))
+
+    def value(self, c: int) -> Cyclotomic:
+        """The value on class ``c`` as a ``Cyclotomic`` scalar."""
+        return Cyclotomic(self.conductor, self.coeffs[c].tolist())
 
     def value_at(self, element: int) -> Cyclotomic:
         return self.values[self.group.conjugacy_classes().class_of[element]]
@@ -523,22 +530,43 @@ def _rational_rows(coeffs: np.ndarray, r: int) -> np.ndarray:
     return (coeffs[:, 0] == r) & ~coeffs[:, 1:].any(axis=1)
 
 
+def _pairing_dtype(a: np.ndarray, b: np.ndarray, order: int, e: int,
+                   w_max: int):
+    """The carrier of a pairing of coefficient arrays ``a`` and ``b``:
+    ``np.int64`` when the a-priori bound
+
+        B = max|a| * max|b| * |G| * phi * e * max|W|
+
+    on every partial sum is below 2**62, else ``object`` (Python ints).
+    A Gram entry is at most max|a| * max|b| * |G|, since the class sizes
+    sum to |G|, and each total adds phi**2 <= phi * e Gram entries, each
+    times a coefficient of a power of zeta, at most max|W|."""
+    a_max = max(int(a.max()), -int(a.min()))
+    b_max = max(int(b.max()), -int(b.min()))
+    bound = a_max * b_max * order * a.shape[1] * e * w_max
+    return np.int64 if bound < 2 ** 62 else object
+
+
 def _pairings(chi: Character, others: Sequence[Character]) -> list[Fraction]:
-    """<chi, psi> for every psi in ``others``, in one integer matrix product."""
+    """<chi, psi> for every psi in ``others``, in one integer matrix product
+    over int64 when ``_pairing_dtype`` allows it, else over Python ints."""
     g = chi.group
     e = math.lcm(chi.conductor, *(psi.conductor for psi in others))
-    a = chi.at(e).astype(object)
+    a = chi.at(e)
     k, phi = a.shape
-    sizes = np.array(g.conjugacy_classes().sizes, dtype=object)
-    b = np.stack([psi.at(e) for psi in others], axis=1).reshape(k, -1).astype(object)
-    gram = ((a.T * sizes) @ b).reshape(phi, len(others), phi).transpose(1, 0, 2)
-    folded = np.zeros((len(others), e), dtype=object)
+    b = np.stack([psi.at(e) for psi in others], axis=1).reshape(k, -1)
+    w = np.array(_zeta_powers(e), dtype=np.int64)
+    dtype = _pairing_dtype(a, b, g.order, e, int(np.abs(w).max()))
+    sizes = np.array(g.conjugacy_classes().sizes, dtype=dtype)
+    gram = (a.T.astype(dtype, copy=False) * sizes) @ b.astype(dtype, copy=False)
+    gram = gram.reshape(phi, len(others), phi).transpose(1, 0, 2)
+    folded = np.zeros((len(others), e), dtype=dtype)
     idx = (np.arange(phi)[:, None] - np.arange(phi)) % e
     np.add.at(folded, (slice(None), idx), gram)
-    totals = folded @ np.array(_zeta_powers(e), dtype=object)
+    totals = folded @ w.astype(dtype, copy=False)
     if np.any(totals[:, 1:] != 0):
         raise ConsistencyError("inner product of characters must be rational")
-    return [Fraction(t, g.order) for t in totals[:, 0]]
+    return [Fraction(t, g.order) for t in totals[:, 0].tolist()]
 
 
 def inner_product(chi: Character, psi: Character) -> Fraction:

@@ -19,8 +19,11 @@ import json
 import sys
 from typing import Callable
 
+import numpy as np
+
 from .chartable import CharacterTable, character_table, degree_set
 from .constructions import from_spec, gn_order, is_integer
+from .cyclotomic import Cyclotomic
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      ResourceError)
 from .groups import ORDER_CAP, Group, generated_by
@@ -95,6 +98,23 @@ def _approx(value) -> str:
     return f"{c.real:+.4f}{c.imag:+.4f}i"
 
 
+def _per_entry(t: CharacterTable, show: Callable[[Cyclotomic], str]) -> list[list[str]]:
+    """``show(value)`` for every entry of the table, one list per irreducible.
+
+    A table holds few distinct values (cyclic(60): 60 among 3,600 entries),
+    so the coefficient rows of all irreducibles at ``t.exponent`` are
+    compared as bytes through a 1-D void view, and ``show`` runs once per
+    distinct row, on one ``Cyclotomic``.
+    """
+    e = t.exponent
+    rows = np.concatenate([ch.at(e) for ch in t.irreducibles])
+    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    shown = np.array([show(Cyclotomic(e, row)) for row in rows[first].tolist()],
+                     dtype=object)
+    return shown[inverse.reshape(len(t.irreducibles), -1)].tolist()
+
+
 def _table_payload(t: CharacterTable) -> dict:
     g = t.group
     orders = g.element_orders()
@@ -106,10 +126,15 @@ def _table_payload(t: CharacterTable) -> dict:
             for r, m in zip(t.classes.reps, t.classes.members)
         ],
         "irreducibles": [
-            {"degree": ch.degree, "values": [v.render() for v in ch.values]}
-            for ch in t.irreducibles
+            {"degree": ch.degree, "values": values}
+            for ch, values in zip(t.irreducibles,
+                                  _per_entry(t, Cyclotomic.render))
         ],
     }
+
+
+def _rendered_with_decimal(v: Cyclotomic) -> str:
+    return f"{v.render()}   ~ {_approx(v)} (approximate)"
 
 
 def _table_text(t: CharacterTable, decimal: bool) -> str:
@@ -124,13 +149,10 @@ def _table_text(t: CharacterTable, decimal: bool) -> str:
         lines.append(f"  C{i}: rep {g.words[r]}  size {len(m)}  "
                      f"element order {orders[r]}")
     lines.append("irreducibles:")
-    for i, ch in enumerate(t.irreducibles):
+    cells = _per_entry(t, _rendered_with_decimal if decimal else Cyclotomic.render)
+    for i, (ch, row) in enumerate(zip(t.irreducibles, cells)):
         lines.append(f"  chi{i} (degree {ch.degree}):")
-        for j, v in enumerate(ch.values):
-            row = f"    C{j}: {v.render()}"
-            if decimal:
-                row += f"   ~ {_approx(v)} (approximate)"
-            lines.append(row)
+        lines.extend(f"    C{j}: {cell}" for j, cell in enumerate(row))
     return "\n".join(lines)
 
 

@@ -281,7 +281,7 @@ def is_gvz(table: CharacterTable, *, _ctx: _Ctx | None = None) -> GvzReport:
                 "degree_squared": chi.degree ** 2,
                 "centre_index": ctx.g.order // centre.order,
                 "class": wclass, "class_rep": ctx.g.words[rep],
-                "value": chi.values[wclass].render(),
+                "value": chi.value(wclass).render(),
             }
     return GvzReport(ctx.g.name, ctx.g.order, degree_set(table), holds,
                      tuple(records), witness)
@@ -330,7 +330,7 @@ def is_gcp(table: CharacterTable, n: Subgroup, *, _ctx: _Ctx | None = None) -> G
                 "element": g.words[rep], "class_size": len(table.classes.members[c]),
                 "coset_size": derived.order,
                 "nonvanishing_degree": bad.degree,
-                "value": bad.values[c].render(),
+                "value": bad.value(c).render(),
             }
     return GcpResult(holds, n.order, witness)
 

@@ -97,3 +97,43 @@ def test_json_stdout_matches_golden_digest(name, verb, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(name, verb)]
+
+
+# Text renderings: ``table`` (text format) and ``table --decimal``, taken
+# before the table output rendered each distinct value once.
+TEXT_GROUPS = {
+    "s3": GROUPS["s3"],
+    "heis3": {"type": "named", "name": "heis3"},
+    "cyclic(60)": GROUPS["cyclic(60)"],
+    "d5 x C12": GROUPS["d5 x C12"],
+}
+
+TEXT_DIGESTS = {
+    ("s3", "text"):
+        "e1e69279abeb1b8595d1352f3999065578c39cc784092018a24c9e9a731ec20e",
+    ("s3", "decimal"):
+        "b31f015dd8bf36e465d1a0d8eba4984b445633a4ad9dd54e3eb640098bcd97cc",
+    ("heis3", "text"):
+        "34da5dea2d4973d2ccc58306c82ba27ba7e4dda163d660ad68e1b7a9bdc75b57",
+    ("heis3", "decimal"):
+        "cd988dc84650249a649c171c9379c854c0e2f8fc7613ab88902d60de495f6aba",
+    ("cyclic(60)", "text"):
+        "45bc84cc480e79b4150410d3ac1be15958375d47e8cbde12f99b84a160cccbbf",
+    ("cyclic(60)", "decimal"):
+        "23f0f56a392a58c58c7d4a26a1a1b365f11f1a5bb457238485b5cb2cf904bd9f",
+    ("d5 x C12", "text"):
+        "99e0c9573a2f4aaba5d6c3a77e2cfa1fafa46fac139181745a87b2d89d6ba2de",
+    ("d5 x C12", "decimal"):
+        "6466497751a9c403d3c012f700282599e9d3f6df8deb8043d3c8822872a16d2d",
+}
+
+TEXT_FLAGS = {"text": (), "decimal": ("--decimal",)}
+
+
+@pytest.mark.parametrize("name, form", sorted(TEXT_DIGESTS))
+def test_text_stdout_matches_golden_digest(name, form, capsys):
+    code = main(["table", "--group", json.dumps(TEXT_GROUPS[name]),
+                 *TEXT_FLAGS[form]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[(name, form)]

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from groupchar import (Character, ConsistencyError, Cyclotomic, InputError,
-                       Subgroup, char_center, character_table, decompose,
-                       from_spec, induce, inner_product, restrict,
-                       root_of_unity)
+                       Subgroup, char_center, character_table, cyclic,
+                       decompose, from_spec, induce, inner_product, restrict,
+                       root_of_unity, verify_all)
 from groupchar import chartable, modular
 from groupchar.cyclotomic import _zeta_powers, embedding, euler_phi
 from groupchar.modular import is_prime
@@ -403,3 +404,107 @@ def test_char_center_lookup_matches_abs_squared(tables):
                                          for v in sign.values], False)
     assert char_center(rational).order == 6
     assert _reference_char_center(rational).order == 6
+
+
+# ---------------------------------------------------------------------------
+# pairing carrier: int64 under the a-priori bound, Python ints above it
+
+def _spy_carrier(monkeypatch):
+    """Record the carrier of every ``_pairings`` call; setting
+    ``force["dtype"]`` overrides the bound's choice."""
+    seen, force = [], {"dtype": None}
+    choose = chartable._pairing_dtype
+
+    def spy(*args):
+        seen.append(force["dtype"] or choose(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(chartable, "_pairing_dtype", spy)
+    return seen, force
+
+
+def test_int64_pairings_match_object_carrier(tables, monkeypatch):
+    seen, force = _spy_carrier(monkeypatch)
+    rng = random.Random(5)
+    for name, t in tables.items():
+        mixed = _combination(t, _random_coeffs(rng, t), conductor=2 * t.exponent)
+        for chi in (*t.irreducibles, mixed):
+            force["dtype"] = None
+            fast = chartable._pairings(chi, t.irreducibles)
+            assert seen[-1] is np.int64, name
+            force["dtype"] = object
+            assert fast == chartable._pairings(chi, t.irreducibles), name
+            assert all(type(m) is Fraction and type(m.numerator) is int
+                       for m in fast)
+
+
+def test_pairing_dtype_bound_edge():
+    # B = max|a| * max|b| * |G| * phi * e * max|W| with phi = 2, e = 2
+    a = np.array([[2 ** 30, -5]], dtype=np.int64)
+    at_edge = np.array([[1, -(2 ** 30)]], dtype=np.int64)
+    below = np.array([[1, 2 ** 30 - 1]], dtype=np.int64)
+    assert chartable._pairing_dtype(a, at_edge, 1, 2, 1) is object  # B = 2**62
+    assert chartable._pairing_dtype(a, below, 1, 2, 1) is np.int64
+    assert chartable._pairing_dtype(a, below, 2, 2, 1) is object
+    assert chartable._pairing_dtype(a, below, 1, 2, 2) is object
+
+
+def test_large_class_function_takes_object_carrier(tables, monkeypatch):
+    seen, _ = _spy_carrier(monkeypatch)
+    t = tables["s3"]
+    g, sizes = t.group, t.classes.sizes
+    rational = [2 ** 40 + 3, -(2 ** 40), 2 ** 40 - 7]
+    coeffs = np.zeros((len(t.classes), euler_phi(t.exponent)), dtype=np.int64)
+    coeffs[:, 0] = rational
+    big = Character(g, rational[0], t.exponent, coeffs, False)
+    want = Fraction(sum(s * v * v for s, v in zip(sizes, rational)), g.order)
+    assert inner_product(big, big) == want == _reference_inner_product(big, big)
+    assert want.numerator > 2 ** 63
+    assert seen == [object]
+    for chi in t.irreducibles:  # 2**40 * 2 * 6 * 2 * 6 * 1 < 2**62
+        assert inner_product(big, chi) == _reference_inner_product(big, chi)
+    assert seen == [object] + [np.int64] * len(t)
+
+
+def test_irrational_pairing_raises_in_both_carriers(tables, monkeypatch):
+    seen, force = _spy_carrier(monkeypatch)
+    t = tables["c3"]
+    z, one = root_of_unity(1, 3).coeffs, Cyclotomic.one(3).coeffs
+    k = len(t.classes)
+    for scale in (1, 2 ** 40):
+        odd = Character(t.group, 1, 3, np.array(
+            [z] + [one] * (k - 1), dtype=np.int64) * scale, False)
+        flat = Character(t.group, scale, 3,
+                         np.array([one] * k, dtype=np.int64) * scale, False)
+        for dtype in (None, object):
+            force["dtype"] = dtype
+            with pytest.raises(ConsistencyError):
+                inner_product(odd, flat)
+    assert seen == [np.int64, object, object, object]
+
+
+@pytest.mark.parametrize("spec", [{"type": "gn", "p": 3, "n": 2},
+                                  {"type": "gn", "p": 7, "n": 1}])
+def test_verify_all_pairs_in_int64_on_the_benchmark_groups(spec, monkeypatch):
+    seen, _ = _spy_carrier(monkeypatch)
+    assert all(r.passed for r in verify_all(character_table(from_spec(spec))))
+    assert seen and set(seen) == {np.int64}
+
+
+def test_pairing_memory_is_quadratic_in_phi():
+    # cyclic(257): phi = 256, so a cube of phi int64 entries would take
+    # 134 MB; the Gram matrix and the fold onto e exponents take under 1 MB.
+    g = cyclic(257)
+    f = chartable._abelian_exponents(g)
+    zeta_rows = np.array(_zeta_powers(257), dtype=np.int64)
+    reps = list(g.conjugacy_classes().reps)
+    faithful, trivial = (Character(g, 1, 257, zeta_rows[f[i][reps]], True)
+                         for i in (1, 0))
+    tracemalloc.start()
+    try:
+        assert inner_product(faithful, faithful) == 1
+        assert inner_product(faithful, trivial) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
