@@ -4,13 +4,18 @@ The table is computed by the classical class-matrix method: the structure
 constants a_ijk of the class sums give commuting integer matrices whose
 simultaneous eigenvectors over a suitable prime field F_q are the central
 characters.  Each class matrix refines the current common eigenspaces
-(Schneider 1990): on a space of dimension d the restricted matrix A gives
-the minimal polynomial of a fixed start vector, from its Krylov sequence
-x, A x, A^2 x, ... reduced mod q; one vectorised Horner pass over F_q finds
-its roots, and only those candidates pay for a nullspace.  A start vector
-that lies in a proper invariant subspace misses some eigenvalues, so when
-the eigenspaces found do not fill the space the remaining values of F_q are
-scanned one by one.
+(Schneider 1990): on a space of dimension d the restricted matrix A, built
+from the pivot rows of the class matrix only, gives the minimal polynomial
+mu of a fixed start vector x from its Krylov sequence x, A x, A^2 x, ...
+reduced mod q, and one vectorised Horner pass over F_q finds its roots.
+When mu has r = deg mu distinct roots lambda_j, the eigenspaces are the
+images p_j(A) X with p_j = mu / (t - lambda_j), where X is x alone if
+r = d and the identity otherwise; they are built from the powers A^m X by
+exact products mod q (``modular.matmul``, float64 below 2**53) and accepted
+once A p_j(A) X = lambda_j p_j(A) X for every j.  Otherwise (a repeated
+root, a root outside F_q, or a start vector inside a proper invariant
+subspace, which misses eigenvalues) each candidate root, and then each
+remaining value of F_q, pays for a nullspace.
 
 Degrees are recovered from the second orthogonality relation inside F_q,
 and values are lifted exactly into Q(zeta_e) (e = exponent of the group)
@@ -57,7 +62,9 @@ B[c, j] the power-basis coefficients of chi and psi on class c,
 so G is folded onto the exponents (i - j) mod e and reduced through W; the
 result must be rational.  These sums run in int64 when an a-priori bound
 on every partial sum is below 2**62 (``_pairing_dtype``), else in Python
-integers; no floating point is involved anywhere.
+integers.  The only floats are inside ``modular.matmul``, for the products
+mod q of the split and the lift, and only where every partial sum is an
+integer below 2**53, so they are exact.
 """
 
 from __future__ import annotations
@@ -264,15 +271,94 @@ def _roots_mod(poly: list[int], q: int) -> list[int]:
     return roots
 
 
+def _spectral_images(a: np.ndarray, mu: list[int], roots: list[int],
+                     q: int) -> list[np.ndarray] | None:
+    """The eigenspaces of ``a`` from the minimal polynomial ``mu`` of the
+    start vector e_0, or None when this route does not apply.
+
+    With r = deg mu distinct roots lambda_j and p_j = mu / (t - lambda_j),
+    the images U_j = p_j(a) X are built from the powers a^m X, m < r, one
+    product per power, where X is e_0 alone when r = d (e_0 is cyclic) and
+    the identity otherwise.  They are accepted only if a U_j = lambda_j U_j
+    for every j.  For X = I that says mu(a) = 0, so a is diagonalisable with
+    exactly the eigenvalues lambda_j and U_j spans the lambda_j-eigenspace;
+    for X = e_0 each U_j is the one nonzero eigenvector of lambda_j.  Each
+    image is returned as the rows U_j^T, in ascending order of lambda_j.
+    Apart from the r * d * |X| entries of the images, every temporary holds
+    at most d * d entries.
+    """
+    d, r = a.shape[0], len(mu) - 1
+    if len(roots) != r:
+        return None  # a repeated root, or one outside F_q
+    lams = np.array(roots, dtype=np.int64)
+    # coef[j, m]: the t^m coefficient of p_j, by synthetic division
+    coef = np.zeros((r, r), dtype=np.int64)
+    coef[:, r - 1] = 1
+    for m in range(r - 1, 0, -1):
+        coef[:, m - 1] = (mu[m] + lams * coef[:, m]) % q
+    y = np.eye(d, dtype=np.int64)[:1 if r == d else d]  # rows: (a^m X)^T
+    width, at = len(y), a.T
+    # Images are handled d // width at a time, so each temporary holds at
+    # most d * d entries: all r of them for X = e_0, one for X = I.
+    chunks = [slice(lo, lo + d // width) for lo in range(0, r, d // width)]
+    # Unreduced sums of r products of residues: below r * q**2 < 2**63,
+    # since r <= ORDER_CAP and q < PRIME_BOUND.
+    images = np.zeros((r, width, d), dtype=np.int64)
+    for m in range(r):
+        if m:
+            y = modular.matmul(y, at, q)
+        for js in chunks:
+            images[js] += coef[js, m, None, None] * y
+    images %= q
+    for js in chunks:
+        u = images[js].reshape(-1, d)
+        lam = np.repeat(lams[js], width)[:, None]
+        if (modular.matmul(u, at, q) != lam * u % q).any():
+            return None
+    return list(images)
+
+
+def _nullspace_pieces(a: np.ndarray, candidates: list[int],
+                      q: int) -> list[np.ndarray]:
+    """The eigenspaces of ``a`` by one ``nullspace`` per eigenvalue, in
+    ascending order of the eigenvalue.
+
+    ``candidates`` are tried first; if their eigenspaces do not fill the
+    space, the remaining values of F_q are scanned in ascending order.
+    """
+    d = a.shape[0]
+    eye = np.eye(d, dtype=np.int64)
+    pieces = {}
+    found = 0
+    for lam in candidates:
+        ns = modular.nullspace((a - lam * eye) % q, q)
+        if ns.shape[0]:
+            pieces[lam] = ns
+            found += ns.shape[0]
+    if found < d:
+        tried = set(candidates)
+        for lam in range(q):
+            if lam in tried:
+                continue
+            ns = modular.nullspace((a - lam * eye) % q, q)
+            if ns.shape[0]:
+                pieces[lam] = ns
+                found += ns.shape[0]
+                if found == d:
+                    break
+    if found != d:
+        raise ConsistencyError("class matrix not diagonalisable over F_q")
+    return [pieces[lam] for lam in sorted(pieces)]
+
+
 def _split_spaces(spaces, matrix, q):
     """Refine a list of (rows, pivots) common eigenspaces under one matrix.
 
-    Eigenvalue candidates on each space are the roots of the minimal
-    polynomial of a fixed start vector; each is accepted only through its
-    ``nullspace``.  If those eigenspaces do not fill the space (the start
-    vector lies in a proper invariant subspace), the remaining values of
-    F_q are scanned in ascending order.  Pieces come out in ascending order
-    of their eigenvalue.
+    On each space the matrix restricted to it, built from its pivot rows
+    only, gives the minimal polynomial of a fixed start vector.  The
+    eigenspaces come from ``_spectral_images`` when it applies, else from
+    ``_nullspace_pieces``.  Pieces come out in ascending order of their
+    eigenvalue, each in reduced row echelon form.
     """
     out = []
     for rows, pivots in spaces:
@@ -280,38 +366,28 @@ def _split_spaces(spaces, matrix, q):
         if d == 1:
             out.append((rows, pivots))
             continue
-        b = rows.T  # columns span the space; rows[pivots] is the identity
-        restricted = (matrix @ b % q)[list(pivots), :] % q
-        eye = np.eye(d, dtype=np.int64)
+        restricted = modular.matmul(matrix[list(pivots)] % q, rows.T, q)
         # The first basis vector: on the whole space it is the identity
         # class, whose component along every eigenvector is chi(1)^2/|G|.
-        candidates = _roots_mod(_minimal_polynomial(restricted, eye[0], q), q)
-        pieces = {}
-        found = 0
-        for lam in candidates:
-            ns = modular.nullspace((restricted - lam * eye) % q, q)
-            if ns.shape[0]:
-                pieces[lam] = ns
-                found += ns.shape[0]
-        if found < d:
-            tried = set(candidates)
-            for lam in range(q):
-                if lam in tried:
-                    continue
-                ns = modular.nullspace((restricted - lam * eye) % q, q)
-                if ns.shape[0]:
-                    pieces[lam] = ns
-                    found += ns.shape[0]
-                    if found == d:
-                        break
-        if found != d:
-            raise ConsistencyError("class matrix not diagonalisable over F_q")
+        start = np.zeros(d, dtype=np.int64)
+        start[0] = 1
+        mu = _minimal_polynomial(restricted, start, q)
+        roots = _roots_mod(mu, q)
+        pieces = _spectral_images(restricted, mu, roots, q)
+        if pieces is None:
+            pieces = _nullspace_pieces(restricted, roots, q)
         if len(pieces) == 1:
             out.append((rows, pivots))
             continue
-        for lam in sorted(pieces):
-            new_rows, new_pivots = modular.rref(pieces[lam] @ rows % q, q)
-            out.append((new_rows, new_pivots))
+        reds = [modular.rref(piece, q) for piece in pieces]
+        # rref(P) @ rows is already the reduced row echelon form of
+        # P @ rows, with pivot columns pivots[c] for the pivots c of rref(P),
+        # since rows is reduced with the identity at its pivot columns.
+        full = modular.matmul(np.vstack([red for red, _ in reds]), rows, q)
+        lo = 0
+        for red, cols in reds:
+            out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols)))
+            lo += len(red)
     return out
 
 
@@ -320,16 +396,10 @@ def _root_multiplicities(theta_pm: np.ndarray, zmat: np.ndarray, inv_e: int,
     """Residues ``e^-1 * theta_pm @ zmat mod q`` of shape (classes, e).
 
     Row j of ``theta_pm`` is theta along the powers g_j^s and ``zmat[s, kk]``
-    is z^(-s kk); entries of both lie in [0, q).  The sum over s runs in
-    blocks of at most 2**62 // q**2 terms, reduced mod q after each block,
-    so no int64 partial sum can overflow for q < 2**31.
+    is z^(-s kk); entries of both lie in [0, q), so ``modular.matmul`` gives
+    the exact product.
     """
-    e = zmat.shape[0]
-    step = max(1, 2 ** 62 // (q * q))
-    acc = np.zeros((theta_pm.shape[0], e), dtype=np.int64)
-    for lo in range(0, e, step):
-        acc = (acc + theta_pm[:, lo:lo + step] @ zmat[lo:lo + step]) % q
-    return acc * inv_e % q
+    return modular.matmul(theta_pm, zmat, q) * inv_e % q
 
 
 def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, ...], ...]:

@@ -256,8 +256,13 @@ def from_spec(spec, *, cap: int = ORDER_CAP) -> Group:
         if not all(isinstance(cyc, list) and all(map(is_integer, cyc))
                    for gen in gens for cyc in gen):
             raise InputError("perm spec cycles must be lists of integer points")
-        perms = [perm_from_cycles(points, cycles) for cycles in gens]
-        return enumerate_from_permutations(points, perms, cap=cap)
+        # Only the moved points get a position, so a huge "points" costs
+        # nothing; relabelling them in order keeps every product, and so the
+        # element order and the output.
+        support = sorted({p for gen in gens for cyc in gen for p in cyc}) or [1]
+        perms = [perm_from_cycles(points, cycles, support) for cycles in gens]
+        return enumerate_from_permutations(len(support), perms,
+                                           name=f"perm({points})", cap=cap)
     if kind == "product":
         factors = spec.get("factors")
         if not isinstance(factors, list) or len(factors) < 1:

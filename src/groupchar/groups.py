@@ -288,13 +288,22 @@ def enumerate_from_permutations(degree: int, perms: Sequence[Sequence[int]], *,
                        tuple(range(degree)), gen_names=gen_names, cap=cap)
 
 
-def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Image tuple of a product of disjoint cycles on 1-based points."""
-    images = list(range(degree))
+def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]],
+                     support: Sequence[int] | None = None) -> tuple[int, ...]:
+    """Image tuple of a product of disjoint cycles on 1-based points.
+
+    Each cycle is checked against ``degree``.  The tuple covers every point,
+    or with ``support`` (ascending 1-based points that include every point
+    of the cycles) those points only, position i standing for support[i].
+    """
+    where = None if support is None else {p: i for i, p in enumerate(support)}
+    images = list(range(degree if where is None else len(where)))
     for cyc in cycles:
         pts = [c - 1 for c in cyc]
         if any(p < 0 or p >= degree for p in pts) or len(set(pts)) != len(pts):
             raise InputError(f"bad cycle {list(cyc)} for degree {degree}")
+        if where is not None:
+            pts = [where[c] for c in cyc]
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a] = b
     return tuple(images)

@@ -9,6 +9,8 @@ check of the multiplication law.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,28 @@ def test_from_spec_errors():
             from_spec(bad)
     with pytest.raises(ResourceError):
         from_spec({"type": "gn", "p": 3, "n": 3}, cap=1000)
+
+
+def test_perm_spec_builds_only_the_moved_points():
+    # A huge point count is not enumerated before admission: the image
+    # tuples cover the points the cycles move, and the name keeps the count.
+    tracemalloc.start()
+    try:
+        g = from_spec({"type": "perm", "points": 10 ** 12,
+                       "generators": [[[1, 2]]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 2 and g.name == f"perm({10 ** 12})"
+    assert peak < 4 * 2 ** 20
+    # fixed points change nothing: the same products in the same order
+    spread = from_spec({"type": "perm", "points": 9,
+                        "generators": [[[2, 5, 9]], [[2, 5]]]})
+    tight = from_spec({"type": "perm", "points": 3,
+                       "generators": [[[1, 2, 3]], [[1, 2]]]})
+    assert spread.name == "perm(9)" and spread.words == tight.words
+    assert np.array_equal(spread.table, tight.table)
+    assert from_spec({"type": "perm", "points": 4, "generators": [[]]}).order == 1
+    with pytest.raises(InputError):
+        from_spec({"type": "perm", "points": 10 ** 12,
+                   "generators": [[[1, 10 ** 12 + 1]]]})

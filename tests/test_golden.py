@@ -38,6 +38,9 @@ GROUPS = {
     "heis3 x C3": {"type": "product",
                    "factors": [{"type": "named", "name": "heis3"},
                                {"type": "cyclic", "n": 3}]},
+    "gn(3,3)": {"type": "gn", "p": 3, "n": 3},
+    "gn(23,1)": {"type": "gn", "p": 23, "n": 1},
+    "gn(7,2)": {"type": "gn", "p": 7, "n": 2},
 }
 
 DIGESTS = {
@@ -85,6 +88,19 @@ DIGESTS = {
         "27ac159cdc21c511985aa6cc520078898f0c80735a55e14401b50f76ca641e1a",
     ("heis3 x C3", "verify"):
         "6707a3facac0887cd1b75090f490e9735ac0488a735c47d18d516511bb4e6b77",
+    # 315 classes: the first class matrix splits the whole 315-dimensional
+    # space at once
+    ("gn(3,3)", "table"):
+        "ebbcc90a084ce6c407c94e9c1bccdcc7acc552a6aa667a9a21c134d0ce5044cd",
+}
+
+# Tables with 551 and 679 classes, run by ``pytest -m slow``: each peaks above
+# 500 MB, and took over half a minute before the spectral split.
+SLOW_DIGESTS = {
+    ("gn(23,1)", "table"):
+        "dcbc294b2dccca4b442a84fe8c5fe3085988d465f2420ed2bcf5330e3bb89f99",
+    ("gn(7,2)", "table"):
+        "e6a3114aee0101a1a40fce1e9e04e7f0d493fbea7b8dacc0dc214f8ad52e4c81",
 }
 
 VERBS = {"table": ("table",), "verify": ("verify", "all")}
@@ -97,6 +113,16 @@ def test_json_stdout_matches_golden_digest(name, verb, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[(name, verb)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, verb", sorted(SLOW_DIGESTS))
+def test_large_table_matches_golden_digest(name, verb, capsys):
+    code = main([*VERBS[verb], "--group", json.dumps(GROUPS[name]),
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SLOW_DIGESTS[(name, verb)]
 
 
 # Text renderings: ``table`` (text format) and ``table --decimal``, taken

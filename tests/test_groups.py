@@ -234,6 +234,10 @@ def test_perm_from_cycles():
     assert perm_from_cycles(4, [(1, 2, 3)]) == (1, 2, 0, 3)
     with pytest.raises(InputError):
         perm_from_cycles(3, [(1, 4)])
+    # on the support (2, 5, 9) only: 2 -> 5 -> 9 -> 2
+    assert perm_from_cycles(10 ** 9, [(2, 5, 9)], (2, 5, 9)) == (1, 2, 0)
+    with pytest.raises(InputError):
+        perm_from_cycles(4, [(2, 5)], (2, 5))
 
 
 def test_order_walk_guards_against_non_group():

@@ -276,12 +276,17 @@ def _as_lists(spaces):
     return [(rows.tolist(), tuple(pivots)) for rows, pivots in spaces]
 
 
-@pytest.mark.parametrize("name", list(LIFT_SPECS))
+SPLIT_SPECS = {**LIFT_SPECS,
+               "gn(3,2)": {"type": "gn", "p": 3, "n": 2},
+               "gn(7,1)": {"type": "gn", "p": 7, "n": 1}}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_SPECS))
 def test_split_matches_full_scan(name):
     # Every class matrix refines the spaces in the order character_table
     # uses them.  Each also splits the whole space, except that past 24
     # classes only one class per element order does, to bound the scan.
-    g = from_spec(LIFT_SPECS[name])
+    g = from_spec(SPLIT_SPECS[name])
     classes = g.conjugacy_classes()
     k = len(classes)
     q = chartable.dixon_prime(g.order, g.exponent)
@@ -328,14 +333,61 @@ def test_split_falls_back_when_the_start_vector_misses(monkeypatch):
     assert len(got) == 2
 
 
-def test_split_refuses_a_matrix_that_is_not_diagonalisable():
+def test_split_falls_back_when_the_start_vector_spans_a_plane(monkeypatch):
+    # e_0 and e_1 span an invariant plane (eigenvalues 1 and 6 = -1), so the
+    # minimal polynomial of e_0 is x^2 - 1: 1 < r < d.  mu(a) is not zero
+    # on e_2 (eigenvalue 3), so the images fail the check and the nullspace
+    # route takes over: the two roots, then the scan up to 3.
     q = 7
-    a = np.array([[2, 1], [0, 2]], dtype=np.int64)
-    space = [(np.eye(2, dtype=np.int64), (0, 1))]
-    with pytest.raises(ConsistencyError):
-        _reference_split(space, a, q)
-    with pytest.raises(ConsistencyError):
-        chartable._split_spaces(space, a, q)
+    a = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 3]], dtype=np.int64)
+    mu = chartable._minimal_polynomial(a, np.array([1, 0, 0]), q)
+    assert mu == [q - 1, 0, 1]
+    assert chartable._spectral_images(a, mu, [1, 6], q) is None
+    space = [(np.eye(3, dtype=np.int64), (0, 1, 2))]
+    seen = _record_eigenvalues(monkeypatch, a)
+    got = chartable._split_spaces(space, a, q)
+    assert seen == [1, 6, 0, 2, 3]
+    monkeypatch.undo()
+    assert _as_lists(got) == _as_lists(_reference_split(space, a, q))
+    assert len(got) == 3
+
+
+def test_spectral_images_are_the_eigenspaces():
+    # Both choices of X: r = d with e_0 cyclic, and r < d with X = I, where
+    # each image has the dimension of its eigenspace.
+    q = 7
+    for a, dims in ((np.array([[1, 0, 0], [1, 2, 0], [0, 1, 4]]), [1, 1, 1]),
+                    (np.array([[2, 0, 0], [1, 3, 0], [0, 0, 2]]), [2, 1])):
+        mu = chartable._minimal_polynomial(a, np.array([1, 0, 0]), q)
+        roots = chartable._roots_mod(mu, q)
+        images = chartable._spectral_images(a, mu, roots, q)
+        assert [modular.rank(u, q) for u in images] == dims
+        for lam, u in zip(roots, images):
+            assert not ((a @ u.T - lam * u.T) % q).any()
+
+
+@pytest.mark.parametrize("spec", [{"type": "gn", "p": 3, "n": 2},
+                                  {"type": "gn", "p": 7, "n": 1}])
+def test_tables_of_the_benchmark_groups_need_no_nullspace(spec, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("nullspace called")
+
+    monkeypatch.setattr(modular, "nullspace", refuse)
+    t = character_table(from_spec(spec))
+    assert len(t) == len(t.classes)
+
+
+def test_split_refuses_a_matrix_that_is_not_diagonalisable():
+    # The first Jordan block has e_0 as an eigenvector; in its transpose
+    # e_0 is cyclic with minimal polynomial (x - 2)^2, a repeated root.
+    q = 7
+    for a in ([[2, 1], [0, 2]], [[2, 0], [1, 2]]):
+        a = np.array(a, dtype=np.int64)
+        space = [(np.eye(2, dtype=np.int64), (0, 1))]
+        with pytest.raises(ConsistencyError):
+            _reference_split(space, a, q)
+        with pytest.raises(ConsistencyError):
+            chartable._split_spaces(space, a, q)
 
 
 def test_minimal_polynomial_annihilates_its_vector():
