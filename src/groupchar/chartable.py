@@ -42,9 +42,9 @@ products with ``embedding(e, e2)``.  No code path of the package makes a
 table once, a reported witness converts its one value (``Character.value``),
 and ``Character.values`` (one scalar per class) is a view for library
 callers and tests.  An irreducible is identified by its row:
-``CharacterTable.row_of`` looks a character up by its degree and the bytes
-of its coefficients, so claims about sets of irreducibles compare sets of
-row indices.
+``CharacterTable.row_of`` looks a character up by its degree and a digest
+of its coefficients, confirmed against the row itself, so claims about sets
+of irreducibles compare sets of row indices.
 
 Abelian groups skip the split and the lift.  Their irreducibles are the
 homomorphisms to the e-th roots of unity, built by cyclic extension along
@@ -60,11 +60,13 @@ B[c, j] the power-basis coefficients of chi and psi on class c,
     G = A^T diag(|C|) B,
 
 so G is folded onto the exponents (i - j) mod e and reduced through W; the
-result must be rational.  These sums run in int64 when an a-priori bound
-on every partial sum is below 2**62 (``_pairing_dtype``), else in Python
-integers.  The only floats are inside ``modular.matmul``, for the products
-mod q of the split and the lift, and only where every partial sum is an
-integer below 2**53, so they are exact.
+result must be rational.  ``decompose`` takes B, the coefficients of all
+irreducibles side by side, from the table, which stacks it once per
+conductor (``CharacterTable.operand``).  These sums run in int64 when an
+a-priori bound on every partial sum is below 2**62 (``_pairing_dtype``),
+else in Python integers.  The only floats are inside ``modular.matmul``,
+for the products mod q of the split and the lift, and only where every
+partial sum is an integer below 2**53, so they are exact.
 """
 
 from __future__ import annotations
@@ -163,6 +165,7 @@ class CharacterTable:
     inverse_class: tuple[int, ...]
     power_map: tuple[tuple[int, ...], ...]
     _rows: dict = field(default_factory=dict, init=False, repr=False)
+    _operands: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.irreducibles)
@@ -170,20 +173,44 @@ class CharacterTable:
     def row_of(self, chi: Character) -> int | None:
         """Index of the irreducible with the degree and values of ``chi``, or
         None.  Values meet at lcm(exponent, chi.conductor), since a deflated
-        character keeps the conductor of the larger group."""
+        character keeps the conductor of the larger group.
+
+        Rows are keyed by their degree and a fixed-size digest of their
+        coefficients; a key that matches is confirmed by comparing the
+        coefficients, so a collision of digests cannot return a wrong row.
+        """
         if chi.group is not self.group:
             raise InputError("character does not live on the table's group")
         e = math.lcm(self.exponent, chi.conductor)
         if e not in self._rows:
-            self._rows[e] = {(ch.degree, ch.at(e).tobytes()): i
-                             for i, ch in enumerate(self.irreducibles)}
-        return self._rows[e].get((chi.degree, chi.at(e).tobytes()))
+            rows: dict[tuple, list[int]] = {}
+            for i, ch in enumerate(self.irreducibles):
+                rows.setdefault((ch.degree, _digest(ch.at(e))), []).append(i)
+            self._rows[e] = rows
+        values = chi.at(e)
+        return next((i for i in self._rows[e].get((chi.degree, _digest(values)), ())
+                     if np.array_equal(self.irreducibles[i].at(e), values)), None)
+
+    def operand(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients of every irreducible at conductor ``e`` (a
+        multiple of every row's conductor) side by side, an int64 array of
+        shape (classes, len(self) * phi(e)), with its largest and smallest
+        entry: the operand of ``decompose``, stacked once per conductor."""
+        if e not in self._operands:
+            self._operands[e] = _stacked(self.irreducibles, e)
+        return self._operands[e]
 
     def linear(self) -> tuple[Character, ...]:
         return tuple(ch for ch in self.irreducibles if ch.degree == 1)
 
     def nonlinear(self) -> tuple[Character, ...]:
         return tuple(ch for ch in self.irreducibles if ch.degree > 1)
+
+
+def _digest(values: np.ndarray) -> int:
+    """A 64-bit digest of a coefficient array, the key of ``row_of``: the
+    built-in hash of its bytes, so the bytes themselves are not kept."""
+    return hash(values.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +258,30 @@ def _minimal_polynomial(a: np.ndarray, x: np.ndarray, q: int) -> list[int]:
 
     The Krylov vectors x, a x, a^2 x, ... are reduced one at a time against
     the earlier ones, each row carrying its combination of powers of ``a``;
-    the first power that reduces to zero gives the polynomial.  Entries stay
-    in [0, q), so each int64 sum of d products is exact for d < 2**63 / q**2.
+    the first power that reduces to zero gives the polynomial.  The rows live
+    in one preallocated (d, 2d+1) array and are reduced in place; at step m
+    only the first d + m + 1 columns can be nonzero.  Entries stay in
+    [0, q), so each int64 sum of d products is exact for d < 2**63 / q**2.
     """
     d = a.shape[0]
-    basis = np.zeros((0, 2 * d + 1), dtype=np.int64)  # [vector | polynomial]
+    basis = np.zeros((d, 2 * d + 1), dtype=np.int64)  # [vector | polynomial]
     pivots: list[int] = []
     v = x % q
     for m in range(d + 1):
-        row = np.zeros(2 * d + 1, dtype=np.int64)
+        n, w = len(pivots), d + m + 1
+        row = np.zeros(w, dtype=np.int64)
         row[:d] = v
         row[d + m] = 1  # this row is a^m x
-        row = (row - row[pivots] @ basis) % q
+        row = (row - row[pivots] @ basis[:n, :w]) % q
         nz = np.flatnonzero(row[:d])
         if nz.size == 0:
-            return row[d:d + m + 1].tolist()
+            return row[d:].tolist()
         p = int(nz[0])
         row = row * pow(int(row[p]), -1, q) % q
-        basis = np.vstack([(basis - np.outer(basis[:, p], row)) % q, row])
+        done = basis[:n, :w]
+        done -= np.outer(done[:, p], row)
+        done %= q
+        basis[n, :w] = row
         pivots.append(p)
         v = a @ v % q
     raise ConsistencyError("Krylov sequence failed to become dependent")
@@ -470,7 +503,7 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
         raise ConsistencyError("wrong number of one-dimensional eigenspaces")
 
     inverse_class = _inverse_class(g, classes)
-    inv_sizes = [pow(len(m), -1, q) for m in classes.members]
+    inv_sizes = np.array([pow(len(m), -1, q) for m in classes.members], dtype=np.int64)
     pm = _power_map(g, classes, e)
     pm_arr = np.array(pm, dtype=np.int64)
     z = _element_of_order(e, q)
@@ -479,22 +512,36 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     zmat = zpow[np.outer(exps, -exps) % e]
     inv_e = pow(e, -1, q)
     zeta_rows = np.array(_zeta_powers(e), dtype=np.int64)
-    max_degree = math.isqrt(g.order)
+
+    # Row i of omega is the i-th central character, scaled to 1 on the
+    # identity class.  Every product below is of two residues, below 2**47,
+    # and the k x k arrays are updated in place.
+    omega = np.array([rows[0] for rows, _ in spaces], dtype=np.int64)
+    if not omega[:, 0].all():
+        raise ConsistencyError("eigenvector vanishes on the identity class")
+    omega *= np.array([[pow(int(c), -1, q)] for c in omega[:, 0]], dtype=np.int64)
+    omega %= q
+    dot = omega[:, list(inverse_class)]
+    dot *= inv_sizes
+    dot %= q
+    dot *= omega
+    dot %= q
+    dot = dot.sum(axis=1) % q  # k sums of k residues
+    dsq = np.array([g.order * pow(int(c), -1, q) % q for c in dot], dtype=np.int64)
+    # the degree of row i is the smallest d <= sqrt|G| with d*d = dsq[i]
+    squares = np.arange(1, math.isqrt(g.order) + 1, dtype=np.int64) ** 2 % q
+    hits = squares == dsq[:, None]
+    if not hits.any(axis=1).all():
+        raise ConsistencyError("no integer degree matches the squared residue")
+    degrees = hits.argmax(axis=1) + 1
+    thetas = omega  # theta = degree * omega / |class|
+    thetas *= degrees[:, None]
+    thetas %= q
+    thetas *= inv_sizes
+    thetas %= q
 
     chars = []
-    for rows, _ in spaces:
-        v = [int(c) for c in rows[0]]
-        if v[0] == 0:
-            raise ConsistencyError("eigenvector vanishes on the identity class")
-        scale = pow(v[0], -1, q)
-        omega = [c * scale % q for c in v]
-        dot = sum(omega[t] * omega[inverse_class[t]] * inv_sizes[t] for t in range(k)) % q
-        dsq = g.order * pow(dot, -1, q) % q
-        degree = next((d for d in range(1, max_degree + 1) if d * d % q == dsq), None)
-        if degree is None:
-            raise ConsistencyError("no integer degree matches the squared residue")
-        theta = np.array([degree * omega[t] * inv_sizes[t] % q for t in range(k)],
-                         dtype=np.int64)
+    for degree, theta in zip(degrees.tolist(), thetas):
         mults = _root_multiplicities(theta[pm_arr], zmat, inv_e, q)
         if np.any(mults.sum(axis=1) != degree):
             raise ConsistencyError("root-of-unity multiplicities do not sum "
@@ -610,23 +657,36 @@ def _pairing_dtype(a: np.ndarray, b: np.ndarray, order: int, e: int,
     on every partial sum is below 2**62, else ``object`` (Python ints).
     A Gram entry is at most max|a| * max|b| * |G|, since the class sizes
     sum to |G|, and each total adds phi**2 <= phi * e Gram entries, each
-    times a coefficient of a power of zeta, at most max|W|."""
+    times a coefficient of a power of zeta, at most max|W|.  Only the
+    extreme entries of ``b`` are read, so any array holding them will do."""
     a_max = max(int(a.max()), -int(a.min()))
     b_max = max(int(b.max()), -int(b.min()))
     bound = a_max * b_max * order * a.shape[1] * e * w_max
     return np.int64 if bound < 2 ** 62 else object
 
 
-def _pairings(chi: Character, others: Sequence[Character]) -> list[Fraction]:
+def _stacked(others: Sequence[Character], e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of ``others`` at conductor ``e`` side by side, shape
+    (classes, len(others) * phi(e)), with their largest and smallest entry."""
+    b = np.stack([psi.at(e) for psi in others], axis=1)
+    b = b.reshape(b.shape[0], -1)
+    b.flags.writeable = False
+    return b, np.array([b.max(), b.min()])
+
+
+def _pairings(chi: Character, others: Sequence[Character],
+              operand: tuple[np.ndarray, np.ndarray] | None = None) -> list[Fraction]:
     """<chi, psi> for every psi in ``others``, in one integer matrix product
-    over int64 when ``_pairing_dtype`` allows it, else over Python ints."""
+    over int64 when ``_pairing_dtype`` allows it, else over Python ints.
+    ``operand`` is ``_stacked(others, e)`` at e = lcm of all conductors,
+    built here unless the caller holds it."""
     g = chi.group
     e = math.lcm(chi.conductor, *(psi.conductor for psi in others))
     a = chi.at(e)
-    k, phi = a.shape
-    b = np.stack([psi.at(e) for psi in others], axis=1).reshape(k, -1)
+    phi = a.shape[1]
+    b, extremes = operand or _stacked(others, e)
     w = np.array(_zeta_powers(e), dtype=np.int64)
-    dtype = _pairing_dtype(a, b, g.order, e, int(np.abs(w).max()))
+    dtype = _pairing_dtype(a, extremes, g.order, e, int(np.abs(w).max()))
     sizes = np.array(g.conjugacy_classes().sizes, dtype=dtype)
     gram = (a.T.astype(dtype, copy=False) * sizes) @ b.astype(dtype, copy=False)
     gram = gram.reshape(phi, len(others), phi).transpose(1, 0, 2)
@@ -647,10 +707,13 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
 
 
 def decompose(chi: Character, table: CharacterTable) -> tuple[int, ...]:
-    """Multiplicities of ``chi`` against the irreducibles of ``table``."""
+    """Multiplicities of ``chi`` against the irreducibles of ``table``,
+    paired with the table's cached ``operand``."""
     if chi.group is not table.group:
         raise InputError("character does not live on the table's group")
-    mults = _pairings(chi, table.irreducibles)
+    others = table.irreducibles
+    e = math.lcm(chi.conductor, *(psi.conductor for psi in others))
+    mults = _pairings(chi, others, table.operand(e))
     if any(m.denominator != 1 or m < 0 for m in mults):
         raise InputError("class function is not a genuine character")
     return tuple(int(m) for m in mults)

@@ -63,18 +63,20 @@ class Group:
     """A concrete finite group on indices 0..order-1; index 0 is the identity.
 
     ``table`` is the (order, order) ``uint16`` Cayley table and ``inverse[a]``
-    the index of a^-1.
+    the index of a^-1.  ``name`` may be given as a function returning it,
+    which is then called on the first read of ``name`` only.
     """
 
     __slots__ = (
-        "name", "order", "elements", "words", "generators", "meta",
+        "_name", "order", "elements", "words", "generators", "meta",
         "table", "inverse", "_index",
         "_orders", "_exponent", "_classes", "_center", "_derived",
     )
 
-    def __init__(self, name: str, elements: Sequence[Label], words: Sequence[str],
-                 generators: Sequence[int], table, *, meta: dict | None = None):
-        self.name = name
+    def __init__(self, name: str | Callable[[], str], elements: Sequence[Label],
+                 words: Sequence[str], generators: Sequence[int], table, *,
+                 meta: dict | None = None):
+        self._name = name
         self.elements = tuple(elements)
         self.order = len(self.elements)
         self.words = tuple(words)
@@ -93,6 +95,12 @@ class Group:
         self._classes = None
         self._center = None
         self._derived = None
+
+    @property
+    def name(self) -> str:
+        if callable(self._name):
+            self._name = self._name()
+        return self._name
 
     def __repr__(self) -> str:
         return f"Group({self.name!r}, order={self.order})"
@@ -202,7 +210,11 @@ class Group:
         return Subgroup(self, range(self.order))
 
 
-def build_group(name: str, gen_labels: Sequence[Label],
+def _named(name: str | Callable[[], str]) -> str:
+    return name() if callable(name) else name
+
+
+def build_group(name: str | Callable[[], str], gen_labels: Sequence[Label],
                 compose: Callable[[Label, Label], Label], identity: Label, *,
                 gen_names: Sequence[str] | None = None,
                 cap: int = ORDER_CAP,
@@ -213,7 +225,7 @@ def build_group(name: str, gen_labels: Sequence[Label],
     The element order is canonical: identity first, then breadth-first
     discovery multiplying on the right by the generators in input order.
     Raises ResourceError once the closure exceeds ``min(cap, ORDER_CAP)``
-    elements.
+    elements.  ``name`` may be a function, as for ``Group``.
     """
     gens: list[Label] = []
     for lab in gen_labels:
@@ -236,7 +248,7 @@ def build_group(name: str, gen_labels: Sequence[Label],
             if y not in index:
                 if len(elements) >= limit:
                     raise ResourceError(
-                        f"closure of {name} exceeds the order cap ({limit})")
+                        f"closure of {_named(name)} exceeds the order cap ({limit})")
                 index[y] = len(elements)
                 elements.append(y)
                 parents.append((i, gpos))
@@ -256,7 +268,7 @@ def build_group(name: str, gen_labels: Sequence[Label],
     left = [np.fromiter((index.get(compose(glab, el), -1) for el in elements),
                         dtype=np.intp, count=n) for glab in gens]
     if any((col < 0).any() for col in left):
-        raise InputError(f"left products escape the closure of {name}; "
+        raise InputError(f"left products escape the closure of {_named(name)}; "
                          "the multiplication is not a group law")
     table = np.empty((n, n), dtype=np.uint16)
     table[0] = np.arange(n)
@@ -519,6 +531,8 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
     """Quotient by a normal subgroup; raises InputError naming a witness if not normal.
 
     Each coset is labelled by its smallest element, which is also the section.
+    The target is named ``G/<generators of N>`` on the first read of its name,
+    so a quotient nobody names never looks for small generators of N.
     """
     witness = _normality_witness(g, n)
     if witness is not None:
@@ -532,7 +546,7 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
     gens: dict[int, str] = {}  # coset of each generator, named by the first
     for x in g.generators:
         gens.setdefault(int(low[x]), g.words[x])
-    target = build_group(f"{g.name}/{n.describe()}", list(gens),
+    target = build_group(lambda: f"{g.name}/{n.describe()}", list(gens),
                          lambda a, b: int(low[g.table[a, b]]), 0,
                          gen_names=list(gens.values()))
     if target.order * n.order != g.order:

@@ -101,6 +101,13 @@ class _Ctx:
     commutator is one object that builds ``as_group()`` once.  Compare
     subgroups with ``==``, never ``is``: one built elsewhere is equal to the
     interned one but is another object.
+
+    G/1 is G itself: the quotient by the trivial subgroup is the identity
+    map onto G, and its table is ``table``, so no relabelled copy of G and
+    its table is built.  Every G/N with N != 1 is a group of its own whose
+    table comes from its own Dixon split, never from the deflations of
+    Irr(G): otherwise the bijections that ``lemmas`` and ``thm1.1`` check
+    between Irr(G/N) and characters of G would hold by construction.
     """
 
     def __init__(self, table: CharacterTable):
@@ -133,9 +140,17 @@ class _Ctx:
             commutator_subgroup(sub, self.g.full_subgroup())))
 
     def quotient_by(self, sub: Subgroup) -> QuotientMap:
-        return self._once(("quotient", sub), lambda: quotient(self.g, sub))
+        return self._once(("quotient", sub), lambda: self._quotient(sub))
+
+    def _quotient(self, sub: Subgroup) -> QuotientMap:
+        if sub.order > 1:
+            return quotient(self.g, sub)
+        same = tuple(range(self.g.order))
+        return QuotientMap(self.g, sub, self.g, same, same)
 
     def quotient_table(self, qm: QuotientMap) -> CharacterTable:
+        if qm.target is self.g:
+            return self.table
         return self._once(("quotient_table", qm.kernel),
                           lambda: character_table(qm.target))
 
@@ -192,11 +207,12 @@ class _Ctx:
     def _coset_condition(self, centre: Subgroup) -> tuple[bool, dict | None]:
         classes = self.table.classes
         m = self.commutator_with_group(centre)
-        others = {x for pos in self.nonlinear_positions()
-                  if self.centre(pos) != centre for x in self.centre(pos).members}
-        for x in centre.members:
-            if x in others:
-                continue
+        others = np.zeros(self.g.order, dtype=bool)  # the other nonlinear centres
+        for other in {self.centre(pos) for pos in self.nonlinear_positions()}:
+            if other != centre:
+                others[list(other.members)] = True
+        members = np.array(centre.members)
+        for x in members[~others[members]].tolist():
             cls = classes.members[classes.class_of[x]]
             cos = coset(x, m)
             if cls != cos:
@@ -401,15 +417,24 @@ def irr_star(table: CharacterTable, chi: Character, *,
     m = ctx.commutator_with_group(centre)
     derived = ctx.derived()
     ctable = ctx.subgroup_table(centre)
-    m_set = set(m.members)
-    d_set = set(derived.members)
-    lambdas = []
-    for lam in ctable.irreducibles:
-        ker_parent = {centre.to_parent(s) for s in kernel(lam).members}
-        if m_set <= ker_parent and not d_set <= ker_parent:
-            lambdas.append(lam)
-    return IrrStar(centre, m, ctable, tuple(lambdas),
-                   centre.contains_set(derived))
+    # the class of Z holding each element of G, -1 outside Z
+    z_class = np.full(ctx.g.order, -1)
+    z_class[list(centre.members)] = ctable.classes.class_of
+    m_classes = np.unique(z_class[list(m.members)])
+    d_classes = np.unique(z_class[list(derived.members)])
+    lambdas = tuple(lam for lam in ctable.irreducibles
+                    if _kills(lam, m_classes) and not _kills(lam, d_classes))
+    return IrrStar(centre, m, ctable, lambdas, centre.contains_set(derived))
+
+
+def _kills(lam: Character, classes: np.ndarray) -> bool:
+    """Whether ``lam`` equals its degree on every class listed, that is, the
+    elements of those classes lie in its kernel; a -1 (an element outside
+    lam's group) makes the answer no."""
+    if classes[0] < 0:  # np.unique sorts -1 first
+        return False
+    values = lam.coeffs[classes]
+    return bool((values[:, 0] == lam.degree).all() and not values[:, 1:].any())
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ of an irrational pairing or of a matrix that is not diagonalisable.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -560,3 +561,109 @@ def test_pairing_memory_is_quadratic_in_phi():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# cached operands and row digests
+
+def test_cached_operand_equals_the_stack(tables):
+    for name, t in tables.items():
+        for e in (t.exponent, 2 * t.exponent):
+            b, extremes = t.operand(e)
+            want = np.stack([ch.at(e) for ch in t.irreducibles], axis=1)
+            assert np.array_equal(b, want.reshape(len(t.classes), -1)), name
+            assert extremes.tolist() == [want.max(), want.min()], name
+            assert t.operand(e)[0] is b  # stacked once per conductor
+            assert not b.flags.writeable
+
+
+def test_decompose_stacks_nothing_after_the_first_call(tables, monkeypatch):
+    t = tables["c3wrc3"]
+    mults = [i % 3 for i in range(len(t))]
+    chi = _combination(t, mults)
+    first = decompose(chi, t)
+    assert list(first) == mults
+    calls = []
+    stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda *a, **k: calls.append(1) or stack(*a, **k))
+    assert decompose(chi, t) == first
+    assert calls == []
+    # the cached operand still refuses an irrational pairing
+    c3 = tables["c3"]
+    z = root_of_unity(1, 3)
+    odd = Character(c3.group, 1, 3, [z.coeffs] + [Cyclotomic.one(3).coeffs]
+                    * (len(c3.classes) - 1), False)
+    decompose(c3.irreducibles[0], c3)
+    with pytest.raises(ConsistencyError):
+        decompose(odd, c3)
+
+
+def test_row_of_survives_colliding_digests(tables, monkeypatch):
+    t = tables["gn32"]
+    monkeypatch.setattr(chartable, "_digest", lambda values: 0)
+    fresh = dataclasses.replace(t)  # no keys cached under the real digest
+    for i, ch in enumerate(t.irreducibles):
+        assert fresh.row_of(ch) == i
+        # the same values at a larger conductor find the same row
+        wide = Character(t.group, ch.degree, 2 * t.exponent, ch.at(2 * t.exponent))
+        assert fresh.row_of(wide) == i
+    a, b = t.irreducibles[-2], t.irreducibles[-1]
+    assert a.degree == b.degree
+    # same degree, so the same key as a and b under the constant digest
+    assert fresh.row_of(Character(t.group, a.degree, t.exponent, a.coeffs + b.coeffs)) is None
+    assert fresh.row_of(Character(t.group, a.degree + 1, t.exponent, a.coeffs)) is None
+
+
+# ---------------------------------------------------------------------------
+# Krylov basis
+
+def _reference_minimal_polynomial(a, x, q):
+    """The Krylov loop that rebuilt its basis with ``np.vstack`` and a full
+    reduction at every step."""
+    d = a.shape[0]
+    basis = np.zeros((0, 2 * d + 1), dtype=np.int64)
+    pivots = []
+    v = x % q
+    for m in range(d + 1):
+        row = np.zeros(2 * d + 1, dtype=np.int64)
+        row[:d] = v
+        row[d + m] = 1
+        row = (row - row[pivots] @ basis) % q
+        nz = np.flatnonzero(row[:d])
+        if nz.size == 0:
+            return row[d:d + m + 1].tolist()
+        p = int(nz[0])
+        row = row * pow(int(row[p]), -1, q) % q
+        basis = np.vstack([(basis - np.outer(basis[:, p], row)) % q, row])
+        pivots.append(p)
+        v = a @ v % q
+    raise ConsistencyError("Krylov sequence failed to become dependent")
+
+
+def test_minimal_polynomial_matches_the_vstack_loop_on_random_matrices():
+    rng = np.random.default_rng(11)
+    for q in (7, 61, 10007, 9_999_991):
+        assert is_prime(q)
+        for d in (1, 2, 3, 6, 13, 24):
+            for rank in {0, 1, d // 2, d}:
+                a = rng.integers(0, q, (d, rank)) @ rng.integers(0, q, (rank, d)) % q
+                for x in (np.eye(d, dtype=np.int64)[0], rng.integers(0, q, d)):
+                    assert (chartable._minimal_polynomial(a, x, q)
+                            == _reference_minimal_polynomial(a, x, q)), (q, d, rank)
+
+
+def test_minimal_polynomial_matches_the_vstack_loop_on_class_matrices(zoo):
+    rng = np.random.default_rng(12)
+    count = 0
+    for name, g in zoo.items():
+        classes = g.conjugacy_classes()
+        k = len(classes)
+        q = chartable.dixon_prime(g.order, g.exponent)
+        start = np.eye(k, dtype=np.int64)[0]
+        for i in range(k):
+            a = chartable.class_matrix(g, classes, i) % q
+            for x in (start, rng.integers(0, q, k)):
+                assert (chartable._minimal_polynomial(a, x, q)
+                        == _reference_minimal_polynomial(a, x, q)), (name, i)
+                count += 1
+    assert count > 300

@@ -1,0 +1,198 @@
+"""What the claim verifiers build besides the table they are given.
+
+``verify`` takes G/1 to be G itself, so no relabelled copy of G and no
+second table of it is built.  The comparison that the copy used to make at
+run time is kept here: the table of the copy, lifted back, must give every
+row of the table exactly once, so the table does not depend on how the
+elements are labelled.  Quotients by N != 1 keep tables of their own, and a
+quotient's name is only built when something reads it.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import groupchar
+from groupchar import (character_table, direct_product, gn, irr_star, kernel,
+                       lift, named, quotient, verify_all)
+from groupchar import gvz
+from groupchar.groups import Subgroup, coset
+
+
+@pytest.fixture(scope="module")
+def wider(zoo, tables):
+    """The zoo's groups with their tables, gn(3,2) among them, plus gn(7,1)."""
+    out = {name: (g, tables[name]) for name, g in zoo.items()}
+    g = gn(7, 1)
+    out["gn(7,1)"] = (g, character_table(g))
+    return out
+
+
+def test_table_of_the_relabelled_copy_lifts_onto_every_row(wider):
+    for name, (g, t) in wider.items():
+        qm = quotient(g, Subgroup(g, [0]))
+        assert qm.target is not g and qm.target.order == g.order, name
+        rows = [t.row_of(lift(ch, qm)) for ch in character_table(qm.target).irreducibles]
+        assert sorted(rows) == list(range(len(t))), name
+
+
+def test_verify_all_builds_no_table_of_the_whole_group(wider, monkeypatch):
+    orders = []
+
+    def spy(h, **kwargs):
+        orders.append(h.order)
+        return character_table(h, **kwargs)
+
+    monkeypatch.setattr(gvz, "character_table", spy)
+    for name, (g, t) in wider.items():
+        orders.clear()
+        reports = verify_all(t)
+        assert all(r.passed for r in reports), name
+        assert g.order not in orders, name
+        if not g.is_abelian():
+            assert orders, name  # the nested tables of N != 1 are still built
+
+
+def test_trivial_quotient_in_the_context_is_the_identity(wider):
+    g, t = wider["gn(7,1)"]
+    ctx = gvz._Ctx(t)
+    qm = ctx.quotient_by(Subgroup(g, [0]))
+    assert qm.source is g and qm.target is g
+    assert qm.projection == qm.section == tuple(range(g.order))
+    assert ctx.quotient_table(qm) is t
+    assert ctx.lifted_rows(qm) == frozenset(range(len(t)))
+    # N != 1 still gets a group and a table of its own
+    qz = ctx.quotient_by(g.center())
+    assert qz.target is not g and ctx.quotient_table(qz).group is qz.target
+
+
+def test_quotient_names_its_target_on_first_read(wider, monkeypatch):
+    calls = []
+    original = Subgroup.small_generators
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Subgroup, "small_generators", spy)
+    for name, (g, _) in wider.items():
+        for n in {g.center(), g.derived_subgroup(), Subgroup(g, [0])}:
+            fresh = Subgroup(g, n.members)  # no generators cached yet
+            calls.clear()
+            qm = quotient(g, fresh)
+            assert calls == [], name
+            assert qm.target.name == f"{g.name}/{fresh.describe()}", name
+            assert calls, name  # the name asked for the generators
+
+
+# ---------------------------------------------------------------------------
+# element sets as arrays, against the set loops they replaced
+
+def _reference_star(ctx, pos):
+    """Irr*(Z) for the irreducible at ``pos`` by set comprehensions over
+    ``to_parent``."""
+    centre = ctx.centre(pos)
+    m_set = set(ctx.commutator_with_group(centre).members)
+    d_set = set(ctx.derived().members)
+    out = []
+    for lam in ctx.subgroup_table(centre).irreducibles:
+        ker_parent = {centre.to_parent(s) for s in kernel(lam).members}
+        if m_set <= ker_parent and not d_set <= ker_parent:
+            out.append(lam)
+    return out
+
+
+def _reference_coset_condition(ctx, centre):
+    classes = ctx.table.classes
+    m = ctx.commutator_with_group(centre)
+    others = {x for pos in ctx.nonlinear_positions()
+              if ctx.centre(pos) != centre for x in ctx.centre(pos).members}
+    for x in centre.members:
+        if x in others:
+            continue
+        cls = classes.members[classes.class_of[x]]
+        cos = coset(x, m)
+        if cls != cos:
+            return False, {"element": ctx.g.words[x],
+                           "coset_size": len(cos), "class_size": len(cls)}
+    return True, None
+
+
+def test_star_sets_match_the_set_loop(wider):
+    count = 0
+    for name, (g, t) in wider.items():
+        ctx = gvz._Ctx(t)
+        if not ctx.two_degree_gvz[0]:
+            continue
+        for pos in ctx.nonlinear_positions():
+            star = irr_star(t, t.irreducibles[pos], _ctx=ctx)
+            want = _reference_star(ctx, pos)
+            rows = [star.centre_table.row_of(lam) for lam in star.lambdas]
+            assert rows == [star.centre_table.row_of(lam) for lam in want], name
+            count += len(rows)
+    assert count > 100
+
+
+def test_kernel_test_refuses_elements_outside_the_centre(tables):
+    t = tables["c3"]
+    lam = next(ch for ch in t.irreducibles if kernel(ch).order == t.group.order)
+    assert gvz._kills(lam, np.array([0, 1, 2]))
+    assert not gvz._kills(lam, np.array([-1, 0]))
+
+
+def test_coset_condition_matches_the_set_loop(wider):
+    s3 = named("s3")
+    extra = direct_product(s3, s3)  # Z(chi x 1) = 1 x S3 fails at (1, 3-cycle)
+    cases = [t for _, t in wider.values()] + [character_table(extra)]
+    for t in cases:
+        ctx = gvz._Ctx(t)
+        for centre in {ctx.centre(pos) for pos in range(len(t))}:
+            assert (ctx.coset_condition(centre)
+                    == _reference_coset_condition(ctx, centre)), t.group.name
+    # ctx is now the context of S3 x S3
+    fails = [c for c in {ctx.centre(p) for p in ctx.nonlinear_positions()}
+             if not ctx.coset_condition(c)[0]]
+    assert fails  # a nonlinear centre where skipping the other centres matters
+
+
+# ---------------------------------------------------------------------------
+# memory: verify peaks near its own table
+
+_CHILD = """
+import contextlib, os, sys
+from groupchar.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+print(code, int(hwm.split()[1]))
+"""
+
+
+def _peak_kib(*argv: str) -> int:
+    """Peak resident size in KiB of one CLI run, which must exit 0, in a
+    fresh child that reads its own ``VmHWM``; ``getrusage`` would carry
+    over the resident size of this process."""
+    src = os.path.dirname(os.path.dirname(groupchar.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, kib = map(int, out.split())
+    assert code == 0, argv
+    return kib
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs VmHWM from /proc")
+def test_verify_all_peaks_within_half_again_its_table():
+    spec = '{"type": "gn", "p": 23, "n": 1}'
+    table = _peak_kib("table", "--group", spec, "--format", "json")
+    verify = _peak_kib("verify", "all", "--group", spec, "--format", "json")
+    assert verify <= 1.5 * table, (verify, table)
