@@ -60,13 +60,22 @@ B[c, j] the power-basis coefficients of chi and psi on class c,
     G = A^T diag(|C|) B,
 
 so G is folded onto the exponents (i - j) mod e and reduced through W; the
-result must be rational.  ``decompose`` takes B, the coefficients of all
-irreducibles side by side, from the table, which stacks it once per
-conductor (``CharacterTable.operand``).  These sums run in int64 when an
-a-priori bound on every partial sum is below 2**62 (``_pairing_dtype``),
-else in Python integers.  The only floats are inside ``modular.matmul``,
-for the products mod q of the split and the lift, and only where every
-partial sum is an integer below 2**53, so they are exact.
+result must be rational.  The operations come in batches over whole
+tables, and each single-character function is a batch of one:
+``decompose_batch`` pairs m class functions side by side with B, the
+coefficients of all irreducibles, which the table stacks once per
+conductor (``CharacterTable.operand``); ``induce_batch`` induces m
+characters of a subgroup through one k x k_H matrix of conjugation counts;
+``weighted_norms`` takes one weighted Gram block per character and weight
+row; ``lift_batch`` pulls characters of G/N back by one class-index gather.
+
+Every exact integer product, here and in ``modular``, runs in the carrier
+that ``modular.carrier`` gives for an a-priori bound on its partial sums:
+float64 (BLAS) below 2**53, where every such integer is a float and the
+product is exact in any summation order, int64 below 2**62, Python
+integers above.  Float64 results are cast back to int64 before anything
+reads them, so no float reaches a table entry, an inner product or a
+verdict.
 """
 
 from __future__ import annotations
@@ -181,15 +190,25 @@ class CharacterTable:
         """
         if chi.group is not self.group:
             raise InputError("character does not live on the table's group")
-        e = math.lcm(self.exponent, chi.conductor)
-        if e not in self._rows:
+        return self.rows_of([chi.degree], chi.coeffs[None], chi.conductor)[0]
+
+    def rows_of(self, degrees: Sequence[int], coeffs: np.ndarray,
+                e: int) -> list[int | None]:
+        """``row_of`` for m class functions of the table's group, given by
+        their degrees and their coefficients at conductor ``e`` in an array
+        of shape (m, classes, phi(e))."""
+        e2 = math.lcm(self.exponent, e)
+        if e2 != e:
+            coeffs = coeffs @ embedding(e, e2)
+        if e2 not in self._rows:
             rows: dict[tuple, list[int]] = {}
             for i, ch in enumerate(self.irreducibles):
-                rows.setdefault((ch.degree, _digest(ch.at(e))), []).append(i)
-            self._rows[e] = rows
-        values = chi.at(e)
-        return next((i for i in self._rows[e].get((chi.degree, _digest(values)), ())
-                     if np.array_equal(self.irreducibles[i].at(e), values)), None)
+                rows.setdefault((ch.degree, _digest(ch.at(e2))), []).append(i)
+            self._rows[e2] = rows
+        keys = self._rows[e2]
+        return [next((i for i in keys.get((d, _digest(values)), ())
+                      if np.array_equal(self.irreducibles[i].at(e2), values)), None)
+                for d, values in zip(degrees, coeffs)]
 
     def operand(self, e: int) -> tuple[np.ndarray, np.ndarray]:
         """The coefficients of every irreducible at conductor ``e`` (a
@@ -246,7 +265,7 @@ def class_matrix(g: Group, classes: ConjugacyClasses, i: int) -> np.ndarray:
     """Matrix M_i with M_i[j, t] = a_ijt, the number of ways z_t = x*y with
     x in class i and y in class j."""
     k = len(classes)
-    class_of = np.array(classes.class_of)
+    class_of = classes.class_array
     x_inv = g.inverse[list(classes.members[i])]
     cells = class_of[g.table[np.ix_(x_inv, classes.reps)]] * k + np.arange(k)
     return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k)
@@ -388,10 +407,12 @@ def _split_spaces(spaces, matrix, q):
     """Refine a list of (rows, pivots) common eigenspaces under one matrix.
 
     On each space the matrix restricted to it, built from its pivot rows
-    only, gives the minimal polynomial of a fixed start vector.  The
-    eigenspaces come from ``_spectral_images`` when it applies, else from
-    ``_nullspace_pieces``.  Pieces come out in ascending order of their
-    eigenvalue, each in reduced row echelon form.
+    only, either is scalar, and the space is kept as it is, or gives the
+    minimal polynomial of a fixed start vector.  The eigenspaces come from
+    ``_spectral_images`` when it applies, else from ``_nullspace_pieces``.
+    Pieces come out in ascending order of their eigenvalue, each in reduced
+    row echelon form; when every piece is one row, that form is the row
+    scaled to a leading 1, done for all of them in one step.
     """
     out = []
     for rows, pivots in spaces:
@@ -400,6 +421,9 @@ def _split_spaces(spaces, matrix, q):
             out.append((rows, pivots))
             continue
         restricted = modular.matmul(matrix[list(pivots)] % q, rows.T, q)
+        if _is_scalar(restricted):
+            out.append((rows, pivots))
+            continue
         # The first basis vector: on the whole space it is the identity
         # class, whose component along every eigenvector is chi(1)^2/|G|.
         start = np.zeros(d, dtype=np.int64)
@@ -409,10 +433,10 @@ def _split_spaces(spaces, matrix, q):
         pieces = _spectral_images(restricted, mu, roots, q)
         if pieces is None:
             pieces = _nullspace_pieces(restricted, roots, q)
-        if len(pieces) == 1:
-            out.append((rows, pivots))
-            continue
-        reds = [modular.rref(piece, q) for piece in pieces]
+        if len(pieces) == d:
+            reds = _leading_ones(np.vstack(pieces), q)
+        else:
+            reds = [modular.rref(piece, q) for piece in pieces]
         # rref(P) @ rows is already the reduced row echelon form of
         # P @ rows, with pivot columns pivots[c] for the pivots c of rref(P),
         # since rows is reduced with the identity at its pivot columns.
@@ -422,6 +446,23 @@ def _split_spaces(spaces, matrix, q):
             out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols)))
             lo += len(red)
     return out
+
+
+def _is_scalar(a: np.ndarray) -> bool:
+    """Whether the square matrix ``a`` is a multiple of the identity."""
+    diag = np.diagonal(a)
+    return bool((diag == diag[0]).all()
+                and np.count_nonzero(a) == np.count_nonzero(diag))
+
+
+def _leading_ones(rows: np.ndarray, q: int) -> list[tuple[np.ndarray, tuple[int]]]:
+    """``modular.rref`` of each nonzero row on its own: the row times the
+    inverse of its first nonzero entry, with that column as its pivot."""
+    lead = (rows != 0).argmax(axis=1)
+    inv = np.array([pow(int(c), -1, q) for c in rows[np.arange(len(rows)), lead]],
+                   dtype=np.int64)
+    scaled = rows * inv[:, None] % q
+    return [(scaled[i:i + 1], (int(c),)) for i, c in enumerate(lead)]
 
 
 def _root_multiplicities(theta_pm: np.ndarray, zmat: np.ndarray, inv_e: int,
@@ -441,7 +482,7 @@ def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, 
     powers = np.zeros((e, reps.size), dtype=np.intp)
     for s in range(1, e):
         powers[s] = g.table[powers[s - 1], reps]
-    return tuple(map(tuple, np.array(classes.class_of)[powers.T].tolist()))
+    return tuple(map(tuple, classes.class_array[powers.T].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -647,22 +688,73 @@ def _rational_rows(coeffs: np.ndarray, r: int) -> np.ndarray:
     return (coeffs[:, 0] == r) & ~coeffs[:, 1:].any(axis=1)
 
 
-def _pairing_dtype(a: np.ndarray, b: np.ndarray, order: int, e: int,
-                   w_max: int):
-    """The carrier of a pairing of coefficient arrays ``a`` and ``b``:
-    ``np.int64`` when the a-priori bound
+def _abs_max(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+@lru_cache(maxsize=None)
+def _zeta_matrix(e: int) -> tuple[np.ndarray, int]:
+    """W, whose row k holds the power-basis coefficients of zeta_e^k, as a
+    read-only int64 array, with its largest absolute entry."""
+    w = np.array(_zeta_powers(e), dtype=np.int64)
+    w.flags.writeable = False
+    return w, _abs_max(w)
+
+
+BLOCK = 2 ** 16  # entries of a batch temporary, 512 KB in float64
+
+
+def _fold(gram: np.ndarray, e: int) -> np.ndarray:
+    """The rational totals sum_{i,j} gram[x, i, y, j] zeta_e^(i - j) of
+    integer Gram blocks of shape (m, phi, n, phi), as an (m, n) array.
+
+    Each block is folded onto the exponents (i - j) mod e, one i at a time
+    (for fixed i the j give distinct exponents, as phi <= e), and reduced
+    through W, all in the Gram matrix's carrier: every partial sum is at
+    most the bound that chose it.  ConsistencyError unless every total is
+    rational; float64 totals come back as int64."""
+    m, phi, n, _ = gram.shape
+    w, _ = _zeta_matrix(e)
+    folded = np.zeros((m, n, e), dtype=gram.dtype)
+    cols = np.arange(phi)
+    for i in range(phi):
+        folded[:, :, (i - cols) % e] += gram[:, i]
+    totals = folded @ w.astype(gram.dtype)
+    if totals[:, :, 1:].any():
+        raise ConsistencyError("inner product of characters must be rational")
+    totals = totals[:, :, 0]
+    return totals.astype(np.int64) if gram.dtype == np.float64 else totals
+
+
+def _pairings(a: np.ndarray, b: np.ndarray, b_max: int, sizes: np.ndarray,
+              e: int) -> np.ndarray:
+    """|G| <chi_x, psi_y> for every pair of characters whose coefficients at
+    conductor e sit side by side in ``a``, shape (classes, m * phi), and
+    ``b``, shape (classes, n * phi), as an (m, n) integer array.  ``b_max``
+    is at least the largest absolute entry of ``b``.
+
+    The Gram matrix G = A^T diag(|C|) B runs over the classes where some
+    chi_x is nonzero, the only ones that add to it, in the carrier that
+    ``modular.carrier`` gives for the a-priori bound
 
         B = max|a| * max|b| * |G| * phi * e * max|W|
 
-    on every partial sum is below 2**62, else ``object`` (Python ints).
-    A Gram entry is at most max|a| * max|b| * |G|, since the class sizes
-    sum to |G|, and each total adds phi**2 <= phi * e Gram entries, each
-    times a coefficient of a power of zeta, at most max|W|.  Only the
-    extreme entries of ``b`` are read, so any array holding them will do."""
-    a_max = max(int(a.max()), -int(a.min()))
-    b_max = max(int(b.max()), -int(b.min()))
-    bound = a_max * b_max * order * a.shape[1] * e * w_max
-    return np.int64 if bound < 2 ** 62 else object
+    on every partial sum: a Gram entry is at most max|a| * max|b| * |G|,
+    since the class sizes sum to |G|, and each total adds phi**2 <= phi * e
+    Gram entries, each times a coefficient of a power of zeta, at most
+    max|W|.  The chi_x are taken in blocks, so a block of the Gram matrix
+    holds about ``BLOCK`` entries."""
+    phi = euler_phi(e)
+    m, n = a.shape[1] // phi, b.shape[1] // phi
+    live = a.any(axis=1)
+    dtype = modular.carrier(_abs_max(a) * b_max * int(sizes.sum()) * phi * e
+                            * _zeta_matrix(e)[1])
+    weighted = a[live].T.astype(dtype) * sizes[live].astype(dtype)
+    b = b[live].astype(dtype)
+    step = max(1, BLOCK // (phi * b.shape[1]))
+    return np.concatenate([
+        _fold((weighted[lo * phi:(lo + step) * phi] @ b).reshape(-1, phi, n, phi), e)
+        for lo in range(0, m, step)] or [np.zeros((0, n), dtype=np.int64)])
 
 
 def _stacked(others: Sequence[Character], e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -674,49 +766,69 @@ def _stacked(others: Sequence[Character], e: int) -> tuple[np.ndarray, np.ndarra
     return b, np.array([b.max(), b.min()])
 
 
-def _pairings(chi: Character, others: Sequence[Character],
-              operand: tuple[np.ndarray, np.ndarray] | None = None) -> list[Fraction]:
-    """<chi, psi> for every psi in ``others``, in one integer matrix product
-    over int64 when ``_pairing_dtype`` allows it, else over Python ints.
-    ``operand`` is ``_stacked(others, e)`` at e = lcm of all conductors,
-    built here unless the caller holds it."""
-    g = chi.group
-    e = math.lcm(chi.conductor, *(psi.conductor for psi in others))
-    a = chi.at(e)
-    phi = a.shape[1]
-    b, extremes = operand or _stacked(others, e)
-    w = np.array(_zeta_powers(e), dtype=np.int64)
-    dtype = _pairing_dtype(a, extremes, g.order, e, int(np.abs(w).max()))
-    sizes = np.array(g.conjugacy_classes().sizes, dtype=dtype)
-    gram = (a.T.astype(dtype, copy=False) * sizes) @ b.astype(dtype, copy=False)
-    gram = gram.reshape(phi, len(others), phi).transpose(1, 0, 2)
-    folded = np.zeros((len(others), e), dtype=dtype)
-    idx = (np.arange(phi)[:, None] - np.arange(phi)) % e
-    np.add.at(folded, (slice(None), idx), gram)
-    totals = folded @ w.astype(dtype, copy=False)
-    if np.any(totals[:, 1:] != 0):
-        raise ConsistencyError("inner product of characters must be rational")
-    return [Fraction(t, g.order) for t in totals[:, 0].tolist()]
+def _sizes(g: Group) -> np.ndarray:
+    return np.array(g.conjugacy_classes().sizes, dtype=np.int64)
 
 
 def inner_product(chi: Character, psi: Character) -> Fraction:
     """Standard inner product <chi, psi>; always rational for characters."""
     if chi.group is not psi.group:
         raise InputError("characters live on different groups")
-    return _pairings(chi, [psi])[0]
+    e = math.lcm(chi.conductor, psi.conductor)
+    b = psi.at(e)
+    total = _pairings(chi.at(e), b, _abs_max(b), _sizes(chi.group), e)
+    return Fraction(int(total[0, 0]), chi.group.order)
+
+
+def decompose_batch(coeffs: np.ndarray, e: int, table: CharacterTable) -> np.ndarray:
+    """Multiplicities of m class functions of the table's group, given by
+    their coefficients at conductor ``e`` in an array of shape
+    (classes, m, phi(e)), against the irreducibles of ``table``: an (m, k)
+    int64 array, from one Gram product with the table's cached ``operand``.
+    InputError unless every multiplicity is a nonnegative integer."""
+    e2 = math.lcm(e, *{psi.conductor for psi in table.irreducibles})
+    if e2 != e:
+        coeffs = coeffs @ embedding(e, e2)
+    b, extremes = table.operand(e2)
+    totals = _pairings(coeffs.reshape(len(coeffs), -1), b, _abs_max(extremes),
+                       _sizes(table.group), e2)
+    if (totals < 0).any() or (totals % table.group.order).any():
+        raise InputError("class function is not a genuine character")
+    return totals // table.group.order
 
 
 def decompose(chi: Character, table: CharacterTable) -> tuple[int, ...]:
-    """Multiplicities of ``chi`` against the irreducibles of ``table``,
-    paired with the table's cached ``operand``."""
+    """Multiplicities of ``chi`` against the irreducibles of ``table``, a
+    batch of one for ``decompose_batch``."""
     if chi.group is not table.group:
         raise InputError("character does not live on the table's group")
-    others = table.irreducibles
-    e = math.lcm(chi.conductor, *(psi.conductor for psi in others))
-    mults = _pairings(chi, others, table.operand(e))
-    if any(m.denominator != 1 or m < 0 for m in mults):
-        raise InputError("class function is not a genuine character")
-    return tuple(int(m) for m in mults)
+    return tuple(decompose_batch(chi.coeffs[:, None], chi.conductor, table)[0].tolist())
+
+
+def weighted_norms(coeffs: np.ndarray, weights: np.ndarray, e: int) -> np.ndarray:
+    """sum_c weights[x, s, c] |chi_x(c)|^2 for the m class functions chi_x with
+    coefficients ``coeffs[:, x]`` at conductor e (shape (classes, m, phi))
+    and each of their s weight rows over the classes: an (m, s) array of
+    integers, all of them rational totals or ConsistencyError.
+
+    With class sizes as the weights this is |G| <chi, chi>; with the sizes
+    of the classes inside a normal subgroup H and zero elsewhere it is
+    |H| <chi_H, chi_H>.  One weighted Gram block per character and weight
+    row, A_x^T diag(w) A_x, in the carrier ``_pairings`` uses, with the
+    largest weight sum in place of |G|; characters are taken in blocks so
+    no temporary holds more than a few times ``BLOCK`` entries."""
+    classes, m, phi = coeffs.shape
+    s = weights.shape[1]
+    dtype = modular.carrier(_abs_max(coeffs) ** 2 * int(weights.sum(axis=2).max(initial=0))
+                            * phi * e * _zeta_matrix(e)[1])
+    out = []
+    step = max(1, BLOCK // (s * phi * classes))
+    for lo in range(0, m, step):
+        a = coeffs[:, lo:lo + step].transpose(1, 2, 0).astype(dtype)  # [x, i, c]
+        wa = weights[lo:lo + step, :, None, :] * a[:, None]  # [x, s, i, c]
+        gram = wa.reshape(len(a), s * phi, classes) @ a.transpose(0, 2, 1)  # [x, (s, i), j]
+        out.append(_fold(gram.reshape(-1, phi, 1, phi), e).reshape(-1, s))
+    return np.concatenate(out or [np.zeros((0, s), dtype=np.int64)])
 
 
 def _transversal(g: Group, h: Subgroup) -> list[int]:
@@ -724,29 +836,55 @@ def _transversal(g: Group, h: Subgroup) -> list[int]:
     return np.flatnonzero(right_coset_minima(h) == np.arange(g.order)).tolist()
 
 
-def induce(lam: Character, h: Subgroup, g: Group) -> Character:
-    """Induced class function lam^G(x) = sum over the transversal of lam(t x t^-1)."""
-    if h.parent is not g:
-        raise InputError("subgroup does not live in the target group")
+def _induction_counts(h: Subgroup, g: Group) -> np.ndarray:
+    """The k x k_H matrix whose entry [c, j] counts the transversal elements
+    t with t x t^-1 in class j of H, for x the representative of class c of
+    G: the induced values are this matrix times the values on H."""
     hg = h.as_group()
-    if lam.group is not hg:
-        raise InputError("character is not on the given subgroup")
-    e = g.exponent
     reps = g.conjugacy_classes().reps
-    k, kh = len(reps), lam.coeffs.shape[0]
+    k, kh = len(reps), len(hg.conjugacy_classes())
     trans = np.array(_transversal(g, h), dtype=np.intp)
     # t x t^-1 for every t in the transversal (rows) and class rep x (columns)
     conj = g.table[g.table[np.ix_(trans, reps)], g.inverse[trans][:, None]]
     h_class = np.full(g.order, -1)  # class in H of each member, -1 outside
-    h_class[list(h.members)] = hg.conjugacy_classes().class_of
+    h_class[list(h.members)] = hg.conjugacy_classes().class_array
     hc = h_class[conj]
     cells = (hc + kh * np.arange(k))[hc >= 0]
-    counts = np.bincount(cells, minlength=k * kh).reshape(k, kh)
-    coeffs = counts @ lam.at(e)
-    degree = (g.order // h.order) * lam.degree
-    if not _rational_rows(coeffs[:1], degree)[0]:
+    return np.bincount(cells, minlength=k * kh).reshape(k, kh)
+
+
+def induce_batch(lams: Sequence[Character], h: Subgroup, g: Group) -> np.ndarray:
+    """The induced class functions lam^G of characters of ``h.as_group()``,
+    lam^G(x) = sum over the transversal of lam(t x t^-1), as coefficients at
+    the exponent of ``g``, shape (classes of g, len(lams), phi): one
+    induction-count matrix and one exact product for all of them.  Each
+    value on the identity class must be [G:H] lam(1)."""
+    if h.parent is not g:
+        raise InputError("subgroup does not live in the target group")
+    hg = h.as_group()
+    if any(lam.group is not hg for lam in lams):
+        raise InputError("character is not on the given subgroup")
+    e = g.exponent
+    phi = euler_phi(e)
+    counts = _induction_counts(h, g)
+    values = np.zeros((counts.shape[1], len(lams), phi), dtype=np.int64)
+    for x, lam in enumerate(lams):
+        values[:, x] = lam.at(e)
+    # a row of counts sums to at most [G:H], so every partial sum is at
+    # most [G:H] * max|values|
+    dtype = modular.carrier(g.order // h.order * _abs_max(values))
+    coeffs = counts.astype(dtype) @ values.reshape(len(values), -1).astype(dtype)
+    coeffs = coeffs.astype(np.int64).reshape(len(counts), len(lams), phi)
+    degrees = np.array([g.order // h.order * lam.degree for lam in lams], dtype=np.int64)
+    if (coeffs[0, :, 0] != degrees).any() or coeffs[0, :, 1:].any():
         raise ConsistencyError("induced degree mismatch")
-    return Character(g, degree, e, coeffs)
+    return coeffs
+
+
+def induce(lam: Character, h: Subgroup, g: Group) -> Character:
+    """Induced class function lam^G, a batch of one for ``induce_batch``."""
+    coeffs = induce_batch([lam], h, g)[:, 0]
+    return Character(g, (g.order // h.order) * lam.degree, g.exponent, coeffs)
 
 
 def restrict(chi: Character, h: Subgroup) -> Character:
@@ -755,15 +893,14 @@ def restrict(chi: Character, h: Subgroup) -> Character:
     if h.parent is not g:
         raise InputError("subgroup does not live in the character's group")
     hg = h.as_group()
-    g_class_of = g.conjugacy_classes().class_of
-    coeffs = chi.coeffs[[g_class_of[h.to_parent(r)]
-                         for r in hg.conjugacy_classes().reps]]
+    coeffs = chi.coeffs[g.conjugacy_classes().class_array[
+        [h.to_parent(r) for r in hg.conjugacy_classes().reps]]]
     return Character(hg, chi.degree, chi.conductor, coeffs)
 
 
 def _classes_where(chi: Character, hit) -> Subgroup:
     """The union of the classes of ``chi.group`` whose entry of ``hit`` is true."""
-    class_of = np.asarray(chi.group.conjugacy_classes().class_of)
+    class_of = chi.group.conjugacy_classes().class_array
     return Subgroup(chi.group, np.flatnonzero(np.asarray(hit)[class_of]))
 
 
@@ -794,15 +931,26 @@ def degree_set(table: CharacterTable) -> tuple[int, ...]:
     return tuple(sorted({ch.degree for ch in table.irreducibles}))
 
 
-def lift(chibar: Character, qm: QuotientMap) -> Character:
-    """Pull a character of G/N back to G along the projection."""
-    if chibar.group is not qm.target:
+def _lift_classes(qm: QuotientMap) -> np.ndarray:
+    """The class of G/N holding the image of each class of G."""
+    return qm.target.conjugacy_classes().class_array[
+        [qm.projection[r] for r in qm.source.conjugacy_classes().reps]]
+
+
+def lift_batch(chars: Sequence[Character], qm: QuotientMap) -> np.ndarray:
+    """Characters of G/N pulled back to G: coefficients at the exponent of G,
+    shape (len(chars), classes of G, phi), by one class-index gather."""
+    if any(ch.group is not qm.target for ch in chars):
         raise InputError("character is not on the quotient group")
     e = qm.source.exponent
-    target_class_of = qm.target.conjugacy_classes().class_of
-    coeffs = chibar.at(e)[[target_class_of[qm.projection[rep]]
-                           for rep in qm.source.conjugacy_classes().reps]]
-    return Character(qm.source, chibar.degree, e, coeffs, chibar.irreducible)
+    stacked = np.stack([ch.at(e) for ch in chars])
+    return stacked[:, _lift_classes(qm)]
+
+
+def lift(chibar: Character, qm: QuotientMap) -> Character:
+    """Pull a character of G/N back to G along the projection."""
+    return Character(qm.source, chibar.degree, qm.source.exponent,
+                     lift_batch([chibar], qm)[0], chibar.irreducible)
 
 
 def deflate(chi: Character, n_or_qm: Subgroup | QuotientMap) -> Character | None:
@@ -815,8 +963,7 @@ def deflate(chi: Character, n_or_qm: Subgroup | QuotientMap) -> Character | None
         raise InputError("character does not live on the quotient's source")
     if not kernel(chi).contains_set(qm.kernel):
         return None
-    source_class_of = qm.source.conjugacy_classes().class_of
-    coeffs = chi.coeffs[[source_class_of[qm.section[rep]]
-                         for rep in qm.target.conjugacy_classes().reps]]
-    return Character(qm.target, chi.degree, chi.conductor, coeffs, chi.irreducible)
-
+    classes = qm.source.conjugacy_classes().class_array[
+        [qm.section[r] for r in qm.target.conjugacy_classes().reps]]
+    return Character(qm.target, chi.degree, chi.conductor, chi.coeffs[classes],
+                     chi.irreducible)

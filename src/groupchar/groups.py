@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -39,12 +40,21 @@ def admit(order: int, cap: int = ORDER_CAP) -> None:
         raise ResourceError(f"order {order} exceeds the cap ({limit})")
 
 
+def _shared_ints(values: np.ndarray, n: int) -> tuple[int, ...]:
+    """``values``, integers in [0, n), as a tuple holding one int object per
+    distinct value rather than one per entry."""
+    ints = list(range(n))
+    return tuple(map(ints.__getitem__, values.tolist()))
+
+
 @dataclass(frozen=True)
 class ConjugacyClasses:
     """Conjugacy classes of a group, in discovery order (identity class first).
 
     ``reps[c]`` is the smallest element index of class ``c``, ``members[c]``
-    the sorted member indices, and ``class_of[x]`` the class index of x.
+    the sorted member indices, and ``class_of[x]`` the class index of x;
+    ``class_array`` holds ``class_of`` once as a read-only intp array, the
+    form every gather reads.
     """
 
     reps: tuple[int, ...]
@@ -54,7 +64,13 @@ class ConjugacyClasses:
     def __len__(self) -> int:
         return len(self.reps)
 
-    @property
+    @cached_property
+    def class_array(self) -> np.ndarray:
+        arr = np.array(self.class_of, dtype=np.intp)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.members)
 
@@ -189,7 +205,7 @@ class Group:
             bounds = np.cumsum(np.bincount(class_of))[:-1]
             members = tuple(tuple(m.tolist()) for m in np.split(by_class, bounds))
             self._classes = ConjugacyClasses(tuple(reps.tolist()), members,
-                                             tuple(class_of.tolist()))
+                                             _shared_ints(class_of, len(reps)))
         return self._classes
 
     def center(self) -> "Subgroup":
@@ -324,10 +340,14 @@ def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]],
 class Subgroup:
     """A subgroup of a parent group, held as a sorted tuple of member indices."""
 
-    __slots__ = ("parent", "members", "_member_set", "_group", "_small_gens")
+    __slots__ = ("parent", "members", "_member_set", "_group", "_small_gens", "_hash")
 
     def __init__(self, parent: Group, members: Iterable[int]):
-        mt = tuple(np.unique(np.fromiter(members, dtype=np.intp)).tolist())
+        arr = (members if isinstance(members, np.ndarray)
+               else np.fromiter(members, dtype=np.intp))
+        if not (arr[1:] > arr[:-1]).all():  # an index array is often sorted already
+            arr = np.unique(arr)
+        mt = tuple(arr.tolist())
         if not mt or mt[0] != 0:
             raise InputError("a subgroup must contain the identity (index 0)")
         if mt[-1] >= parent.order:
@@ -337,6 +357,7 @@ class Subgroup:
         self._member_set = frozenset(mt)
         self._group = None
         self._small_gens = None
+        self._hash = None
 
     @property
     def order(self) -> int:
@@ -346,11 +367,14 @@ class Subgroup:
         return x in self._member_set
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.members == self.members)
+        return other is self or (
+            isinstance(other, Subgroup) and other.parent is self.parent
+            and other.members == self.members)
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        if self._hash is None:  # members never change, so neither does this
+            self._hash = hash((id(self.parent), self.members))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name})"
@@ -554,7 +578,8 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
     section = target.elements
     position = np.zeros(g.order, dtype=np.intp)
     position[list(section)] = np.arange(target.order)
-    return QuotientMap(g, n, target, tuple(position[low].tolist()), section)
+    return QuotientMap(g, n, target, _shared_ints(position[low], target.order),
+                       section)
 
 
 def nilpotency_class(g: Group) -> int:

@@ -29,10 +29,12 @@ from typing import Callable
 
 import numpy as np
 
-from .chartable import (Character, CharacterTable, char_center,
-                        character_table, deflate, degree_set, decompose,
-                        induce, inner_product, kernel, lift, restrict)
+from .chartable import (BLOCK, Character, CharacterTable, char_center,
+                        character_table, decompose, decompose_batch, deflate,
+                        degree_set, induce, induce_batch, kernel, lift_batch,
+                        weighted_norms)
 from .constructions import predicted_centres
+from .cyclotomic import euler_phi
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      TheoremViolation)
 from .groups import (QuotientMap, Subgroup, commutator_subgroup, coset,
@@ -95,12 +97,19 @@ class _Ctx:
 
     One dict, ``_memo``, holds it all under keys tagged by kind: the centre
     and kernel of each irreducible, [N,G], G/N with its table and lifted
-    rows, the nonlinear positions, the two-degree hypothesis and the coset
-    condition per centre.  Subgroups are interned by value: ``canonical``
-    returns the first equal subgroup seen, so each centre, kernel and
-    commutator is one object that builds ``as_group()`` once.  Compare
-    subgroups with ``==``, never ``is``: one built elsewhere is equal to the
-    interned one but is another object.
+    rows, the nonlinear positions, the two-degree hypothesis, the classes
+    inside each centre, the vanishing flag of each irreducible, the image
+    test of a subgroup in G/N, the coset condition per centre and the
+    norms of all irreducibles.  Claims are checked in passes over whole
+    tables: the norms come from one weighted Gram pass, the lifts of
+    Irr(G/N) from one class-index gather, and ``thm1.1`` induces and
+    decomposes all of Irr*(Z) at once per centre.
+
+    Subgroups are interned by value: ``canonical`` returns the first equal
+    subgroup seen, so each centre, kernel and commutator is one object that
+    builds ``as_group()`` once.  Compare subgroups with ``==``, never
+    ``is``: one built elsewhere is equal to the interned one but is another
+    object.
 
     G/1 is G itself: the quotient by the trivial subgroup is the identity
     map onto G, and its table is ``table``, so no relabelled copy of G and
@@ -161,11 +170,51 @@ class _Ctx:
     def lifted_rows(self, qm: QuotientMap) -> frozenset:
         """Rows of the table holding the lifts of Irr(G/N); a lift that
         matches no row adds None."""
-        return self._once(("lifted_rows", qm.kernel), lambda: frozenset(
-            self.table.row_of(lift(ch, qm))
-            for ch in self.quotient_table(qm).irreducibles))
+        return self._once(("lifted_rows", qm.kernel), lambda: self._lifted_rows(qm))
+
+    def _lifted_rows(self, qm: QuotientMap) -> frozenset:
+        chars = self.quotient_table(qm).irreducibles
+        e = self.g.exponent
+        step = max(1, BLOCK // (len(self.reps) * euler_phi(e)))
+        rows = []
+        for lo in range(0, len(chars), step):
+            block = chars[lo:lo + step]
+            rows += self.table.rows_of([ch.degree for ch in block],
+                                       lift_batch(block, qm), e)
+        return frozenset(rows)
+
+    def centre_classes(self, centre: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+        """Which classes of G lie inside ``centre``, a normal subgroup, and
+        the class of ``centre.as_group()`` holding each of them."""
+        return self._once(("centre_classes", centre), lambda: self._centre_classes(centre))
+
+    def _centre_classes(self, centre: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+        inside = np.isin(self.reps, centre.members)
+        z_classes = centre.as_group().conjugacy_classes().class_array[
+            np.searchsorted(centre.members, self.reps[inside])]
+        return inside, z_classes
+
+    def norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """|Z(chi)| [chi_Z, chi_Z] on Z = Z(chi), and |G| [chi, chi], for
+        every irreducible chi, from one weighted Gram pass over the table."""
+        return self._once(("norms",), self._norms)
+
+    def _norms(self) -> tuple[np.ndarray, np.ndarray]:
+        sizes = np.array(self.table.classes.sizes, dtype=np.int64)
+        k, e = len(self.table), self.table.exponent
+        weights = np.zeros((k, 2, len(sizes)), dtype=np.int64)
+        weights[:, 1] = sizes
+        for pos in range(k):
+            weights[pos, 0] = sizes * self.centre_classes(self.centre(pos))[0]
+        coeffs = self.table.operand(e)[0].reshape(len(sizes), k, -1)
+        totals = weighted_norms(coeffs, weights, e)
+        return totals[:, 0], totals[:, 1]
 
     # -- frequently needed flags ------------------------------------------
+
+    def degrees(self) -> np.ndarray:
+        return self._once(("degrees",), lambda: np.array(
+            [ch.degree for ch in self.table.irreducibles]))
 
     def nonlinear_positions(self) -> tuple[int, ...]:
         return self._once(("nonlinear",), lambda: tuple(
@@ -173,11 +222,19 @@ class _Ctx:
 
     def vanishes_off_centre(self, pos: int) -> tuple[bool, int | None]:
         """Whether chi is zero on every class outside Z(chi); witness class."""
-        outside = (self.table.irreducibles[pos].coeffs.any(axis=1)
-                   & ~np.isin(self.reps, self.centre(pos).members))
+        return self._once(("vanishes", pos), lambda: self._vanishes_off_centre(pos))
+
+    def _vanishes_off_centre(self, pos: int) -> tuple[bool, int | None]:
+        inside, _ = self.centre_classes(self.centre(pos))
+        outside = self.table.irreducibles[pos].coeffs.any(axis=1) & ~inside
         if outside.any():
             return False, int(outside.argmax())
         return True, None
+
+    def maps_onto_centre(self, sub: Subgroup, qm: QuotientMap) -> bool:
+        """Whether the image of ``sub`` in G/N is the centre of G/N."""
+        return self._once(("maps_onto_centre", sub, qm.kernel),
+                          lambda: _maps_onto_centre(sub, qm))
 
     def gvz_flags(self, pos: int) -> tuple[bool, bool, int | None]:
         """(degree criterion, vanishing criterion, witness class); must agree."""
@@ -458,17 +515,23 @@ def unique_nonlinear_constituent(table: CharacterTable, lam: Character,
     induced character does not have exactly one nonlinear constituent.
     """
     ctx = _ctx or _Ctx(table)
-    g = ctx.g
-    ind = induce(lam, centre, g)
-    mults = decompose(ind, table)
-    nonlin = [(i, m) for i, m in enumerate(mults)
-              if m > 0 and table.irreducibles[i].degree > 1]
+    return _constituent(ctx, lam, centre, decompose(induce(lam, centre, ctx.g), table))
+
+
+def _constituent(ctx: _Ctx, lam: Character, centre: Subgroup,
+                 mults) -> Constituent:
+    """``unique_nonlinear_constituent`` from the multiplicities ``mults`` of
+    lam^G against the table's irreducibles."""
+    table, g = ctx.table, ctx.g
+    mults = np.asarray(mults)
+    nonlin = np.flatnonzero((mults > 0) & (ctx.degrees() > 1))
     if len(nonlin) != 1:
         raise TheoremViolation(
             f"induction from the centre has {len(nonlin)} nonlinear "
             "constituents instead of exactly one",
-            evidence={"multiplicities": list(mults)})
-    theta_pos, mult = nonlin[0]
+            evidence={"multiplicities": mults.tolist()})
+    theta_pos = int(nonlin[0])
+    mult = int(mults[theta_pos])
     theta = table.irreducibles[theta_pos]
 
     index = g.order // centre.order
@@ -477,11 +540,9 @@ def unique_nonlinear_constituent(table: CharacterTable, lam: Character,
 
     e = g.exponent
     theta_e = theta.at(e)
-    inside = np.isin(ctx.reps, centre.members)
+    inside, z_classes = ctx.centre_classes(centre)
     vanishes = not theta_e[~inside].any()
-    # each class of G inside the centre, as a class of the centre's group
-    h_class_of = np.array(centre.as_group().conjugacy_classes().class_of)
-    lam_e = lam.at(e)[h_class_of[np.searchsorted(centre.members, ctx.reps[inside])]]
+    lam_e = lam.at(e)[z_classes]
     value_formula = np.array_equal(theta_e[inside] * lam.degree, root * lam_e)
     checks.append(("theta vanishes outside the centre", vanishes))
     checks.append(("theta agrees with sqrt(index)/lambda(1) * lambda on the centre",
@@ -533,11 +594,14 @@ def verify_fiber_theorem(table: CharacterTable, *,
                                         "evidence": _j(exc.evidence)})
 
         star = irr_star(table, chi, _ctx=ctx)
+        # one induction matrix and one Gram product for all of Irr*(Z)
+        mults = decompose_batch(induce_batch(star.lambdas, centre, ctx.g),
+                                ctx.g.exponent, table)
         constituents = []
         failures = []
         for li, lam in enumerate(star.lambdas):
             try:
-                con = unique_nonlinear_constituent(table, lam, centre, _ctx=ctx)
+                con = _constituent(ctx, lam, centre, mults[li])
             except TheoremViolation as exc:
                 failures.append({"lambda": li, "reason": str(exc),
                                  "evidence": _j(exc.evidence)})
@@ -613,8 +677,8 @@ def verify_coset_criterion(table: CharacterTable, *,
 
 def _maps_onto_centre(sub: Subgroup, qm: QuotientMap) -> bool:
     """Whether the image of ``sub`` in G/N is the centre of G/N."""
-    image = Subgroup(qm.target, {qm.projection[x] for x in sub.members})
-    return image == qm.target.center()
+    image = np.unique(np.asarray(qm.projection)[list(sub.members)])
+    return image.tolist() == list(qm.target.center().members)
 
 
 def _curated_normals(ctx: _Ctx) -> list[Subgroup]:
@@ -645,18 +709,17 @@ def verify_identity_suite(table: CharacterTable, *,
                         "the whole derived subgroup", bad)
 
     # Z(G/[Z(chi),G]) = Z(chi)/[Z(chi),G]
-    bad = [pos for pos in range(k) if not _maps_onto_centre(
+    bad = [pos for pos in range(k) if not ctx.maps_onto_centre(
         ctx.centre(pos), ctx.quotient_by(ctx.commutator_with_group(ctx.centre(pos))))]
     report.add_failures("the centre of G/[Z(chi),G] is the image of Z(chi)", bad)
 
     # restriction norm: [chi_H, chi_H] = [G:H] [chi,chi] iff vanishing off H
     bad = []
+    restricted, full = ctx.norms()
     for pos in range(k):
-        chi = table.irreducibles[pos]
         centre = ctx.centre(pos)
-        down = restrict(chi, centre)
-        lhs = inner_product(down, down)
-        rhs = Fraction(g.order, centre.order) * inner_product(chi, chi)
+        lhs = Fraction(int(restricted[pos]), centre.order)
+        rhs = Fraction(g.order, centre.order) * Fraction(int(full[pos]), g.order)
         vanishes, _ = ctx.vanishes_off_centre(pos)
         if lhs > rhs or (lhs == rhs) != vanishes:
             bad.append(pos)
@@ -683,7 +746,7 @@ def verify_identity_suite(table: CharacterTable, *,
                         bad)
 
     # Z(chi)/ker chi = Z(G/ker chi)
-    bad = [pos for pos in range(k) if not _maps_onto_centre(
+    bad = [pos for pos in range(k) if not ctx.maps_onto_centre(
         ctx.centre(pos), ctx.quotient_by(ctx.kernel_of(pos)))]
     report.add_failures("the centre of chi maps onto the centre of G/ker(chi)",
                         bad)

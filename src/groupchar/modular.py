@@ -4,7 +4,8 @@ factorisation that pick such fields.
 Matrices hold residues in [0, q) as numpy int64.  ``matmul`` multiplies them
 in float64 (BLAS) whenever every partial sum is an integer below 2**53, so
 the float product is exact; nothing else here touches a float, and every
-result is an int64 residue again.
+result is an int64 residue again.  ``carrier`` states that rule once for
+every exact integer product of the package, here and in ``chartable``.
 
 Everything here is deterministic: pivots are chosen as the first nonzero
 entry scanning down, and nullspace bases come out in the standard reduced
@@ -42,11 +43,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _product_dtype(n: int, q: int):
-    """The carrier of a product of residues mod q with inner dimension n:
-    ``np.float64`` when every partial sum, at most n * (q-1)**2, is an
-    integer below 2**53, else ``np.int64``."""
-    return np.float64 if n * (q - 1) ** 2 < 2 ** 53 else np.int64
+def carrier(bound: int):
+    """The dtype in which an integer product is exact when no partial sum
+    exceeds ``bound`` in absolute value: ``np.float64`` below 2**53, where
+    every such integer is a float, so BLAS gives the exact result in any
+    summation order (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008);
+    ``np.int64`` below 2**62; ``object`` (Python ints) above."""
+    if bound < 2 ** 53:
+        return np.float64
+    return np.int64 if bound < 2 ** 62 else object
 
 
 def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -61,7 +66,7 @@ def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     (every q < 2**31).
     """
     n = a.shape[1]
-    if _product_dtype(n, q) is np.float64:
+    if carrier(n * (q - 1) ** 2) is np.float64:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % q
     step = max(1, 2 ** 62 // (q - 1) ** 2)
     assert step * (q - 1) ** 2 + q < 2 ** 63, "int64 block sums would overflow"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -460,20 +461,34 @@ def test_char_center_lookup_matches_abs_squared(tables):
 
 
 # ---------------------------------------------------------------------------
-# pairing carrier: int64 under the a-priori bound, Python ints above it
+# pairing carrier: float64 below 2**53, int64 below 2**62, Python ints above
 
 def _spy_carrier(monkeypatch):
-    """Record the carrier of every ``_pairings`` call; setting
-    ``force["dtype"]`` overrides the bound's choice."""
+    """Record, for every call of ``modular.carrier``, the function that asked
+    and the carrier it got; setting ``force["dtype"]`` overrides the bound's
+    choice for pairings and norms, not for products mod q."""
     seen, force = [], {"dtype": None}
-    choose = chartable._pairing_dtype
+    choose = modular.carrier
 
-    def spy(*args):
-        seen.append(force["dtype"] or choose(*args))
-        return seen[-1]
+    def spy(bound):
+        caller = sys._getframe(1).f_code.co_name
+        dtype = choose(bound)
+        if caller in ("_pairings", "weighted_norms"):
+            dtype = force["dtype"] or dtype
+        seen.append((caller, dtype))
+        return dtype
 
-    monkeypatch.setattr(chartable, "_pairing_dtype", spy)
+    monkeypatch.setattr(modular, "carrier", spy)
     return seen, force
+
+
+def _pairings_with(t, chi):
+    """|G| <chi, psi> for every irreducible psi of ``t``, through the
+    table's cached operand."""
+    e = math.lcm(chi.conductor, t.exponent)
+    b, extremes = t.operand(e)
+    sizes = np.array(t.classes.sizes, dtype=np.int64)
+    return chartable._pairings(chi.at(e), b, int(np.abs(extremes).max()), sizes, e)
 
 
 def test_int64_pairings_match_object_carrier(tables, monkeypatch):
@@ -483,65 +498,114 @@ def test_int64_pairings_match_object_carrier(tables, monkeypatch):
         mixed = _combination(t, _random_coeffs(rng, t), conductor=2 * t.exponent)
         for chi in (*t.irreducibles, mixed):
             force["dtype"] = None
-            fast = chartable._pairings(chi, t.irreducibles)
-            assert seen[-1] is np.int64, name
-            force["dtype"] = object
-            assert fast == chartable._pairings(chi, t.irreducibles), name
-            assert all(type(m) is Fraction and type(m.numerator) is int
-                       for m in fast)
+            fast = _pairings_with(t, chi)
+            assert seen[-1] == ("_pairings", np.float64), name
+            for dtype in (np.int64, object):
+                force["dtype"] = dtype
+                assert _pairings_with(t, chi).tolist() == fast.tolist(), name
+                assert seen[-1] == ("_pairings", dtype), name
+            assert fast.dtype == np.int64
 
 
-def test_pairing_dtype_bound_edge():
-    # B = max|a| * max|b| * |G| * phi * e * max|W| with phi = 2, e = 2
-    a = np.array([[2 ** 30, -5]], dtype=np.int64)
-    at_edge = np.array([[1, -(2 ** 30)]], dtype=np.int64)
-    below = np.array([[1, 2 ** 30 - 1]], dtype=np.int64)
-    assert chartable._pairing_dtype(a, at_edge, 1, 2, 1) is object  # B = 2**62
-    assert chartable._pairing_dtype(a, below, 1, 2, 1) is np.int64
-    assert chartable._pairing_dtype(a, below, 2, 2, 1) is object
-    assert chartable._pairing_dtype(a, below, 1, 2, 2) is object
+def test_pairing_carrier_bound_edges(monkeypatch):
+    assert modular.carrier(2 ** 53 - 1) is np.float64
+    assert modular.carrier(2 ** 53) is np.int64
+    assert modular.carrier(2 ** 62 - 1) is np.int64
+    assert modular.carrier(2 ** 62) is object
+    assert modular.carrier(-(2 ** 62)) is np.float64  # bounds are absolute values
+    # One class, rational values x and y, so the pairing is |C| x y.  The
+    # bound B = max|a| * max|b| * |G| * phi * e * max|W| with, at conductor
+    # 1, 2, 3 and 105, phi = 1, 1, 2, 48 and max|W| = 1, 1, 1, 2; each case
+    # sits on the far side of an edge only through the factor it names.
+    seen, _ = _spy_carrier(monkeypatch)
+    x53 = 2 ** 53 // (48 * 105 * 2) + 1
+    cases = [(2 ** 26, 2 ** 27 - 1, 1, 1, np.float64),  # just below 2**53
+             (2 ** 26, 2 ** 27, 1, 1, np.int64),  # at 2**53
+             (-(2 ** 31), 2 ** 31 - 1, 1, 1, np.int64),  # just below 2**62
+             (-(2 ** 31), 2 ** 31, 1, 1, object),  # at 2**62
+             (2 ** 26, 2 ** 26, 2, 1, np.int64),  # |G| = 2
+             (2 ** 26, 2 ** 26, 1, 2, np.int64),  # e = 2
+             (2 ** 25, 2 ** 26, 1, 3, np.int64),  # phi * e = 6
+             (x53, 1, 1, 105, np.int64)]  # max|W| = 2
+    for x, y, size, e, dtype in cases:
+        a = np.zeros((1, euler_phi(e)), dtype=np.int64)
+        b = a.copy()
+        a[0, 0], b[0, 0] = x, y
+        total = chartable._pairings(a, b, abs(y), np.array([size]), e)
+        assert total.tolist() == [[size * x * y]]
+        assert seen[-1] == ("_pairings", dtype), (x, y, size, e)
+
+
+def test_norm_and_induction_carriers_at_their_edges(tables, monkeypatch):
+    seen, _ = _spy_carrier(monkeypatch)
+    # weighted norms: B = max|a|**2 * (largest weight sum) * phi * e * max|W|
+    for x, w, dtype in ((2 ** 26, [1], np.float64), (2 ** 26, [2], np.int64),
+                        (2 ** 26, [1, 1], np.int64), (2 ** 31 - 1, [1], np.int64),
+                        (2 ** 31, [1], object)):
+        got = chartable.weighted_norms(np.full((len(w), 1, 1), x), np.array([[w]]), 1)
+        assert got.tolist() == [[sum(w) * x * x]]
+        assert seen[-1] == ("weighted_norms", dtype)
+    # induction from A3 to S3: B = [G:H] * max|values| = 2 * 2**scale
+    g = tables["s3"].group
+    h = g.derived_subgroup()
+    hg = h.as_group()
+    k_h = len(hg.conjugacy_classes())
+    trivial = induce(Character(hg, 1, 1, np.ones((k_h, 1), dtype=np.int64)), h, g)
+    for scale, dtype in ((51, np.float64), (52, np.int64), (61, object)):
+        lam = Character(hg, 2 ** scale, 1, np.full((k_h, 1), 2 ** scale), False)
+        coeffs = chartable.induce_batch([lam], h, g)
+        assert seen[-1] == ("induce_batch", dtype)
+        assert coeffs[:, 0].tolist() == (trivial.at(g.exponent) * 2 ** scale).tolist()
 
 
 def test_large_class_function_takes_object_carrier(tables, monkeypatch):
     seen, _ = _spy_carrier(monkeypatch)
     t = tables["s3"]
     g, sizes = t.group, t.classes.sizes
-    rational = [2 ** 40 + 3, -(2 ** 40), 2 ** 40 - 7]
-    coeffs = np.zeros((len(t.classes), euler_phi(t.exponent)), dtype=np.int64)
-    coeffs[:, 0] = rational
-    big = Character(g, rational[0], t.exponent, coeffs, False)
-    want = Fraction(sum(s * v * v for s, v in zip(sizes, rational)), g.order)
-    assert inner_product(big, big) == want == _reference_inner_product(big, big)
-    assert want.numerator > 2 ** 63
-    assert seen == [object]
-    for chi in t.irreducibles:  # 2**40 * 2 * 6 * 2 * 6 * 1 < 2**62
-        assert inner_product(big, chi) == _reference_inner_product(big, chi)
-    assert seen == [object] + [np.int64] * len(t)
+    for scale, dtype in ((40, np.float64), (50, np.int64)):
+        seen.clear()
+        rational = [2 ** scale + 3, -(2 ** scale), 2 ** scale - 7]
+        coeffs = np.zeros((len(t.classes), euler_phi(t.exponent)), dtype=np.int64)
+        coeffs[:, 0] = rational
+        big = Character(g, rational[0], t.exponent, coeffs, False)
+        want = Fraction(sum(s * v * v for s, v in zip(sizes, rational)), g.order)
+        assert inner_product(big, big) == want == _reference_inner_product(big, big)
+        assert want.numerator > 2 ** 63
+        assert seen == [("_pairings", object)]
+        # with an irreducible: B = 2**scale * 2 * 6 * 2 * 6 * 1
+        for chi in t.irreducibles:
+            assert inner_product(big, chi) == _reference_inner_product(big, chi)
+        assert seen == [("_pairings", object)] + [("_pairings", dtype)] * len(t)
 
 
 def test_irrational_pairing_raises_in_both_carriers(tables, monkeypatch):
+    # both the machine-word carriers (float64, int64) and Python ints refuse
     seen, force = _spy_carrier(monkeypatch)
     t = tables["c3"]
     z, one = root_of_unity(1, 3).coeffs, Cyclotomic.one(3).coeffs
     k = len(t.classes)
-    for scale in (1, 2 ** 40):
+    for scale, forced in ((1, (None, np.int64, object)), (2 ** 40, (None, object))):
         odd = Character(t.group, 1, 3, np.array(
             [z] + [one] * (k - 1), dtype=np.int64) * scale, False)
         flat = Character(t.group, scale, 3,
                          np.array([one] * k, dtype=np.int64) * scale, False)
-        for dtype in (None, object):
+        for dtype in forced:
             force["dtype"] = dtype
             with pytest.raises(ConsistencyError):
                 inner_product(odd, flat)
-    assert seen == [np.int64, object, object, object]
+    assert [d for _, d in seen] == [np.float64, np.int64, object, object, object]
 
 
 @pytest.mark.parametrize("spec", [{"type": "gn", "p": 3, "n": 2},
                                   {"type": "gn", "p": 7, "n": 1}])
-def test_verify_all_pairs_in_int64_on_the_benchmark_groups(spec, monkeypatch):
+def test_verify_all_pairs_in_float64_on_the_benchmark_groups(spec, monkeypatch):
+    table = character_table(from_spec(spec))
     seen, _ = _spy_carrier(monkeypatch)
-    assert all(r.passed for r in verify_all(character_table(from_spec(spec))))
-    assert seen and set(seen) == {np.int64}
+    assert all(r.passed for r in verify_all(table))
+    # the pairings, the norms, the inductions and any products mod q of the
+    # nested tables all run in float64
+    assert {c for c, _ in seen} >= {"_pairings", "weighted_norms", "induce_batch"}
+    assert {d for _, d in seen} == {np.float64}
 
 
 def test_pairing_memory_is_quadratic_in_phi():

@@ -113,13 +113,13 @@ def test_matmul_is_exact_at_the_float64_edge(monkeypatch):
     assert is_prime(q) and edge * q * q >= 2 ** 53
     assert edge * (q - 1) ** 2 < 2 ** 53 <= (edge + 1) * (q - 1) ** 2
     seen = []
-    carrier = modular._product_dtype
+    carrier = modular.carrier
 
-    def spy(n, q):
-        seen.append(carrier(n, q))
+    def spy(bound):
+        seen.append(carrier(bound))
         return seen[-1]
 
-    monkeypatch.setattr(modular, "_product_dtype", spy)
+    monkeypatch.setattr(modular, "carrier", spy)
     rng = np.random.default_rng(11)
     for n in (edge, edge + 1):
         a = rng.integers(0, q, (3, n))
