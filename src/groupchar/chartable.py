@@ -6,16 +6,21 @@ simultaneous eigenvectors over a suitable prime field F_q are the central
 characters.  Each class matrix refines the current common eigenspaces
 (Schneider 1990): on a space of dimension d the restricted matrix A, built
 from the pivot rows of the class matrix only, gives the minimal polynomial
-mu of a fixed start vector x from its Krylov sequence x, A x, A^2 x, ...
-reduced mod q, and one vectorised Horner pass over F_q finds its roots.
-When mu has r = deg mu distinct roots lambda_j, the eigenspaces are the
-images p_j(A) X with p_j = mu / (t - lambda_j), where X is x alone if
-r = d and the identity otherwise; they are built from the powers A^m X by
-exact products mod q (``modular.matmul``, float64 below 2**53) and accepted
-once A p_j(A) X = lambda_j p_j(A) X for every j.  Otherwise (a repeated
-root, a root outside F_q, or a start vector inside a proper invariant
-subspace, which misses eigenvalues) each candidate root, and then each
-remaining value of F_q, pays for a nullspace.
+mu of the space's start vector x from its Krylov sequence x, A x, A^2 x,
+... reduced mod q, and one vectorised Horner pass over F_q finds its roots.
+The whole space starts at the identity class, e_0 = sum_chi (chi(1)^2/|G|)
+omega_chi by the second orthogonality relation, and a piece of it starts at
+the image p_j(A) x of its parent's start, so x is always a nonzero multiple
+of e_0's projection onto its space: a combination of the central
+characters omega_chi in the space with no coefficient zero mod q, as q does
+not divide |G|.  Hence mu is the minimal polynomial of A itself, and its
+roots are distinct and lie in F_q, a splitting field since q = 1 mod e.
+With r = deg mu roots lambda_j, the eigenspaces are the images p_j(A) X
+with p_j = mu / (t - lambda_j), where X is x alone if r = d and the
+identity otherwise; they are built from the powers A^m X by exact products
+mod q (``modular.matmul``, float64 below 2**53) and accepted once
+A p_j(A) X = lambda_j p_j(A) X for every j.  A repeated root, a root
+outside F_q or a failed check is a ``ConsistencyError``.
 
 Degrees are recovered from the second orthogonality relation inside F_q,
 and values are lifted exactly into Q(zeta_e) (e = exponent of the group)
@@ -324,34 +329,35 @@ def _roots_mod(poly: list[int], q: int) -> list[int]:
 
 
 def _spectral_images(a: np.ndarray, mu: list[int], roots: list[int],
-                     q: int) -> list[np.ndarray] | None:
-    """The eigenspaces of ``a`` from the minimal polynomial ``mu`` of the
-    start vector e_0, or None when this route does not apply.
+                     start: np.ndarray, q: int) -> np.ndarray:
+    """The eigenspaces of ``a`` from the minimal polynomial ``mu`` of
+    ``start``, as an (r, |X|, d) array: image j holds the rows U_j^T, in
+    ascending order of lambda_j.
 
     With r = deg mu distinct roots lambda_j and p_j = mu / (t - lambda_j),
     the images U_j = p_j(a) X are built from the powers a^m X, m < r, one
-    product per power, where X is e_0 alone when r = d (e_0 is cyclic) and
-    the identity otherwise.  They are accepted only if a U_j = lambda_j U_j
-    for every j.  For X = I that says mu(a) = 0, so a is diagonalisable with
-    exactly the eigenvalues lambda_j and U_j spans the lambda_j-eigenspace;
-    for X = e_0 each U_j is the one nonzero eigenvector of lambda_j.  Each
-    image is returned as the rows U_j^T, in ascending order of lambda_j.
-    Apart from the r * d * |X| entries of the images, every temporary holds
-    at most d * d entries.
+    product per power, where X is ``start`` alone when r = d (it is cyclic)
+    and the identity otherwise.  They are accepted only if a U_j = lambda_j
+    U_j for every j.  For X = I that says mu(a) = 0, so a is diagonalisable
+    with exactly the eigenvalues lambda_j and U_j spans the lambda_j
+    eigenspace; for X = ``start`` each U_j is the one nonzero eigenvector of
+    lambda_j.  A repeated root, a root outside F_q or a failed check raises
+    ``ConsistencyError``.  Apart from the r * d * |X| entries of the images,
+    every temporary holds at most d * d entries.
     """
     d, r = a.shape[0], len(mu) - 1
     if len(roots) != r:
-        return None  # a repeated root, or one outside F_q
+        raise ConsistencyError("class matrix not diagonalisable over F_q")
     lams = np.array(roots, dtype=np.int64)
     # coef[j, m]: the t^m coefficient of p_j, by synthetic division
     coef = np.zeros((r, r), dtype=np.int64)
     coef[:, r - 1] = 1
     for m in range(r - 1, 0, -1):
         coef[:, m - 1] = (mu[m] + lams * coef[:, m]) % q
-    y = np.eye(d, dtype=np.int64)[:1 if r == d else d]  # rows: (a^m X)^T
+    y = start[None] % q if r == d else np.eye(d, dtype=np.int64)  # rows: (a^m X)^T
     width, at = len(y), a.T
     # Images are handled d // width at a time, so each temporary holds at
-    # most d * d entries: all r of them for X = e_0, one for X = I.
+    # most d * d entries: all r of them for X = start, one for X = I.
     chunks = [slice(lo, lo + d // width) for lo in range(0, r, d // width)]
     # Unreduced sums of r products of residues: below r * q**2 < 2**63,
     # since r <= ORDER_CAP and q < PRIME_BOUND.
@@ -366,84 +372,51 @@ def _spectral_images(a: np.ndarray, mu: list[int], roots: list[int],
         u = images[js].reshape(-1, d)
         lam = np.repeat(lams[js], width)[:, None]
         if (modular.matmul(u, at, q) != lam * u % q).any():
-            return None
-    return list(images)
-
-
-def _nullspace_pieces(a: np.ndarray, candidates: list[int],
-                      q: int) -> list[np.ndarray]:
-    """The eigenspaces of ``a`` by one ``nullspace`` per eigenvalue, in
-    ascending order of the eigenvalue.
-
-    ``candidates`` are tried first; if their eigenspaces do not fill the
-    space, the remaining values of F_q are scanned in ascending order.
-    """
-    d = a.shape[0]
-    eye = np.eye(d, dtype=np.int64)
-    pieces = {}
-    found = 0
-    for lam in candidates:
-        ns = modular.nullspace((a - lam * eye) % q, q)
-        if ns.shape[0]:
-            pieces[lam] = ns
-            found += ns.shape[0]
-    if found < d:
-        tried = set(candidates)
-        for lam in range(q):
-            if lam in tried:
-                continue
-            ns = modular.nullspace((a - lam * eye) % q, q)
-            if ns.shape[0]:
-                pieces[lam] = ns
-                found += ns.shape[0]
-                if found == d:
-                    break
-    if found != d:
-        raise ConsistencyError("class matrix not diagonalisable over F_q")
-    return [pieces[lam] for lam in sorted(pieces)]
+            raise ConsistencyError("class matrix not diagonalisable over F_q")
+    return images
 
 
 def _split_spaces(spaces, matrix, q):
-    """Refine a list of (rows, pivots) common eigenspaces under one matrix.
+    """Refine a list of (rows, pivots, start) common eigenspaces under one
+    matrix.
 
-    On each space the matrix restricted to it, built from its pivot rows
-    only, either is scalar, and the space is kept as it is, or gives the
-    minimal polynomial of a fixed start vector.  The eigenspaces come from
-    ``_spectral_images`` when it applies, else from ``_nullspace_pieces``.
+    ``start`` holds the coordinates of a nonzero multiple of the identity
+    class's projection onto the space, so the spectral images of its
+    minimal polynomial are every eigenspace (see the module docstring);
+    piece j starts at p_j(A) start.  A space on which the matrix restricted
+    to it, built from its pivot rows only, is scalar is kept as it is.
     Pieces come out in ascending order of their eigenvalue, each in reduced
     row echelon form; when every piece is one row, that form is the row
     scaled to a leading 1, done for all of them in one step.
     """
     out = []
-    for rows, pivots in spaces:
+    for rows, pivots, start in spaces:
         d = rows.shape[0]
         if d == 1:
-            out.append((rows, pivots))
+            out.append((rows, pivots, start))
             continue
         restricted = modular.matmul(matrix[list(pivots)] % q, rows.T, q)
         if _is_scalar(restricted):
-            out.append((rows, pivots))
+            out.append((rows, pivots, start))
             continue
-        # The first basis vector: on the whole space it is the identity
-        # class, whose component along every eigenvector is chi(1)^2/|G|.
-        start = np.zeros(d, dtype=np.int64)
-        start[0] = 1
         mu = _minimal_polynomial(restricted, start, q)
-        roots = _roots_mod(mu, q)
-        pieces = _spectral_images(restricted, mu, roots, q)
-        if pieces is None:
-            pieces = _nullspace_pieces(restricted, roots, q)
-        if len(pieces) == d:
-            reds = _leading_ones(np.vstack(pieces), q)
+        images = _spectral_images(restricted, mu, _roots_mod(mu, q), start, q)
+        if len(images) == d:
+            starts = images[:, 0]
+            reds = _leading_ones(starts, q)
         else:
-            reds = [modular.rref(piece, q) for piece in pieces]
+            starts = start @ images % q  # p_j(A) start, sums below d * q**2
+            reds = [modular.rref(u, q) for u in images]
         # rref(P) @ rows is already the reduced row echelon form of
         # P @ rows, with pivot columns pivots[c] for the pivots c of rref(P),
-        # since rows is reduced with the identity at its pivot columns.
+        # since rows is reduced with the identity at its pivot columns.  For
+        # the same reason a vector's coordinates in a piece are its parent
+        # coordinates at the piece's pivots c.
         full = modular.matmul(np.vstack([red for red, _ in reds]), rows, q)
         lo = 0
-        for red, cols in reds:
-            out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols)))
+        for (red, cols), piece_start in zip(reds, starts):
+            out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols),
+                        piece_start[list(cols)]))
             lo += len(red)
     return out
 
@@ -529,16 +502,17 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     e = g.exponent
     q = dixon_prime(g.order, e)
     eye = np.eye(k, dtype=np.int64)
-    spaces = [(eye.copy(), tuple(range(k)))]
+    # the identity class e_0, the sum of the central idempotents
+    spaces = [(eye.copy(), tuple(range(k)), eye[0])]
 
     order_list = list(split_order) if split_order is not None else list(range(1, k))
     for i in order_list:
         if not 0 <= i < k:
             raise InputError(f"split order entry {i} is not a class index")
-        if all(rows.shape[0] == 1 for rows, _ in spaces):
+        if all(rows.shape[0] == 1 for rows, *_ in spaces):
             break
         spaces = _split_spaces(spaces, class_matrix(g, classes, i), q)
-    if any(rows.shape[0] != 1 for rows, _ in spaces):
+    if any(rows.shape[0] != 1 for rows, *_ in spaces):
         raise ConsistencyError("class matrices failed to separate all characters")
     if len(spaces) != k:
         raise ConsistencyError("wrong number of one-dimensional eigenspaces")
@@ -557,7 +531,7 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     # Row i of omega is the i-th central character, scaled to 1 on the
     # identity class.  Every product below is of two residues, below 2**47,
     # and the k x k arrays are updated in place.
-    omega = np.array([rows[0] for rows, _ in spaces], dtype=np.int64)
+    omega = np.array([rows[0] for rows, *_ in spaces], dtype=np.int64)
     if not omega[:, 0].all():
         raise ConsistencyError("eigenvector vanishes on the identity class")
     omega *= np.array([[pow(int(c), -1, q)] for c in omega[:, 0]], dtype=np.int64)

@@ -281,8 +281,11 @@ def cmd_gen(args) -> int:
     doc = {"type": "gn", "p": args.p, "n": args.n}
     out = _canonical(doc) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write --out file: {exc}") from None
         sys.stdout.write(f"wrote {args.out}\n")
     else:
         sys.stdout.write(out)

@@ -333,8 +333,10 @@ def test_row_of_finds_lifts_and_deflations(tables):
 
 
 def test_table_is_independent_of_splitting_strategy(tables):
-    for name in ("s3", "heis3"):
-        base = tables[name]
+    # The reversed order sends different starts through multi-row spaces.
+    s6 = character_table(from_spec({"type": "perm", "points": 6,
+                                    "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]}))
+    for base in (tables["s3"], tables["heis3"], tables["gn32"], s6):
         k = len(base.classes)
         v = character_table(base.group, split_order=list(range(k - 1, 0, -1)))
         assert [base.row_of(ch) for ch in v.irreducibles] == list(range(len(base)))

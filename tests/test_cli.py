@@ -202,6 +202,15 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert _run(capsys, "gen", "gn", "-p", "3", "-n", "0")[0] == 2
 
 
+@pytest.mark.parametrize("where", ["missing/spec.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_gen_to_an_unwritable_path_is_bad_input(tmp_path, capsys, where):
+    code, out, err = _run(capsys, "gen", "gn", "-p", "3", "-n", "1",
+                          "--out", str(tmp_path / where))
+    assert code == 2 and out == ""
+    assert "cannot write --out file" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("table", "--group", '{"type":"gn","p":1000000000000000000000000000057,"n":1}'),
     ("gen", "gn", "-p", "1000000000000000000000000000057", "-n", "1"),

@@ -41,6 +41,14 @@ GROUPS = {
     "gn(3,3)": {"type": "gn", "p": 3, "n": 3},
     "gn(23,1)": {"type": "gn", "p": 23, "n": 1},
     "gn(7,2)": {"type": "gn", "p": 7, "n": 2},
+    "PSL(2,7)": {"type": "perm", "points": 7,
+                 "generators": [[[1, 2, 3, 4, 5, 6, 7]], [[2, 3], [4, 7]]]},
+    "S5": {"type": "perm", "points": 5,
+           "generators": [[[1, 2, 3, 4, 5]], [[1, 2]]]},
+    "s3 x s3 x q8": {"type": "product",
+                     "factors": [{"type": "named", "name": "s3"},
+                                 {"type": "named", "name": "s3"},
+                                 {"type": "named", "name": "q8"}]},
 }
 
 DIGESTS = {
@@ -92,6 +100,15 @@ DIGESTS = {
     # space at once
     ("gn(3,3)", "table"):
         "ebbcc90a084ce6c407c94e9c1bccdcc7acc552a6aa667a9a21c134d0ce5044cd",
+    # groups that are not nilpotent, so the split meets eigenvalues of
+    # several multiplicities: PSL(2,7) (6 classes), S5 and s3 x s3 x q8
+    # (45 classes)
+    ("PSL(2,7)", "table"):
+        "d2a845ccbe61ee7b8c9e2f52217857e2d53660eefb13bad00609b2e48642a655",
+    ("S5", "table"):
+        "f57b3a6522e9a89158352c51bf77a2ba0b39fd6a8e5c1eb56f7d62d4c781fbb8",
+    ("s3 x s3 x q8", "table"):
+        "7a3fb56e71746fe9f25c71b0ea4182f38fe78f62219b599c3f475bf0e7b27eb6",
 }
 
 # Tables with 551 and 679 classes, run by ``pytest -m slow``: each peaks above

@@ -73,9 +73,10 @@ def _reference_lift(theta_pm, e, q, degree):
 
 
 def _reference_split(spaces, matrix, q):
-    """The eigenspace split by a full scan of lambda over F_q."""
+    """The eigenspaces by a full scan of lambda over F_q, as (rows, pivots)
+    pairs; the start of each space is not used."""
     out = []
-    for rows, pivots in spaces:
+    for rows, pivots, *_ in spaces:
         d = rows.shape[0]
         if d == 1:
             out.append((rows, pivots))
@@ -275,7 +276,14 @@ def test_irrational_pairing_is_refused(tables):
 # eigenspace split
 
 def _as_lists(spaces):
-    return [(rows.tolist(), tuple(pivots)) for rows, pivots in spaces]
+    """The eigenspaces as lists: rows and pivots, without the starts."""
+    return [(rows.tolist(), tuple(pivots)) for rows, pivots, *_ in spaces]
+
+
+def _whole(k):
+    """The whole space of a k-class table, starting at the identity class."""
+    eye = np.eye(k, dtype=np.int64)
+    return [(eye, tuple(range(k)), eye[0])]
 
 
 SPLIT_SPECS = {**LIFT_SPECS,
@@ -294,7 +302,7 @@ def test_split_matches_full_scan(name):
     q = chartable.dixon_prime(g.order, g.exponent)
     orders = g.element_orders()
     per_order = {orders[r]: i for i, r in enumerate(classes.reps)}
-    whole = [(np.eye(k, dtype=np.int64), tuple(range(k)))]
+    whole = _whole(k)
     refined = whole
     for i in range(1, k):
         m = chartable.class_matrix(g, classes, i)
@@ -307,62 +315,66 @@ def test_split_matches_full_scan(name):
     assert len(refined) == k
 
 
-def _record_eigenvalues(monkeypatch, a):
-    """Patch ``modular.nullspace`` to record the lambda of each a - lambda*I."""
-    lams = []
+def _count_nullspaces(monkeypatch):
+    """Patch ``modular.nullspace`` to count its calls."""
+    calls = []
     original = modular.nullspace
 
-    def spy(shifted, q):
-        lams.append(int((a[0, 0] - shifted[0, 0]) % q))
-        return original(shifted, q)
+    def spy(a, q):
+        calls.append(a.shape)
+        return original(a, q)
 
     monkeypatch.setattr(modular, "nullspace", spy)
-    return lams
+    return calls
 
 
-def test_split_falls_back_when_the_start_vector_misses(monkeypatch):
-    # e_0 is an eigenvector (eigenvalue 2) of this diagonalisable matrix,
-    # so its minimal polynomial is x - 2 and misses the eigenvalue 3.
+# Two diagonalisable matrices over F_7.  In the first, e_0 is an eigenvector
+# (eigenvalue 2) and misses the eigenvalue 3 of (1, 1); in the second, e_0
+# and e_1 span an invariant plane (eigenvalues 1 and 6 = -1) and miss the
+# eigenvalue 3 of e_2.  The second start of each has a nonzero component
+# along every eigenvector: (0, 1) = (1, 1) - (1, 0), and
+# (1, 0, 1) = ((1, 1, 0) + (1, -1, 0)) / 2 + (0, 0, 1).
+MISSED = [([[2, 1], [0, 3]], [1, 0], [0, 1]),
+          ([[0, 1, 0], [1, 0, 0], [0, 0, 3]], [1, 0, 0], [1, 0, 1])]
+
+
+@pytest.mark.parametrize("a, missing, _", MISSED, ids=["eigenvector", "plane"])
+def test_split_refuses_a_start_that_misses_an_eigenvalue(a, missing, _,
+                                                         monkeypatch):
     q = 7
-    a = np.array([[2, 1], [0, 3]], dtype=np.int64)
-    assert chartable._minimal_polynomial(a, np.array([1, 0]), q) == [q - 2, 1]
-    space = [(np.eye(2, dtype=np.int64), (0, 1))]
-    seen = _record_eigenvalues(monkeypatch, a)
-    got = chartable._split_spaces(space, a, q)
-    assert seen == [2, 0, 1, 3]  # the candidate, then the scan without it
-    monkeypatch.undo()
-    assert _as_lists(got) == _as_lists(_reference_split(space, a, q))
-    assert len(got) == 2
+    a = np.array(a, dtype=np.int64)
+    d = len(a)
+    start = np.array(missing, dtype=np.int64)
+    assert len(chartable._minimal_polynomial(a, start, q)) - 1 < d
+    calls = _count_nullspaces(monkeypatch)
+    with pytest.raises(ConsistencyError):
+        chartable._split_spaces([(np.eye(d, dtype=np.int64), tuple(range(d)), start)],
+                                a, q)
+    assert calls == []
 
 
-def test_split_falls_back_when_the_start_vector_spans_a_plane(monkeypatch):
-    # e_0 and e_1 span an invariant plane (eigenvalues 1 and 6 = -1), so the
-    # minimal polynomial of e_0 is x^2 - 1: 1 < r < d.  mu(a) is not zero
-    # on e_2 (eigenvalue 3), so the images fail the check and the nullspace
-    # route takes over: the two roots, then the scan up to 3.
+@pytest.mark.parametrize("a, _, covering", MISSED, ids=["eigenvector", "plane"])
+def test_split_from_a_start_on_every_eigenvector_is_the_full_scan(a, _, covering):
     q = 7
-    a = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 3]], dtype=np.int64)
-    mu = chartable._minimal_polynomial(a, np.array([1, 0, 0]), q)
-    assert mu == [q - 1, 0, 1]
-    assert chartable._spectral_images(a, mu, [1, 6], q) is None
-    space = [(np.eye(3, dtype=np.int64), (0, 1, 2))]
-    seen = _record_eigenvalues(monkeypatch, a)
+    a = np.array(a, dtype=np.int64)
+    d = len(a)
+    space = [(np.eye(d, dtype=np.int64), tuple(range(d)),
+              np.array(covering, dtype=np.int64))]
     got = chartable._split_spaces(space, a, q)
-    assert seen == [1, 6, 0, 2, 3]
-    monkeypatch.undo()
     assert _as_lists(got) == _as_lists(_reference_split(space, a, q))
-    assert len(got) == 3
+    assert len(got) == d
 
 
 def test_spectral_images_are_the_eigenspaces():
     # Both choices of X: r = d with e_0 cyclic, and r < d with X = I, where
     # each image has the dimension of its eigenspace.
     q = 7
+    start = np.array([1, 0, 0], dtype=np.int64)
     for a, dims in ((np.array([[1, 0, 0], [1, 2, 0], [0, 1, 4]]), [1, 1, 1]),
                     (np.array([[2, 0, 0], [1, 3, 0], [0, 0, 2]]), [2, 1])):
-        mu = chartable._minimal_polynomial(a, np.array([1, 0, 0]), q)
+        mu = chartable._minimal_polynomial(a, start, q)
         roots = chartable._roots_mod(mu, q)
-        images = chartable._spectral_images(a, mu, roots, q)
+        images = chartable._spectral_images(a, mu, roots, start, q)
         assert [modular.rank(u, q) for u in images] == dims
         for lam, u in zip(roots, images):
             assert not ((a @ u.T - lam * u.T) % q).any()
@@ -385,11 +397,58 @@ def test_split_refuses_a_matrix_that_is_not_diagonalisable():
     q = 7
     for a in ([[2, 1], [0, 2]], [[2, 0], [1, 2]]):
         a = np.array(a, dtype=np.int64)
-        space = [(np.eye(2, dtype=np.int64), (0, 1))]
+        space = _whole(2)
         with pytest.raises(ConsistencyError):
             _reference_split(space, a, q)
         with pytest.raises(ConsistencyError):
             chartable._split_spaces(space, a, q)
+
+
+def _central_characters(t, q):
+    """omega_chi(C_t) = |C_t| chi(g_t) / chi(1) mod q, one row per row of the
+    finished table, with zeta_e read as the z of ``_element_of_order``."""
+    e = t.exponent
+    z = chartable._element_of_order(e, q)
+    zeta = np.array([pow(z, i, q) for i in range(euler_phi(e))], dtype=np.int64)
+    sizes = np.array(t.classes.sizes, dtype=np.int64)
+    return np.array([(chi.coeffs % q) @ zeta % q * sizes % q * pow(chi.degree, -1, q) % q
+                     for chi in t.irreducibles])
+
+
+def test_every_start_is_a_multiple_of_the_identity_projection(tables):
+    # Replays the split in both class orders.  On every space S the start
+    # must be a nonzero multiple of sum over chi in S of chi(1)^2 omega_chi,
+    # which is |G| times the projection of the identity class onto S.
+    inputs = dict(tables)
+    inputs.update((name, character_table(from_spec(spec)))
+                  for name, spec in SPLIT_SPECS.items())
+    checked = 0
+    for name, t in inputs.items():
+        g = t.group
+        if g.is_abelian():
+            continue
+        classes = g.conjugacy_classes()
+        k = len(classes)
+        q = t.field_prime
+        omega = _central_characters(t, q)
+        weights = np.array([chi.degree ** 2 % q for chi in t.irreducibles])
+        for order in (range(1, k), range(k - 1, 0, -1)):
+            spaces = _whole(k)
+            for i in [*order, None]:
+                for rows, pivots, start in spaces:
+                    inside = ((omega[:, list(pivots)] @ rows % q) == omega).all(axis=1)
+                    assert inside.sum() == len(rows), (name, i)
+                    want = weights[inside] @ omega[inside] % q
+                    got = start @ rows % q
+                    lead = int(np.flatnonzero(want)[0])
+                    scale = int(got[lead]) * pow(int(want[lead]), -1, q) % q
+                    assert scale and not ((scale * want - got) % q).any(), (name, i)
+                    checked += len(rows) > 1
+                if i is None or all(len(rows) == 1 for rows, *_ in spaces):
+                    break
+                spaces = chartable._split_spaces(
+                    spaces, chartable.class_matrix(g, classes, i), q)
+    assert checked > 100
 
 
 def test_minimal_polynomial_annihilates_its_vector():

@@ -204,37 +204,49 @@ def test_maps_onto_centre_matches_the_set_image(wide):
 # eigenspace split: no minimal polynomial on a scalar restriction, one step
 # for all one-row pieces
 
+def _times_cofactor(a, mu, lam, x, q):
+    """p(a) x for p = mu / (t - lam), by synthetic division and Horner's
+    rule, one product with ``a`` per coefficient."""
+    coef = [1]
+    for c in reversed(mu[1:-1]):
+        coef.append((c + lam * coef[-1]) % q)
+    v = np.zeros_like(x)
+    for c in coef:
+        v = (a @ v + c * x) % q
+    return v
+
+
 def _rref_route_split(spaces, matrix, q):
     """The split as it was before the two shortcuts: a minimal polynomial on
-    every space and one ``rref`` per piece."""
+    every space and one ``rref`` per piece.  Each piece starts at
+    p_j(A) start, taken by ``_times_cofactor``."""
     out = []
-    for rows, pivots in spaces:
+    for rows, pivots, start in spaces:
         d = rows.shape[0]
         if d == 1:
-            out.append((rows, pivots))
+            out.append((rows, pivots, start))
             continue
         restricted = modular.matmul(matrix[list(pivots)] % q, rows.T, q)
-        start = np.zeros(d, dtype=np.int64)
-        start[0] = 1
         mu = chartable._minimal_polynomial(restricted, start, q)
         roots = chartable._roots_mod(mu, q)
-        pieces = chartable._spectral_images(restricted, mu, roots, q)
-        if pieces is None:
-            pieces = chartable._nullspace_pieces(restricted, roots, q)
+        pieces = chartable._spectral_images(restricted, mu, roots, start, q)
         if len(pieces) == 1:
-            out.append((rows, pivots))
+            out.append((rows, pivots, start))
             continue
         reds = [modular.rref(piece, q) for piece in pieces]
         full = modular.matmul(np.vstack([red for red, _ in reds]), rows, q)
         lo = 0
-        for red, cols in reds:
-            out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols)))
+        for lam, (red, cols) in zip(roots, reds):
+            piece_start = _times_cofactor(restricted, mu, lam, start, q)
+            out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols),
+                        piece_start[list(cols)]))
             lo += len(red)
     return out
 
 
 def _as_lists(spaces):
-    return [(rows.tolist(), tuple(pivots)) for rows, pivots in spaces]
+    return [(rows.tolist(), tuple(pivots), start.tolist())
+            for rows, pivots, start in spaces]
 
 
 def test_split_matches_the_rref_route_through_every_table(wide, monkeypatch):
@@ -259,9 +271,10 @@ def test_split_matches_the_rref_route_through_every_table(wide, monkeypatch):
         classes = g.conjugacy_classes()
         k = len(classes)
         q = chartable.dixon_prime(g.order, g.exponent)
-        spaces = [(np.eye(k, dtype=np.int64), tuple(range(k)))]
+        eye = np.eye(k, dtype=np.int64)
+        spaces = [(eye, tuple(range(k)), eye[0])]
         for i in range(1, k):
-            if all(rows.shape[0] == 1 for rows, _ in spaces):
+            if all(rows.shape[0] == 1 for rows, *_ in spaces):
                 break
             m = chartable.class_matrix(g, classes, i)
             got = chartable._split_spaces(spaces, m, q)
@@ -274,7 +287,7 @@ def test_split_matches_the_rref_route_through_every_table(wide, monkeypatch):
 def test_scalar_restriction_keeps_the_space_without_a_polynomial(monkeypatch):
     q = 7
     rows = np.array([[1, 0, 3], [0, 1, 5]], dtype=np.int64)
-    space = [(rows, (0, 1))]
+    space = [(rows, (0, 1), np.array([1, 0], dtype=np.int64))]
     for c in (0, 4):
         matrix = c * np.eye(3, dtype=np.int64)
         want = _as_lists(_rref_route_split(space, matrix, q))
@@ -294,13 +307,14 @@ def test_one_row_pieces_are_normalised_without_rref(monkeypatch):
     # give four one-row pieces
     q = 11
     a = np.array([[1, 0, 0, 0], [1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4]], dtype=np.int64)
-    mu = chartable._minimal_polynomial(a, np.eye(4, dtype=np.int64)[0], q)
-    images = chartable._spectral_images(a, mu, chartable._roots_mod(mu, q), q)
+    eye = np.eye(4, dtype=np.int64)
+    mu = chartable._minimal_polynomial(a, eye[0], q)
+    images = chartable._spectral_images(a, mu, chartable._roots_mod(mu, q), eye[0], q)
     assert len(images) == 4
     assert any(u[0][u[0] != 0][0] != 1 for u in images)  # some need scaling
-    space = [(np.eye(4, dtype=np.int64), (0, 1, 2, 3))]
+    space = [(eye, (0, 1, 2, 3), eye[0])]
     want = _as_lists(_rref_route_split(space, a, q))
     monkeypatch.setattr(modular, "rref", lambda *args: pytest.fail("rref called"))
     got = chartable._split_spaces(space, a, q)
     assert _as_lists(got) == want and len(got) == 4
-    assert all(rows[0, pivots[0]] == 1 for rows, pivots in got)
+    assert all(rows[0, pivots[0]] == 1 for rows, pivots, _ in got)
