@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .errors import ConsistencyError, InputError, ResourceError
-from .groups import (ORDER_CAP, Group, admit, build_group,
+from .groups import (ORDER_CAP, Group, admit, build_group, enumerate_gathered,
                      enumerate_from_permutations, generated_by, perm_from_cycles)
 from .modular import is_prime
 
@@ -29,12 +31,13 @@ def cyclic(m: int, *, cap: int = ORDER_CAP) -> Group:
     if m < 1:
         raise InputError("cyclic group order must be at least 1")
     admit(m, cap)
-
-    def word(x):
-        return "1" if x == 0 else ("g" if x == 1 else f"g^{x}")
-
-    return build_group(f"C{m}", [1] if m > 1 else [], lambda a, b: (a + b) % m, 0,
-                       gen_names=["g"], cap=cap, word_fn=word)
+    # Discovery from the generator 1 meets 0, 1, ..., m-1 in turn, and row i
+    # of the table is 0..m-1 rotated left by i.
+    ring = np.arange(m, dtype=np.uint16)
+    table = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([ring, ring]), m)[:m]
+    words = ["1", "g"][:m] + [f"g^{x}" for x in range(2, m)]
+    return Group(f"C{m}", range(m), words, [1] if m > 1 else [], np.array(table))
 
 
 def elementary_abelian(p: int, k: int, *, cap: int = ORDER_CAP) -> Group:
@@ -50,27 +53,29 @@ def elementary_abelian(p: int, k: int, *, cap: int = ORDER_CAP) -> Group:
                  for i, c in enumerate(v) if c]
         return "*".join(parts) or "1"
 
-    return build_group(f"C{p}^{k}", gens,
-                       lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+    return build_group(f"C{p}^{k}", gens, lambda a, b: (a + b) % p,
                        tuple(0 for _ in range(k)),
                        gen_names=[f"g{i + 1}" for i in range(k)],
                        cap=cap, word_fn=word)
 
 
 def direct_product(a: Group, b: Group, *, cap: int = ORDER_CAP) -> Group:
+    """A x B on the labels (x, y); products are gathered from the factor
+    tables through the code x * |B| + y."""
     admit(a.order * b.order, cap)
-    gens = [(g, 0) for g in a.generators] + [(0, g) for g in b.generators]
-    names = [f"({a.words[g]},1)" for g in a.generators] + \
-            [f"(1,{b.words[g]})" for g in b.generators]
+    nb = b.order
+    gens = list(dict.fromkeys([x * nb for x in a.generators] + list(b.generators)))
 
-    def comp(u, v):
-        return (a.mul(u[0], v[0]), b.mul(u[1], v[1]))
+    def product(rows, cols):
+        return (a.table[rows[:, None] // nb, cols // nb].astype(np.intp) * nb
+                + b.table[rows[:, None] % nb, cols % nb])
 
-    def word(u):
-        return "1" if u == (0, 0) else f"({a.words[u[0]]},{b.words[u[1]]})"
-
-    return build_group(f"{a.name} x {b.name}", gens, comp, (0, 0),
-                       gen_names=names, cap=cap, word_fn=word)
+    name = f"{a.name} x {b.name}"
+    order, _, _, table, rank = enumerate_gathered(name, a.order * nb, product,
+                                                  gens, cap=cap)
+    labels = list(zip((order // nb).tolist(), (order % nb).tolist()))
+    words = ["1"] + [f"({a.words[x]},{b.words[y]})" for x, y in labels[1:]]
+    return Group(name, labels, words, rank[gens].tolist(), table)
 
 
 def gn_order(p: int, n: int, *, cap: int = ORDER_CAP) -> int:
@@ -103,10 +108,9 @@ def gn(p: int, n: int, *, cap: int = ORDER_CAP) -> Group:
     zero = tuple(0 for _ in range(2 * n + 1))
 
     def comp(u, v):
-        t = u[n]
-        return tuple(
-            (u[i] + v[i]) % p if i <= n else (u[i] + v[i] - t * v[i - n - 1]) % p
-            for i in range(2 * n + 1))
+        out = u + v
+        out[:, n + 1:] -= u[:, n:n + 1] * v[:, :n]
+        return out % p
 
     def unit(pos):
         return tuple(1 if i == pos else 0 for i in range(2 * n + 1))

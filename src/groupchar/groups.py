@@ -9,6 +9,14 @@ quotients) are array operations on that table, so permutation groups,
 collected presentations, direct products, subgroups and quotient groups all
 share one code path.  Orders are admitted up to ``ORDER_CAP``, where the
 table takes 800 MB.
+
+Enumeration works on whole arrays too.  ``build_group`` takes a batched
+product of label arrays and discovers one breadth-first level per call,
+in exactly the order a queue taking one element at a time would give; it
+fills the table level by level from the products by each generator on the
+left.  Groups whose products are already tables (direct products,
+quotients) are ordered the same way by ``enumerate_gathered`` and gather
+their table in blocks.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse, repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -188,17 +197,8 @@ class Group:
             # conjugation by each generator and by its inverse, as permutations
             gens = self._distinct_generators()
             perms = [t[t[inv[g]], g] for g in gens] + [t[t[g], inv[g]] for g in gens]
-            # Each label falls to the smallest index reachable along the
-            # permutations, with pointer jumping; at the fixed point every
-            # element is labelled by the smallest member of its class.
             label = np.arange(self.order)
-            while True:
-                low = label.copy()
-                for p in perms:
-                    np.minimum(low, label[p], out=low)
-                low = low[low]
-                if np.array_equal(low, label):
-                    break
+            while not np.array_equal(low := _lower(label, perms), label):
                 label = low
             reps, class_of = np.unique(label, return_inverse=True)
             by_class = np.argsort(class_of, kind="stable")
@@ -226,73 +226,190 @@ class Group:
         return Subgroup(self, range(self.order))
 
 
+def _lower(label: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """One round of minimum-label propagation along ``perms``.
+
+    ``label[x]`` must lie in the orbit of x and be at most x.  Each label
+    falls to the smallest label of its images, then jumps to its own
+    label's label; repeated until nothing changes, every element is
+    labelled by the smallest member of its orbit.
+    """
+    low = label.copy()
+    for p in perms:
+        np.minimum(low, label[p], out=low)
+    return low[low]
+
+
 def _named(name: str | Callable[[], str]) -> str:
     return name() if callable(name) else name
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One exact, hashable key per label once ``tolist`` is applied: the
+    label itself for integer labels, the row's bytes for tuple labels (a
+    mixed radix can overflow int64, as for a permutation of 20 points)."""
+    if rows.ndim == 1:
+        return rows
+    if not rows.shape[1]:  # the empty tuple, the one label of width 0
+        return np.zeros(len(rows), dtype=np.int64)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _bfs(name: str | Callable[[], str], start: np.ndarray, k: int,
+         expand: Callable[[np.ndarray], np.ndarray], limit: int):
+    """Breadth-first enumeration from the label array ``start`` (one row),
+    one level at a time.
+
+    ``expand(frontier)`` returns every frontier label times each of the
+    ``k`` generators, frontier-major: row i*k + j is frontier[i] times
+    generator j.  New labels of a level keep the order of their first
+    appearance there, which is exactly the order in which a queue taking
+    one element at a time would discover them.  Raises ResourceError
+    before more than ``limit`` elements are held.
+
+    Returns the labels in order, each element's parent index and
+    generator slot, the bounds of the levels, and a dict from each
+    label's key (see ``_row_keys``) to its index.
+    """
+    levels, parents, slots = [start], [np.full(1, -1)], [np.full(1, -1)]
+    bounds = [0, 1]
+    index = dict.fromkeys(_row_keys(start).tolist(), 0)
+    while k:
+        lo, hi = bounds[-2], bounds[-1]
+        cand = np.asarray(expand(levels[-1]), dtype=np.int64)
+        keys = _row_keys(cand).tolist()
+        # each key's first position: of repeated keys, the last write wins
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        pos = sorted(map(first.__getitem__, filterfalse(index.__contains__, first)))
+        if not pos:
+            break
+        total = hi + len(pos)
+        if total > limit:
+            raise ResourceError(
+                f"closure of {_named(name)} exceeds the order cap ({limit})")
+        index.update(zip(map(keys.__getitem__, pos), range(hi, total)))
+        pos = np.array(pos, dtype=np.intp)  # rows of ``cand``, in discovery order
+        levels.append(cand[pos])
+        parents.append(lo + pos // k)
+        slots.append(pos % k)
+        bounds.append(total)
+    return (np.concatenate(levels), np.concatenate(parents),
+            np.concatenate(slots), bounds, index)
+
+
+def _indices(index: dict, rows: np.ndarray) -> np.ndarray:
+    """The element index of each label row, or -1 where it has none."""
+    keys = _row_keys(np.asarray(rows, dtype=np.int64)).tolist()
+    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp,
+                       count=len(keys))
+
+
+def _bfs_words(parents: np.ndarray, slots: np.ndarray,
+               gen_names: Sequence[str]) -> list[str]:
+    """Each element's word: its parent's word times its generator."""
+    par, slot = parents.tolist(), slots.tolist()
+    words = ["1"] * len(par)
+    for j in range(1, len(par)):
+        name = gen_names[slot[j]]
+        words[j] = name if par[j] == 0 else words[par[j]] + "*" + name
+    return words
+
+
+_FILL_BLOCK = 2 ** 18  # table entries gathered per block of rows
+
+
 def build_group(name: str | Callable[[], str], gen_labels: Sequence[Label],
-                compose: Callable[[Label, Label], Label], identity: Label, *,
+                compose: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                identity: Label, *,
                 gen_names: Sequence[str] | None = None,
                 cap: int = ORDER_CAP,
                 word_fn: Callable[[Label], str] | None = None,
                 meta: dict | None = None) -> Group:
     """Enumerate the closure of ``gen_labels`` under ``compose``.
 
-    The element order is canonical: identity first, then breadth-first
-    discovery multiplying on the right by the generators in input order.
-    Raises ResourceError once the closure exceeds ``min(cap, ORDER_CAP)``
-    elements.  ``name`` may be a function, as for ``Group``.
+    Labels are ints or tuples of ints.  ``compose`` is batched: it takes
+    two arrays holding equally many labels, one per row (int labels as a
+    1-D array, tuples of width w as an (m, w) array), and returns the
+    array of their products, row by row.  The element order is canonical:
+    identity first, then breadth-first discovery multiplying on the right
+    by the generators in input order.  Discovery runs one level at a time,
+    and its order is exactly that of a queue working through the elements
+    one by one.  Raises ResourceError once the closure exceeds
+    ``min(cap, ORDER_CAP)`` elements, and InputError when a product of a
+    generator on the left leaves the closure.  ``name`` may be a function,
+    as for ``Group``.
     """
-    gens: list[Label] = []
-    for lab in gen_labels:
-        if lab not in gens:
-            gens.append(lab)
+    gens = list(dict.fromkeys(gen_labels))
+    k = len(gens)
     if gen_names is None:
-        gen_names = _default_gen_names(len(gens))
-    elif len(gen_names) < len(gens):
+        gen_names = _default_gen_names(k)
+    elif len(gen_names) < k:
         raise InputError("fewer generator names than generators")
-    limit = min(cap, ORDER_CAP)
+    start = np.array([identity], dtype=np.int64)
+    garr = np.array(gens, dtype=np.int64).reshape((k,) + start.shape[1:])
 
-    elements: list[Label] = [identity]
-    index: dict[Label, int] = {identity: 0}
-    parents: list[tuple[int, int]] = [(-1, -1)]  # (parent index, generator slot)
-    i = 0
-    while i < len(elements):
-        base = elements[i]
-        for gpos, glab in enumerate(gens):
-            y = compose(base, glab)
-            if y not in index:
-                if len(elements) >= limit:
-                    raise ResourceError(
-                        f"closure of {_named(name)} exceeds the order cap ({limit})")
-                index[y] = len(elements)
-                elements.append(y)
-                parents.append((i, gpos))
-        i += 1
-    n = len(elements)
+    def expand(frontier):
+        return compose(np.repeat(frontier, k, axis=0),
+                       garr[np.tile(np.arange(k), len(frontier))])
 
-    if word_fn is not None:
-        words = [word_fn(lab) for lab in elements]
-    else:
-        words = [""] * n
-        words[0] = "1"
-        for j in range(1, n):
-            par, gpos = parents[j]
-            words[j] = gen_names[gpos] if par == 0 else words[par] + "*" + gen_names[gpos]
+    rows, parents, slots, bounds, index = _bfs(
+        name, start, k, expand, min(cap, ORDER_CAP))
+    n = len(rows)
 
     # row j is x -> w_j x; with w_j = w_par g it is row par read at g x
-    left = [np.fromiter((index.get(compose(glab, el), -1) for el in elements),
-                        dtype=np.intp, count=n) for glab in gens]
-    if any((col < 0).any() for col in left):
+    left = np.empty((k, n), dtype=np.intp)
+    for j in range(k):
+        left[j] = _indices(index, compose(garr[np.full(n, j)], rows))
+    if (left < 0).any():
         raise InputError(f"left products escape the closure of {_named(name)}; "
                          "the multiplication is not a group law")
     table = np.empty((n, n), dtype=np.uint16)
     table[0] = np.arange(n)
-    for j in range(1, n):
-        par, gpos = parents[j]
-        table[j] = table[par, left[gpos]]
+    step = max(1, _FILL_BLOCK // n)
+    rows_in, rows_out = np.empty((2, step, n), dtype=np.uint16)  # reused blocks
+    for lo, hi in zip(bounds[1:], bounds[2:]):  # a level's parents are done
+        for j in range(k):
+            kids = lo + np.flatnonzero(slots[lo:hi] == j)
+            for b in range(0, kids.size, step):
+                rws = kids[b:b + step]
+                m = rws.size
+                np.take(table, parents[rws], axis=0, out=rows_in[:m])
+                table[rws] = np.take(rows_in[:m], left[j], axis=1, out=rows_out[:m])
 
-    return Group(name, elements, words, [index[g] for g in gens], table, meta=meta)
+    labels = rows.tolist()
+    elements = labels if rows.ndim == 1 else list(map(tuple, labels))
+    words = (list(map(word_fn, elements)) if word_fn is not None
+             else _bfs_words(parents, slots, gen_names))
+    return Group(name, elements, words, _indices(index, garr).tolist(), table,
+                 meta=meta)
+
+
+def enumerate_gathered(name: str | Callable[[], str], m: int,
+                       product: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       gens: Sequence[int], *, cap: int = ORDER_CAP):
+    """Canonical order and table of the group generated by ``gens`` among
+    labels 0..m-1 whose products are gathered from known tables:
+    ``product(rows, cols)`` is the block of products rows[i] * cols[j].
+
+    The order is that of ``build_group`` for the same generators, which
+    must be distinct.  The table is gathered in blocks of rows, in that
+    order.  Returns the labels in order, each element's parent index and
+    generator slot, the table, and each label's index (``rank``).
+    """
+    gens = np.array(gens, dtype=np.intp)
+    right = product(np.arange(m), gens)  # every label times each generator
+    order, parents, slots, _, _ = _bfs(
+        name, np.zeros(1, dtype=np.int64), gens.size,
+        lambda frontier: right[frontier].ravel(), min(cap, ORDER_CAP))
+    n = order.size
+    rank = np.zeros(m, dtype=np.uint16)
+    rank[order] = np.arange(n)
+    table = np.empty((n, n), dtype=np.uint16)
+    step = max(1, _FILL_BLOCK // n)  # bounds the gathered temporaries
+    for lo in range(0, n, step):
+        table[lo:lo + step] = rank[product(order[lo:lo + step], order)]
+    return order, parents, slots, table, rank
 
 
 def enumerate_from_permutations(degree: int, perms: Sequence[Sequence[int]], *,
@@ -309,8 +426,8 @@ def enumerate_from_permutations(degree: int, perms: Sequence[Sequence[int]], *,
             raise InputError(f"not a bijection on 0..{degree - 1}: {t}")
         labels.append(t)
 
-    def compose(p, r):  # p∘r: apply r first
-        return tuple(p[r[i]] for i in range(degree))
+    def compose(p, r):  # p∘r, row by row: apply r first
+        return np.take_along_axis(p, r, axis=1)
 
     return build_group(name or f"perm({degree})", labels, compose,
                        tuple(range(degree)), gen_names=gen_names, cap=cap)
@@ -320,16 +437,23 @@ def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]],
                      support: Sequence[int] | None = None) -> tuple[int, ...]:
     """Image tuple of a product of disjoint cycles on 1-based points.
 
-    Each cycle is checked against ``degree``.  The tuple covers every point,
-    or with ``support`` (ascending 1-based points that include every point
-    of the cycles) those points only, position i standing for support[i].
+    Each cycle is checked against ``degree``, and a point in two cycles is
+    refused.  The tuple covers every point, or with ``support`` (ascending
+    1-based points that include every point of the cycles) those points
+    only, position i standing for support[i].
     """
     where = None if support is None else {p: i for i, p in enumerate(support)}
     images = list(range(degree if where is None else len(where)))
+    moved: set[int] = set()
     for cyc in cycles:
         pts = [c - 1 for c in cyc]
         if any(p < 0 or p >= degree for p in pts) or len(set(pts)) != len(pts):
             raise InputError(f"bad cycle {list(cyc)} for degree {degree}")
+        again = [c for c in cyc if c in moved]
+        if again:
+            raise InputError(f"point {again[0]} lies in more than one cycle "
+                             "of a generator; the cycles must be disjoint")
+        moved.update(cyc)
         if where is not None:
             pts = [where[c] for c in cyc]
         for a, b in zip(pts, pts[1:] + pts[:1]):
@@ -543,12 +667,32 @@ def coset(x: int, n: Subgroup) -> tuple[int, ...]:
 
 
 def right_coset_minima(h: Subgroup) -> np.ndarray:
-    """For every element x, the smallest element of the right coset H x."""
-    t = h.parent.table
-    low = np.arange(h.parent.order)
-    for m in h.members[1:]:
-        np.minimum(low, t[m], out=low)
-    return low
+    """For every element x, the smallest element of the right coset H x.
+
+    Labels are propagated (``_lower``) along left multiplication by a few
+    members of H: those at positions 1, 2, 4, ... of ``h.members``, and,
+    whenever the labels settle while the identity's label class (the
+    subgroup the chosen members generate) is smaller than H, the first
+    member outside it.  The labels are final once they are their own
+    labels and take exactly |G|/|H| values: the orbits, right cosets of a
+    subgroup of H, are then no more than the cosets H x, so each is one
+    such coset and holds exactly one label, its smallest element.
+    """
+    g = h.parent
+    everything = np.arange(g.order)
+    if h.order == 1:
+        return everything
+    members = np.array(h.members, dtype=np.intp)
+    picks = [g.table[m] for m in members[1 << np.arange((h.order - 1).bit_length())]]
+    label, cosets = everything, g.order // h.order
+    while True:
+        low = _lower(label, picks)
+        if (np.count_nonzero(low == everything) == cosets
+                and np.array_equal(low[low], low)):
+            return low
+        if np.array_equal(low, label):
+            picks.append(g.table[members[np.argmax(low[members] != 0)]])
+        label = low
 
 
 def quotient(g: Group, n: Subgroup) -> QuotientMap:
@@ -567,19 +711,25 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
             "which is outside the subgroup")
 
     low = right_coset_minima(n)  # N is normal, so x N = N x
+    reps = np.flatnonzero(low == np.arange(g.order))
+    coset = np.zeros(g.order, dtype=np.uint16)
+    coset[reps] = np.arange(reps.size)
+    coset = coset[low]  # each element's coset, numbered in the order of reps
     gens: dict[int, str] = {}  # coset of each generator, named by the first
     for x in g.generators:
-        gens.setdefault(int(low[x]), g.words[x])
-    target = build_group(lambda: f"{g.name}/{n.describe()}", list(gens),
-                         lambda a, b: int(low[g.table[a, b]]), 0,
-                         gen_names=list(gens.values()))
+        gens.setdefault(int(coset[x]), g.words[x])
+    order, parents, slots, table, rank = enumerate_gathered(
+        g.name, reps.size,
+        lambda rows, cols: coset[g.table[reps[rows][:, None], reps[cols]]],
+        list(gens))
+    section = reps[order].tolist()
+    target = Group(lambda: f"{g.name}/{n.describe()}", section,
+                   _bfs_words(parents, slots, list(gens.values())),
+                   rank[list(gens)].tolist(), table)
     if target.order * n.order != g.order:
         raise ConsistencyError("coset count does not match the index")
-    section = target.elements
-    position = np.zeros(g.order, dtype=np.intp)
-    position[list(section)] = np.arange(target.order)
-    return QuotientMap(g, n, target, _shared_ints(position[low], target.order),
-                       section)
+    return QuotientMap(g, n, target, _shared_ints(rank[coset], target.order),
+                       tuple(section))
 
 
 def nilpotency_class(g: Group) -> int:

@@ -6,11 +6,14 @@ The references below are the element-by-element loops that ``groups`` and
 their loop form over Python lists.  The array code must reproduce them
 exactly: same members in the same order, same class numbering, same
 quotient projection, section and target table, same class matrices.
+``_reference_build`` is the queue enumeration over Python labels with one
+scalar product per call, which the level-by-level enumeration replaced.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from groupchar import (InputError, ResourceError, Subgroup, build_group,
                        centralizer, commutator_subgroup, cyclic,
                        direct_product, elementary_abelian,
                        enumerate_from_permutations, from_spec, generated_by,
-                       gn, induce, is_normal, named, quotient)
+                       gn, induce, is_normal, named, perm_from_cycles,
+                       quotient)
 from groupchar import chartable, cli, constructions
 from groupchar.cyclotomic import Cyclotomic
 from groupchar.groups import ORDER_CAP, right_coset_minima
@@ -47,6 +51,45 @@ def _ops(g):
 
 # ---------------------------------------------------------------------------
 # scalar references
+
+def _reference_build(gen_labels, compose, identity, gen_names=None,
+                     word_fn=None):
+    """Elements, words, generators and table by a queue over Python labels,
+    one scalar ``compose`` per product."""
+    gens = list(dict.fromkeys(gen_labels))
+    if gen_names is None:
+        gen_names = [chr(ord("a") + i) if i < 26 else f"g{i}"
+                     for i in range(len(gens))]
+    elements, index, parents = [identity], {identity: 0}, [(-1, -1)]
+    i = 0
+    while i < len(elements):
+        for gpos, glab in enumerate(gens):
+            y = compose(elements[i], glab)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                parents.append((i, gpos))
+        i += 1
+    n = len(elements)
+    if word_fn is not None:
+        words = [word_fn(lab) for lab in elements]
+    else:
+        words = ["1"] * n
+        for j in range(1, n):
+            par, gpos = parents[j]
+            words[j] = (gen_names[gpos] if par == 0
+                        else words[par] + "*" + gen_names[gpos])
+    # row j is x -> w_j x; with w_j = w_par g it is row par read at g x
+    left = [np.array([index[compose(glab, el)] for el in elements])
+            for glab in gens]
+    table = np.empty((n, n), dtype=np.int64)
+    table[0] = np.arange(n)
+    for j in range(1, n):
+        par, gpos = parents[j]
+        table[j] = table[par, left[gpos]]
+    return (tuple(elements), tuple(words), tuple(index[g] for g in gens),
+            table.tolist())
+
 
 def _reference_generated_by(g, seeds):
     mul, _ = _ops(g)
@@ -155,12 +198,12 @@ def _reference_quotient(g, n):
     gens = {}  # one generator per coset, named by its first generator
     for x in g.generators:
         gens.setdefault(coset_members[cid_of[x]], g.words[x])
-    target = build_group("ref", list(gens), comp, coset_members[0],
-                         gen_names=list(gens.values()))
-    projection = tuple(target.index_of(coset_members[cid_of[x]])
-                       for x in range(g.order))
-    section = tuple(lab[0] for lab in target.elements)
-    return projection, section, target.words, target.table.tolist()
+    elements, words, _, table = _reference_build(
+        list(gens), comp, coset_members[0], list(gens.values()))
+    index = {lab: i for i, lab in enumerate(elements)}
+    projection = tuple(index[coset_members[cid_of[x]]] for x in range(g.order))
+    section = tuple(lab[0] for lab in elements)
+    return projection, section, words, table
 
 
 def _reference_class_matrix(g, classes, i):
@@ -308,11 +351,17 @@ def test_quotient_words_name_the_right_generators():
 
 
 def test_right_coset_minima(groups):
-    for g in groups.values():
+    # in the last subgroup, of gn(3,2), the members at positions 1, 2, 4, 8
+    # and 16 generate less than it, so the propagation must add a member
+    gn32 = gn(3, 2)
+    short = generated_by(gn32, [9, 48])
+    assert generated_by(gn32, [short.members[i] for i in (1, 2, 4, 8, 16)]
+                        ).order < short.order
+    cases = [(g, h) for g in groups.values() for h in _subgroups(g, count=2)]
+    for g, h in cases + [(gn32, short)]:
         mul, _ = _ops(g)
-        for h in _subgroups(g, count=2):
-            assert right_coset_minima(h).tolist() == [
-                min(mul[m][x] for m in h.members) for x in range(g.order)]
+        assert right_coset_minima(h).tolist() == [
+            min(mul[m][x] for m in h.members) for x in range(g.order)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +389,11 @@ def test_transversal_and_induction_match_scalar_loops(groups):
 
 
 # ---------------------------------------------------------------------------
-# every constructor's table against its label-level product
+# every constructor against the queue enumeration and its label-level product
+#
+# Each reference is (generator labels, scalar product, identity, generator
+# names, word function): the inputs the constructor enumerated from before
+# its product was batched.
 
 def _perm_product(p, r):
     return tuple(p[r[i]] for i in range(len(p)))
@@ -355,28 +408,135 @@ def _gn_product(p, n):
     return comp
 
 
+def _power_word(name, c):
+    return name + (f"^{c}" if c > 1 else "")
+
+
+def _cyclic_ref(m):
+    return ([1] if m > 1 else [], lambda u, v: (u + v) % m, 0, ["g"],
+            lambda x: "1" if x == 0 else ("g" if x == 1 else f"g^{x}"))
+
+
+def _elementary_abelian_ref(p, k):
+    gens = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    return (gens, lambda u, v: tuple((x + y) % p for x, y in zip(u, v)),
+            (0,) * k, None,
+            lambda v: "*".join(_power_word(f"g{i + 1}", c)
+                               for i, c in enumerate(v) if c) or "1")
+
+
+def _gn_ref(p, n):
+    units = [tuple(int(i == pos) for i in range(2 * n + 1))
+             for pos in range(2 * n + 1)]
+    names = [f"a{i + 1}" for i in range(n)] + ["a"] + \
+        [f"b{i + 1}" for i in range(n)]
+    order = [n] + list(range(n)) + list(range(n + 1, 2 * n + 1))
+
+    def word(u):
+        return "*".join(_power_word(names[i], u[i])
+                        for i in range(2 * n + 1) if u[i]) or "1"
+
+    return ([units[i] for i in order], _gn_product(p, n), (0,) * (2 * n + 1),
+            [names[i] for i in order], word)
+
+
+def _perm_ref(perms, gen_names=None):
+    return (list(perms), _perm_product, tuple(range(len(perms[0]))),
+            gen_names, None)
+
+
+def _spec_perm_ref(spec):
+    gens = spec["generators"]
+    support = sorted({p for gen in gens for cyc in gen for p in cyc}) or [1]
+    return _perm_ref([perm_from_cycles(spec["points"], cycles, support)
+                      for cycles in gens])
+
+
+def _catalog_ref(name):
+    points, cycle_gens, gen_names = constructions._PERM_CATALOG[name]
+    return _perm_ref([perm_from_cycles(points, c) for c in cycle_gens],
+                     gen_names)
+
+
+Q8_REF = _perm_ref([(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)],
+                   ["i", "j"])
+
+
+def _product_ref(a, b):
+    gens = [(g, 0) for g in a.generators] + [(0, g) for g in b.generators]
+    return (gens, lambda u, v: (a.mul(u[0], v[0]), b.mul(u[1], v[1])), (0, 0),
+            None, lambda u: ("1" if u == (0, 0)
+                             else f"({a.words[u[0]]},{b.words[u[1]]})"))
+
+
+ZOO_REFS = {
+    "trivial": lambda: _cyclic_ref(1),
+    "c2": lambda: _cyclic_ref(2),
+    "c3": lambda: _cyclic_ref(3),
+    "c4": lambda: _cyclic_ref(4),
+    "c5": lambda: _cyclic_ref(5),
+    "c6": lambda: _cyclic_ref(6),
+    "ea9": lambda: _elementary_abelian_ref(3, 2),
+    "s3": lambda: _catalog_ref("s3"),
+    "d4": lambda: _catalog_ref("d4"),
+    "q8": lambda: Q8_REF,
+    "d5": lambda: _catalog_ref("d5"),
+    "heis3": lambda: _gn_ref(3, 1),
+    "heis5": lambda: _gn_ref(5, 1),
+    "gn32": lambda: _gn_ref(3, 2),
+    "heis3xc3": lambda: _product_ref(gn(3, 1), cyclic(3)),
+    "c3wrc3": lambda: _catalog_ref("c3wrc3"),
+}
+
+PERM20 = {"type": "perm", "points": 30,  # two 10-cycles and a swap of them
+          "generators": [[list(range(1, 11)), list(range(11, 21))],
+                         [[i, i + 10] for i in range(1, 11)]]}
+S3_X_C60 = {"type": "product", "factors": [{"type": "named", "name": "s3"},
+                                           {"type": "cyclic", "n": 60}]}
+
+
 def _constructed():
+    """(group, reference inputs) for a sample of every constructor."""
     a, b = named("d5"), cyclic(12)
-    s6 = from_spec(EXTRA_SPECS["S6"])
     return [
-        (cyclic(12), lambda u, v: (u + v) % 12),
-        (elementary_abelian(3, 3), lambda u, v: tuple(
-            (x + y) % 3 for x, y in zip(u, v))),
-        (direct_product(a, b), lambda u, v: (a.mul(u[0], v[0]),
-                                             b.mul(u[1], v[1]))),
-        (gn(3, 2), _gn_product(3, 2)),
-        (gn(5, 1), _gn_product(5, 1)),
-        (named("q8"), _perm_product),
-        (named("c3wrc3"), _perm_product),
-        (s6, _perm_product),
+        (cyclic(12), _cyclic_ref(12)),
+        (elementary_abelian(3, 3), _elementary_abelian_ref(3, 3)),
+        (direct_product(a, b), _product_ref(a, b)),
+        (gn(3, 2), _gn_ref(3, 2)),
+        (gn(5, 1), _gn_ref(5, 1)),
+        (named("q8"), Q8_REF),
+        (named("c3wrc3"), _catalog_ref("c3wrc3")),
+        (from_spec(EXTRA_SPECS["S6"]), _spec_perm_ref(EXTRA_SPECS["S6"])),
         (enumerate_from_permutations(4, [(1, 0, 2, 3), (0, 2, 3, 1)]),
-         _perm_product),
+         _perm_ref([(1, 0, 2, 3), (0, 2, 3, 1)])),
     ]
+
+
+def _assert_matches_reference(g, ref):
+    elements, words, generators, table = _reference_build(*ref)
+    assert g.elements == elements
+    assert g.words == words
+    assert g.generators == generators
+    assert g.table.tolist() == table
+
+
+def test_enumeration_matches_queue_reference(zoo):
+    for g, ref in _constructed():
+        _assert_matches_reference(g, ref)
+    for name, g in zoo.items():
+        _assert_matches_reference(g, ZOO_REFS[name]())
+    s3, c60 = named("s3"), cyclic(60)
+    for g, ref in [(gn(3, 3), _gn_ref(3, 3)),
+                   (from_spec(PERM20), _spec_perm_ref(PERM20)),
+                   (from_spec(S3_X_C60), _product_ref(s3, c60)),
+                   (elementary_abelian(3, 0), _elementary_abelian_ref(3, 0))]:
+        _assert_matches_reference(g, ref)
 
 
 def test_tables_match_label_level_products():
     rng = random.Random(2)
-    for g, compose in _constructed():
+    for g, ref in _constructed():
+        compose = ref[1]
         n = g.order
         pairs = ([(a, b) for a in range(n) for b in range(n)] if n <= 250
                  else [(rng.randrange(n), rng.randrange(n)) for _ in range(20000)])
@@ -407,11 +567,18 @@ def test_subgroup_and_quotient_tables_match_their_labels(groups):
 # ---------------------------------------------------------------------------
 # admission at ORDER_CAP
 
+class _NoArrays:
+    def __getattr__(self, attr):
+        raise AssertionError(f"numpy.{attr} called before the refusal")
+
+
 def test_constructors_refuse_orders_over_the_cap(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("enumeration started")
 
+    # cyclic writes its table without enumerating, so no array may be made
     monkeypatch.setattr(constructions, "build_group", never)
+    monkeypatch.setattr(constructions, "np", _NoArrays())
     with pytest.raises(ResourceError):
         cyclic(ORDER_CAP + 1)
     with pytest.raises(ResourceError):
@@ -421,15 +588,36 @@ def test_constructors_refuse_orders_over_the_cap(monkeypatch):
 
 
 def test_build_group_stops_at_the_order_cap():
-    calls = []
+    held = set()  # every label the enumeration has multiplied
 
-    def add(a, b):
-        calls.append(1)
-        return (a + b) % 30000
+    def add(a, b):  # Z/150 x Z/200 on pairs, 30,000 elements
+        held.update(map(tuple, a.tolist()))
+        return (a + b) % [150, 200]
 
     with pytest.raises(ResourceError, match=str(ORDER_CAP)):
-        build_group("C30000", [1], add, 0, cap=10 ** 6)
-    assert len(calls) == ORDER_CAP
+        build_group("C150 x C200", [(1, 0), (0, 1)], add, (0, 0), cap=10 ** 6)
+    assert 0.9 * ORDER_CAP < len(held) <= ORDER_CAP
+
+
+def test_build_group_refuses_left_products_outside_the_closure():
+    # x * 1 = x + 1 closes on 0..3, but 1 * 2 and 1 * 3 leave it
+    def compose(a, b):
+        return (a + b) % 4 + 4 * ((a == 1) & (b >= 2))
+
+    with pytest.raises(InputError, match="left products escape"):
+        build_group("bad", [1], compose, 0)
+
+
+@pytest.mark.slow
+def test_enumeration_peaks_near_its_table():
+    tracemalloc.start()
+    try:
+        g = gn(3, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 3 ** 9
+    assert peak < 1.1 * g.table.nbytes
 
 
 def test_cli_max_order_cannot_pass_the_cap(capsys):

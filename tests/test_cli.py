@@ -145,6 +145,13 @@ def test_json_booleans_are_not_integers(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_perm_cycles_must_be_disjoint(capsys):
+    code, out, err = _run(capsys, "table", "--group",
+                          '{"type":"perm","points":4,"generators":[[[1,2],[2,3]]]}')
+    assert code == 2 and out == ""
+    assert "point 2 lies in more than one cycle" in err
+
+
 def test_max_order_must_be_positive(capsys):
     for bound in ("0", "-5"):
         code, out, err = _run(capsys, "table", "--group", S3,

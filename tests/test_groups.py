@@ -221,8 +221,15 @@ def test_nilpotency_classes(zoo):
 
 
 def test_enumeration_cap():
+    calls = []
+
+    def add(a, b):  # batched: one array of labels per operand
+        calls.append(len(a))
+        return (np.asarray(a) + np.asarray(b)) % 100
+
     with pytest.raises(ResourceError):
-        build_group("mod", [1], lambda a, b: (a + b) % 100, 0, cap=10)
+        build_group("mod", [1, 7], add, 0, cap=10)
+    assert sum(calls) <= 10 * 2  # no label past the cap was multiplied
 
 
 def test_bad_permutation_rejected():
@@ -238,9 +245,16 @@ def test_perm_from_cycles():
     assert perm_from_cycles(10 ** 9, [(2, 5, 9)], (2, 5, 9)) == (1, 2, 0)
     with pytest.raises(InputError):
         perm_from_cycles(4, [(2, 5)], (2, 5))
+    # cycles of one generator must be disjoint; the point is named 1-based
+    with pytest.raises(InputError, match="point 2 "):
+        perm_from_cycles(4, [(1, 2), (2, 3)])
+    with pytest.raises(InputError, match="point 9 "):
+        perm_from_cycles(10 ** 9, [(2, 9), (9, 5)], (2, 5, 9))
 
 
 def test_order_walk_guards_against_non_group():
-    bad = build_group("bad", [1], lambda a, b: 1 if (a, b) != (0, 0) else 0, 0)
+    # 1 * 1 = 1: the closure {0, 1} is found, but 1 has no finite order
+    bad = build_group("bad", [1], lambda a, b: np.where((a == 0) & (b == 0), 0, 1), 0)
+    assert bad.order == 2
     with pytest.raises(InputError):
         bad.element_orders()
