@@ -1,26 +1,21 @@
 """Exact irreducible character tables of finite groups.
 
-The table is computed by the classical class-matrix method: the structure
-constants a_ijk of the class sums give commuting integer matrices whose
-simultaneous eigenvectors over a suitable prime field F_q are the central
-characters.  Each class matrix refines the current common eigenspaces
-(Schneider 1990): on a space of dimension d the restricted matrix A, built
-from the pivot rows of the class matrix only, gives the minimal polynomial
-mu of the space's start vector x from its Krylov sequence x, A x, A^2 x,
-... reduced mod q, and one vectorised Horner pass over F_q finds its roots.
-The whole space starts at the identity class, e_0 = sum_chi (chi(1)^2/|G|)
-omega_chi by the second orthogonality relation, and a piece of it starts at
-the image p_j(A) x of its parent's start, so x is always a nonzero multiple
-of e_0's projection onto its space: a combination of the central
-characters omega_chi in the space with no coefficient zero mod q, as q does
-not divide |G|.  Hence mu is the minimal polynomial of A itself, and its
-roots are distinct and lie in F_q, a splitting field since q = 1 mod e.
-With r = deg mu roots lambda_j, the eigenspaces are the images p_j(A) X
-with p_j = mu / (t - lambda_j), where X is x alone if r = d and the
-identity otherwise; they are built from the powers A^m X by exact products
-mod q (``modular.matmul``, float64 below 2**53) and accepted once
-A p_j(A) X = lambda_j p_j(A) X for every j.  A repeated root, a root
-outside F_q or a failed check is a ``ConsistencyError``.
+The table is computed by the class-matrix method: the structure constants
+of the class sums give commuting integer matrices M_i whose common
+eigenvectors over F_q, q = 1 mod e, are the central characters omega_chi
+(Schneider 1990).  The split's pieces are single vectors in class
+coordinates, starting at the identity class e_0 = sum_chi (chi(1)^2/|G|)
+omega_chi; each stays a combination of the omega_chi in it with no
+coefficient zero mod q, as q does not divide |G|.  A round takes one matrix
+C and runs the Krylov sequences s, C s, C^2 s, ... of all pieces in
+lockstep until each becomes dependent, giving the minimal polynomial mu of
+s, with one simple root lambda_j in F_q per eigenvalue of C on the piece;
+s becomes the p_j(C) s, p_j = mu / (t - lambda_j), its nonzero parts at
+each lambda_j.  The matrices are a few class-sum combinations sum_i c_i M_i
+with fixed coefficients, then M_1 ... M_{k-1}, which separate all central
+characters, so the split always ends: at k pieces, one omega_chi each,
+whatever the coefficients or the order.  A root outside F_q, a repeated
+root or running out of matrices is a ``ConsistencyError``.
 
 Degrees are recovered from the second orthogonality relation inside F_q,
 and values are lifted exactly into Q(zeta_e) (e = exponent of the group)
@@ -96,11 +91,12 @@ import numpy as np
 from . import modular
 from .cyclotomic import Cyclotomic, _zeta_powers, embedding, euler_phi
 from .errors import ConsistencyError, InputError, ResourceError
-from .groups import (ConjugacyClasses, Group, QuotientMap, Subgroup, quotient,
-                     right_coset_minima)
+from .groups import (ORDER_CAP, ConjugacyClasses, Group, QuotientMap, Subgroup,
+                     quotient, right_coset_minima)
 from .modular import is_prime, prime_factors
 
 PRIME_BOUND = 10_000_000
+COMBINATIONS = 6  # rounds of class-sum combinations before the class matrices
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,166 +272,165 @@ def class_matrix(g: Group, classes: ConjugacyClasses, i: int) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k)
 
 
-def _minimal_polynomial(a: np.ndarray, x: np.ndarray, q: int) -> list[int]:
-    """Monic minimal polynomial of ``x`` under ``a`` mod q, coefficients
-    in ascending order.
-
-    The Krylov vectors x, a x, a^2 x, ... are reduced one at a time against
-    the earlier ones, each row carrying its combination of powers of ``a``;
-    the first power that reduces to zero gives the polynomial.  The rows live
-    in one preallocated (d, 2d+1) array and are reduced in place; at step m
-    only the first d + m + 1 columns can be nonzero.  Entries stay in
-    [0, q), so each int64 sum of d products is exact for d < 2**63 / q**2.
-    """
-    d = a.shape[0]
-    basis = np.zeros((d, 2 * d + 1), dtype=np.int64)  # [vector | polynomial]
-    pivots: list[int] = []
-    v = x % q
-    for m in range(d + 1):
-        n, w = len(pivots), d + m + 1
-        row = np.zeros(w, dtype=np.int64)
-        row[:d] = v
-        row[d + m] = 1  # this row is a^m x
-        row = (row - row[pivots] @ basis[:n, :w]) % q
-        nz = np.flatnonzero(row[:d])
-        if nz.size == 0:
-            return row[d:].tolist()
-        p = int(nz[0])
-        row = row * pow(int(row[p]), -1, q) % q
-        done = basis[:n, :w]
-        done -= np.outer(done[:, p], row)
-        done %= q
-        basis[n, :w] = row
-        pivots.append(p)
-        v = a @ v % q
-    raise ConsistencyError("Krylov sequence failed to become dependent")
+def _combination(g: Group, classes: ConjugacyClasses, coeffs: np.ndarray,
+                 q: int) -> np.ndarray:
+    """sum_i coeffs[i] M_i mod q, coefficients in [0, q).  Entry [j, t] weighs
+    each x with x^-1 z_t in class j by the coefficient of x's class; as y z_t
+    and z_t y are conjugate, column t is one bincount of the classes along
+    row z_t of the Cayley table, weighing y by that of y^-1, about ``BLOCK``
+    cells at a time.  Sums stay below |G| q < 2**53: exact in float64."""
+    k, class_of = len(classes), classes.class_array
+    weights = coeffs[list(_inverse_class(g, classes))][class_of].astype(np.float64)
+    reps = np.array(classes.reps)
+    step = max(1, BLOCK // g.order)
+    out = np.empty((k, k), dtype=np.int64)  # the transpose, one row per column
+    for lo in range(0, k, step):
+        cells = class_of[g.table[reps[lo:lo + step]]]
+        cells += k * np.arange(len(cells))[:, None]
+        out[lo:lo + step] = np.bincount(cells.ravel(), np.tile(weights, len(cells)),
+                                        len(cells) * k).reshape(-1, k) % q
+    return out.T
 
 
-def _roots_mod(poly: list[int], q: int) -> list[int]:
-    """Roots in F_q of ``poly`` (ascending coefficients), by a vectorised
-    Horner pass over chunks of 4096 values that stops once deg(poly) roots
-    are found."""
-    degree = len(poly) - 1
-    roots: list[int] = []
-    for lo in range(0, q, 4096):
-        lams = np.arange(lo, min(lo + 4096, q), dtype=np.int64)
-        acc = np.zeros_like(lams)
-        for c in reversed(poly):
-            acc = (acc * lams + c) % q
-        roots.extend(int(r) for r in lams[acc == 0])
-        if len(roots) >= degree:
+def _split_matrices(g: Group, classes: ConjugacyClasses, q: int,
+                    split_order: Sequence[int] | None):
+    """The split's matrices, each built when its round starts: ``COMBINATIONS``
+    class-sum combinations, then M_1 ... M_{k-1}, which separate all central
+    characters; or the class matrices in ``split_order``."""
+    k = len(classes)
+    if split_order is None:
+        for coeffs in _coefficients(k, q):
+            yield _combination(g, classes, coeffs, q)
+        split_order = range(1, k)
+    for i in split_order:
+        if not 0 <= i < k:
+            raise InputError(f"split order entry {i} is not a class index")
+        yield class_matrix(g, classes, i) % q
+
+
+def _coefficients(k: int, q: int) -> np.ndarray:
+    """The coefficients of the combinations, one row each: a fixed hash of
+    their positions mod q (uint64 products wrap), the same on every run."""
+    x = np.arange(1, COMBINATIONS * k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(31)
+    return (x % np.uint64(q)).astype(np.int64).reshape(COMBINATIONS, k)
+
+
+def _split(matrices, k: int, q: int) -> np.ndarray:
+    """The k central characters mod q, scaled to 1 on the identity class,
+    from e_0 by one ``_split_round`` per matrix until there are k pieces;
+    ConsistencyError if the matrices run out first."""
+    pieces = np.eye(1, k, dtype=np.int64)
+    while len(pieces) < k:
+        c = next(matrices, None)
+        if c is None:
+            raise ConsistencyError("the split matrices failed to separate all characters")
+        pieces = _split_round(pieces, c, q)
+    if len(pieces) != k or not pieces[:, 0].all():
+        raise ConsistencyError("the split did not end in k central characters")
+    inv = np.array([pow(int(c), -1, q) for c in pieces[:, 0]], dtype=np.int64)
+    return pieces * inv[:, None] % q
+
+
+def _split_round(pieces: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
+    """Each piece s split under C = ``c`` (residues) into the p_j(C) s, or
+    kept when its mu has one root: about ``BLOCK`` entries at a time through
+    ``_krylov``, one Horner pass and one batched product from the C^m s per
+    degree, in the carrier of k (q-1)**2 (never objects, as k <= ORDER_CAP
+    and q < PRIME_BOUND), to which C^T is cast once."""
+    k = pieces.shape[1]
+    ct = c.T.astype(modular.carrier(k * (q - 1) ** 2))
+    out, step = [], max(1, BLOCK // k)
+    for lo in range(0, len(pieces), step):
+        for _, mu, kry in _krylov(pieces[lo:lo + step], ct, q):
+            rows, r = kry.shape[:2]
+            if r == 1:
+                out.append(kry[:, 0])
+                continue
+            lams = _roots(mu, q)
+            # coef[x, j, m]: the t^m coefficient of p_j for row x, by synthetic division
+            coef = np.zeros((rows, r, r), dtype=ct.dtype)
+            coef[:, :, r - 1] = 1
+            for m in range(r - 1, 0, -1):
+                coef[:, :, m - 1] = (mu[:, m, None] + lams * coef[:, :, m]) % q
+            out.append((coef @ kry % q).reshape(-1, k))
+    return np.concatenate(out).astype(np.int64)
+
+
+def _krylov(v: np.ndarray, ct: np.ndarray, q: int) -> list:
+    """(rows of ``v``, their mu, their C^m s for m < deg mu) for the rows s
+    of ``v`` that end at each step, mu the ascending minimal polynomial of s
+    under C = ``ct``^T.  Step m takes one product for all live rows; row i of
+    a row's basis is C^i s reduced against the rows before it, scaled to 1 at
+    its pivot, with its combination of powers of C, and is never changed.  So
+    a new vector's coefficients x solve x L = (its entries at the pivots),
+    L[i, j] row i at pivot j, unit upper triangular; L^-1 gains a column."""
+    n, k = v.shape
+    v = v.astype(ct.dtype)
+    ids = np.arange(n)
+    cap = min(k + 1, max(2, BLOCK // (4 * n * k)))  # Krylov depth held, doubled when reached
+    basis = np.zeros((n, cap, k + cap + 1), dtype=v.dtype)  # [vector | powers]
+    inverse = np.zeros((n, cap, cap), dtype=v.dtype)  # L^-1
+    krylov = np.zeros((n, cap, k), dtype=v.dtype)  # C^m s
+    pivots = np.zeros((n, cap), dtype=np.intp)
+    done = []
+    for m in range(k + 1):
+        if m == cap:
+            basis = np.pad(basis, ((0, 0), (0, cap), (0, cap)))
+            inverse = np.pad(inverse, ((0, 0), (0, cap), (0, cap)))
+            krylov = np.pad(krylov, ((0, 0), (0, cap), (0, 0)))
+            pivots = np.pad(pivots, ((0, 0), (0, cap)))
+            cap *= 2
+        w = k + m + 1
+        x = v[np.arange(len(v))[:, None], pivots[:, :m]][:, None] @ inverse[:, :m, :m] % q
+        row = np.zeros((len(v), w), dtype=v.dtype)
+        row[:, :k] = v
+        row[:, -1] = 1  # this row is C^m s
+        row -= (x @ basis[:, :m, :w])[:, 0]
+        row %= q
+        live = row[:, :k].any(axis=1)
+        if not live.all():
+            done.append((ids[~live], row[~live, k:], krylov[~live, :m]))
+            ids, v, row, basis, inverse, krylov, pivots = (
+                a[live] for a in (ids, v, row, basis, inverse, krylov, pivots))
+            if not len(v):
+                break
+        at, p = np.arange(len(v)), (row[:, :k] != 0).argmax(axis=1)
+        row *= np.array([pow(int(c), -1, q) for c in row[at, p]], dtype=v.dtype)[:, None]
+        row %= q
+        column = basis[at, :m, p]  # the earlier rows at the new pivot
+        inverse[:, :m, m] = (-(inverse[:, :m, :m] @ column[:, :, None]) % q)[:, :, 0]
+        inverse[:, m, m] = 1
+        basis[:, m, :w] = row
+        pivots[:, m] = p
+        krylov[:, m] = v
+        v = v @ ct % q
+    return done
+
+
+def _roots(polys: np.ndarray, q: int) -> np.ndarray:
+    """The roots in F_q of monic polynomials of one degree r, the rows of
+    ascending coefficients of ``polys``, as an (n, r) array ascending along
+    each row: one Horner pass over F_q for all of them, about ``BLOCK``
+    values at a time, that stops once each has r roots.  ConsistencyError
+    unless each has r roots in F_q, which are then distinct."""
+    n, r = polys.shape[0], polys.shape[1] - 1
+    hits, count = [], np.zeros(n, dtype=np.int64)
+    step = max(1, BLOCK // n)
+    for lo in range(0, q, step):
+        lams = np.arange(lo, min(lo + step, q)).astype(polys.dtype)
+        acc = np.zeros((n, len(lams)), dtype=polys.dtype)
+        for c in polys.T[::-1]:
+            acc = (acc * lams + c[:, None]) % q
+        at, lam = np.nonzero(acc == 0)
+        hits.append(np.stack([at, lam + lo]))
+        count += np.bincount(at, minlength=n)
+        if (count >= r).all():
             break
-    return roots
-
-
-def _spectral_images(a: np.ndarray, mu: list[int], roots: list[int],
-                     start: np.ndarray, q: int) -> np.ndarray:
-    """The eigenspaces of ``a`` from the minimal polynomial ``mu`` of
-    ``start``, as an (r, |X|, d) array: image j holds the rows U_j^T, in
-    ascending order of lambda_j.
-
-    With r = deg mu distinct roots lambda_j and p_j = mu / (t - lambda_j),
-    the images U_j = p_j(a) X are built from the powers a^m X, m < r, one
-    product per power, where X is ``start`` alone when r = d (it is cyclic)
-    and the identity otherwise.  They are accepted only if a U_j = lambda_j
-    U_j for every j.  For X = I that says mu(a) = 0, so a is diagonalisable
-    with exactly the eigenvalues lambda_j and U_j spans the lambda_j
-    eigenspace; for X = ``start`` each U_j is the one nonzero eigenvector of
-    lambda_j.  A repeated root, a root outside F_q or a failed check raises
-    ``ConsistencyError``.  Apart from the r * d * |X| entries of the images,
-    every temporary holds at most d * d entries.
-    """
-    d, r = a.shape[0], len(mu) - 1
-    if len(roots) != r:
-        raise ConsistencyError("class matrix not diagonalisable over F_q")
-    lams = np.array(roots, dtype=np.int64)
-    # coef[j, m]: the t^m coefficient of p_j, by synthetic division
-    coef = np.zeros((r, r), dtype=np.int64)
-    coef[:, r - 1] = 1
-    for m in range(r - 1, 0, -1):
-        coef[:, m - 1] = (mu[m] + lams * coef[:, m]) % q
-    y = start[None] % q if r == d else np.eye(d, dtype=np.int64)  # rows: (a^m X)^T
-    width, at = len(y), a.T
-    # Images are handled d // width at a time, so each temporary holds at
-    # most d * d entries: all r of them for X = start, one for X = I.
-    chunks = [slice(lo, lo + d // width) for lo in range(0, r, d // width)]
-    # Unreduced sums of r products of residues: below r * q**2 < 2**63,
-    # since r <= ORDER_CAP and q < PRIME_BOUND.
-    images = np.zeros((r, width, d), dtype=np.int64)
-    for m in range(r):
-        if m:
-            y = modular.matmul(y, at, q)
-        for js in chunks:
-            images[js] += coef[js, m, None, None] * y
-    images %= q
-    for js in chunks:
-        u = images[js].reshape(-1, d)
-        lam = np.repeat(lams[js], width)[:, None]
-        if (modular.matmul(u, at, q) != lam * u % q).any():
-            raise ConsistencyError("class matrix not diagonalisable over F_q")
-    return images
-
-
-def _split_spaces(spaces, matrix, q):
-    """Refine a list of (rows, pivots, start) common eigenspaces under one
-    matrix.
-
-    ``start`` holds the coordinates of a nonzero multiple of the identity
-    class's projection onto the space, so the spectral images of its
-    minimal polynomial are every eigenspace (see the module docstring);
-    piece j starts at p_j(A) start.  A space on which the matrix restricted
-    to it, built from its pivot rows only, is scalar is kept as it is.
-    Pieces come out in ascending order of their eigenvalue, each in reduced
-    row echelon form; when every piece is one row, that form is the row
-    scaled to a leading 1, done for all of them in one step.
-    """
-    out = []
-    for rows, pivots, start in spaces:
-        d = rows.shape[0]
-        if d == 1:
-            out.append((rows, pivots, start))
-            continue
-        restricted = modular.matmul(matrix[list(pivots)] % q, rows.T, q)
-        if _is_scalar(restricted):
-            out.append((rows, pivots, start))
-            continue
-        mu = _minimal_polynomial(restricted, start, q)
-        images = _spectral_images(restricted, mu, _roots_mod(mu, q), start, q)
-        if len(images) == d:
-            starts = images[:, 0]
-            reds = _leading_ones(starts, q)
-        else:
-            starts = start @ images % q  # p_j(A) start, sums below d * q**2
-            reds = [modular.rref(u, q) for u in images]
-        # rref(P) @ rows is already the reduced row echelon form of
-        # P @ rows, with pivot columns pivots[c] for the pivots c of rref(P),
-        # since rows is reduced with the identity at its pivot columns.  For
-        # the same reason a vector's coordinates in a piece are its parent
-        # coordinates at the piece's pivots c.
-        full = modular.matmul(np.vstack([red for red, _ in reds]), rows, q)
-        lo = 0
-        for (red, cols), piece_start in zip(reds, starts):
-            out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols),
-                        piece_start[list(cols)]))
-            lo += len(red)
-    return out
-
-
-def _is_scalar(a: np.ndarray) -> bool:
-    """Whether the square matrix ``a`` is a multiple of the identity."""
-    diag = np.diagonal(a)
-    return bool((diag == diag[0]).all()
-                and np.count_nonzero(a) == np.count_nonzero(diag))
-
-
-def _leading_ones(rows: np.ndarray, q: int) -> list[tuple[np.ndarray, tuple[int]]]:
-    """``modular.rref`` of each nonzero row on its own: the row times the
-    inverse of its first nonzero entry, with that column as its pivot."""
-    lead = (rows != 0).argmax(axis=1)
-    inv = np.array([pow(int(c), -1, q) for c in rows[np.arange(len(rows)), lead]],
-                   dtype=np.int64)
-    scaled = rows * inv[:, None] % q
-    return [(scaled[i:i + 1], (int(c),)) for i, c in enumerate(lead)]
+    if (count != r).any():
+        raise ConsistencyError("a split matrix is not diagonalisable over F_q")
+    at, lam = np.concatenate(hits, axis=1)
+    return lam[np.argsort(at, kind="stable")].reshape(n, r)
 
 
 def _root_multiplicities(theta_pm: np.ndarray, zmat: np.ndarray, inv_e: int,
@@ -467,9 +462,9 @@ def character_table(g: Group, *,
 
     Abelian groups are built directly by cyclic extension
     (``_abelian_table``); every other group goes through the Dixon split.
-    ``split_order`` overrides the order in which class matrices are used to
-    refine the common eigenspaces (the resulting table is identical, as rows
-    are sorted canonically); an abelian table splits nothing and ignores it.
+    ``split_order`` replaces the split's matrices by the class matrices in
+    that order (the resulting table is identical, as rows are sorted
+    canonically); an abelian table splits nothing and ignores it.
     """
     if g.is_abelian():
         return _abelian_table(g)
@@ -501,21 +496,7 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     k = len(classes)
     e = g.exponent
     q = dixon_prime(g.order, e)
-    eye = np.eye(k, dtype=np.int64)
-    # the identity class e_0, the sum of the central idempotents
-    spaces = [(eye.copy(), tuple(range(k)), eye[0])]
-
-    order_list = list(split_order) if split_order is not None else list(range(1, k))
-    for i in order_list:
-        if not 0 <= i < k:
-            raise InputError(f"split order entry {i} is not a class index")
-        if all(rows.shape[0] == 1 for rows, *_ in spaces):
-            break
-        spaces = _split_spaces(spaces, class_matrix(g, classes, i), q)
-    if any(rows.shape[0] != 1 for rows, *_ in spaces):
-        raise ConsistencyError("class matrices failed to separate all characters")
-    if len(spaces) != k:
-        raise ConsistencyError("wrong number of one-dimensional eigenspaces")
+    omega = _split(_split_matrices(g, classes, q, split_order), k, q)
 
     inverse_class = _inverse_class(g, classes)
     inv_sizes = np.array([pow(len(m), -1, q) for m in classes.members], dtype=np.int64)
@@ -531,11 +512,6 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     # Row i of omega is the i-th central character, scaled to 1 on the
     # identity class.  Every product below is of two residues, below 2**47,
     # and the k x k arrays are updated in place.
-    omega = np.array([rows[0] for rows, *_ in spaces], dtype=np.int64)
-    if not omega[:, 0].all():
-        raise ConsistencyError("eigenvector vanishes on the identity class")
-    omega *= np.array([[pow(int(c), -1, q)] for c in omega[:, 0]], dtype=np.int64)
-    omega %= q
     dot = omega[:, list(inverse_class)]
     dot *= inv_sizes
     dot %= q
@@ -641,9 +617,13 @@ def _abelian_table(g: Group) -> CharacterTable:
     """The table of an abelian group by cyclic extension; no prime field,
     class matrix or nullspace is used.  ``field_prime`` is still the Dixon
     prime, so the report is the same and an order with no usable prime
-    still exits 3."""
-    classes = g.conjugacy_classes()
+    still exits 3.  It is refused before any allocation if its k * k *
+    phi(e) int64 coefficients outweigh a Cayley table at ``ORDER_CAP``."""
     e = g.exponent
+    if (size := g.order ** 2 * euler_phi(e) * 8) > 2 * ORDER_CAP ** 2:
+        raise ResourceError(f"an abelian table of order {g.order} needs {size // 10 ** 6} "
+                            f"MB of coefficients, above {2 * ORDER_CAP ** 2 // 10 ** 6} MB")
+    classes = g.conjugacy_classes()
     q = dixon_prime(g.order, e)
     f = _abelian_exponents(g)
     _check_abelian(g, f)

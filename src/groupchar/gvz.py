@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Callable
@@ -37,7 +37,7 @@ from .constructions import predicted_centres
 from .cyclotomic import euler_phi
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      TheoremViolation)
-from .groups import (QuotientMap, Subgroup, commutator_subgroup, coset,
+from .groups import (Group, QuotientMap, Subgroup, commutator_subgroup, coset,
                      is_normal, nilpotency_class, quotient)
 from .modular import prime_factors
 
@@ -117,6 +117,12 @@ class _Ctx:
     table comes from its own Dixon split, never from the deflations of
     Irr(G): otherwise the bijections that ``lemmas`` and ``thm1.1`` check
     between Irr(G/N) and characters of G would hold by construction.
+
+    Quotients and centres reuse the table of an earlier quotient with an
+    equal Cayley table (``nested_table``, keyed by order and a digest of the
+    squares): the Dixon table of that exact multiplication table, never a
+    deflation of Irr(G), so the rule above holds.  The tables live in the
+    context, so every ``verify_all`` builds its own.
     """
 
     def __init__(self, table: CharacterTable):
@@ -161,11 +167,25 @@ class _Ctx:
         if qm.target is self.g:
             return self.table
         return self._once(("quotient_table", qm.kernel),
-                          lambda: character_table(qm.target))
+                          lambda: self.nested_table(qm.target, keep=True))
 
     def subgroup_table(self, sub: Subgroup) -> CharacterTable:
-        # not memoised: irr_star asks once per distinct centre
-        return character_table(sub.as_group())
+        # not kept: asked once per centre, which can take hundreds of MB
+        return self.nested_table(sub.as_group(), keep=False)
+
+    def nested_table(self, h: Group, keep: bool) -> CharacterTable:
+        """The table of ``h``: a kept one with an equal Cayley table, its rows
+        as new characters of ``h``, or else a fresh one, kept if ``keep``."""
+        squares = hash(h.table.diagonal().tobytes())
+        built = self._memo.setdefault(("nested_table", h.order, squares), [])
+        for t in built:
+            if np.array_equal(t.group.table, h.table):
+                return replace(t, group=h, classes=h.conjugacy_classes(), irreducibles=tuple(
+                    replace(ch, group=h) for ch in t.irreducibles))
+        t = character_table(h)
+        if keep:
+            built.append(t)
+        return t
 
     def lifted_rows(self, qm: QuotientMap) -> frozenset:
         """Rows of the table holding the lifts of Irr(G/N); a lift that

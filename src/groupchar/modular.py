@@ -9,9 +9,9 @@ every exact integer product of the package, here and in ``chartable``.
 
 Everything here is deterministic: pivots are chosen as the first nonzero
 entry scanning down, and nullspace bases come out in the standard reduced
-form (one vector per free column, ascending).  The eigenspace split of
-``chartable`` needs no nullspace; ``nullspace`` and ``rank`` stay as the
-plain routes against which the tests check that split.
+form (one vector per free column, ascending).  The split of ``chartable``
+uses none of ``rref``, ``nullspace`` and ``rank``: they stay as the plain
+routes the tests check it against.
 """
 
 from __future__ import annotations

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from groupchar import (ConsistencyError, Group, character_table, cyclic,
-                       direct_product, elementary_abelian, gvz, verify_all)
-from groupchar import chartable, modular
+from groupchar import (ConsistencyError, Group, ResourceError, character_table,
+                       cyclic, direct_product, elementary_abelian, gvz, verify_all)
+from groupchar import chartable, cli, modular
 from groupchar.cyclotomic import _zeta_powers
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,12 +68,23 @@ def test_abelian_route_uses_no_split(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the abelian route ran the Dixon split")
 
-    for name in ("class_matrix", "_split_spaces", "_root_multiplicities"):
+    for name in ("class_matrix", "_combination", "_split", "_root_multiplicities"):
         monkeypatch.setattr(chartable, name, refuse)
     monkeypatch.setattr(modular, "nullspace", refuse)
     monkeypatch.setattr(modular, "rref", refuse)
     t = character_table(_products(4, 6, 10))
     assert len(t) == 240 and t.field_prime == chartable.dixon_prime(240, 60)
+
+
+def test_table_over_the_coefficient_limit_exits_3_at_once(capsys):
+    # cyclic(997) would hold 997 * 997 * 996 int64 coefficients, 7.9 GB
+    start = time.perf_counter()
+    code = cli.main(["table", "--group", '{"type":"cyclic","n":997}', "--format", "json"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == "" and "7920 MB" in out.err
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ResourceError):  # 999 * 999 * 648 coefficients, 5.2 GB
+        character_table(direct_product(cyclic(27), cyclic(37)))
 
 
 def test_nested_abelian_tables_match_dixon(zoo, tables, monkeypatch):

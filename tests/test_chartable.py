@@ -8,6 +8,8 @@ position.
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from groupchar import (
     Character,
+    ConsistencyError,
     Cyclotomic,
     InputError,
     char_center,
@@ -31,7 +34,7 @@ from groupchar import (
     restrict,
     root_of_unity,
 )
-from groupchar import chartable
+from groupchar import chartable, cli
 from groupchar.groups import Subgroup
 
 
@@ -250,7 +253,7 @@ def test_restriction_of_s3_twodim_to_a3(tables):
 
 def test_restricted_and_induced_irreducibility_is_paired_on_first_read(
         tables, monkeypatch):
-    from groupchar import chartable
+    from groupchar import chartable, cli
 
     pairs = []
     real = chartable.inner_product
@@ -342,21 +345,117 @@ def test_table_is_independent_of_splitting_strategy(tables):
         assert [base.row_of(ch) for ch in v.irreducibles] == list(range(len(base)))
 
 
+S6 = {"type": "perm", "points": 6, "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]}
+
+
+def _equal_coefficients(monkeypatch):
+    """All-equal coefficients: each combination is the sum of all class sums,
+    which acts as |G| on the trivial character and as 0 on the others."""
+    monkeypatch.setattr(chartable, "_coefficients", lambda k, q: np.ones(
+        (chartable.COMBINATIONS, k), dtype=np.int64))
+
+
+def _spy_rounds(monkeypatch, events):
+    """Record each split matrix as it is built and each round's piece count."""
+    for name in ("_combination", "class_matrix"):
+        original = getattr(chartable, name)
+
+        def build(g, classes, arg, *rest, _original=original, _name=name):
+            events.append((_name, arg if _name == "class_matrix" else None))
+            return _original(g, classes, arg, *rest)
+
+        monkeypatch.setattr(chartable, name, build)
+    split_round = chartable._split_round
+
+    def round_spy(pieces, c, q):
+        out = split_round(pieces, c, q)
+        events.append(("round", len(out)))
+        return out
+
+    monkeypatch.setattr(chartable, "_split_round", round_spy)
+
+
 def test_dixon_table_builds_each_class_matrix_at_most_once(zoo, monkeypatch):
-    built = []
-    original = chartable.class_matrix
+    # Each split matrix is built once, right before its round, and none
+    # after the round that reaches k pieces; with equal coefficients the
+    # class-matrix tail runs too, each M_i at most once.
+    events = []
+    _spy_rounds(monkeypatch, events)
+    for g, equal in itertools.product((from_spec(S6), zoo["gn32"]), (False, True)):
+        events.clear()
+        with monkeypatch.context() as patch:
+            if equal:
+                _equal_coefficients(patch)
+            chartable._dixon_table(g, None)
+        k = len(g.conjugacy_classes())
+        builds, rounds = events[0::2], events[1::2]
+        assert len(builds) == len(rounds) and all(kind != "round" for kind, _ in builds)
+        assert all(kind == "round" for kind, _ in rounds)
+        assert [n for _, n in rounds].index(k) == len(rounds) - 1, g.name
+        tail = [i for kind, i in builds if kind == "class_matrix"]
+        assert len(tail) == len(set(tail)) and bool(tail) == equal, g.name
 
-    def spy(g, classes, i):
-        built.append(i)
-        return original(g, classes, i)
 
-    monkeypatch.setattr(chartable, "class_matrix", spy)
-    s6 = from_spec({"type": "perm", "points": 6,
-                    "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]})
-    for g in (s6, zoo["gn32"]):
-        built.clear()
-        chartable._dixon_table(g, None)
-        assert built and len(built) == len(set(built)), g.name
+def test_forced_collision_runs_the_later_rounds(zoo, monkeypatch):
+    # Equal coefficients split off the trivial character alone in every
+    # combination round; the class matrices then finish the same table.
+    groups = [from_spec(S6), zoo["gn32"], zoo["heis3xc3"]]
+    want = [character_table(g) for g in groups]
+    _equal_coefficients(monkeypatch)
+    events = []
+    _spy_rounds(monkeypatch, events)
+    for g, base in zip(groups, want):
+        events.clear()
+        got = character_table(g)
+        counts = [n for kind, n in events if kind == "round"]
+        assert counts[:chartable.COMBINATIONS] == [2] * chartable.COMBINATIONS
+        assert counts[-1] == len(base) and len(counts) > chartable.COMBINATIONS
+        assert ([(c.degree, c.coeffs.tolist()) for c in got.irreducibles]
+                == [(c.degree, c.coeffs.tolist()) for c in base.irreducibles])
+
+
+def test_combination_is_the_weighted_sum_of_class_matrices(zoo):
+    rng = np.random.default_rng(3)
+    for name in ("s3", "q8", "heis3", "gn32", "c3wrc3"):
+        g = zoo[name]
+        classes = g.conjugacy_classes()
+        k = len(classes)
+        q = dixon_prime(g.order, g.exponent)
+        for coeffs in [*np.eye(k, dtype=np.int64), rng.integers(0, q, k)]:
+            want = sum(int(c) * chartable.class_matrix(g, classes, i)
+                       for i, c in enumerate(coeffs)) % q
+            assert (chartable._combination(g, classes, coeffs, q) == want).all(), name
+
+
+def test_split_that_runs_out_is_an_internal_error(zoo, monkeypatch, capsys):
+    g = zoo["gn32"]
+    k = len(g.conjugacy_classes())
+    with pytest.raises(ConsistencyError, match="failed to separate"):
+        character_table(g, split_order=[])
+    spec = '{"type": "gn", "p": 3, "n": 2}'
+    # no matrices at all; then a matrix with e_0 cyclic and minimal
+    # polynomial (t - 2)^k, whose root search finds one root of k
+    jordan = 2 * np.eye(k, dtype=np.int64) + np.eye(k, k=-1, dtype=np.int64)
+    for matrices in ([], [jordan]):
+        monkeypatch.setattr(chartable, "_split_matrices",
+                            lambda *args, _m=matrices: iter(_m))
+        assert cli.main(["table", "--group", spec, "--format", "json"]) == 5
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.slow
+def test_split_memory_stays_bounded():
+    # The whole of character_table(gn(7,2)), after its group and classes,
+    # held to the 60 MiB its restricted-space split peaked at.
+    g = from_spec({"type": "gn", "p": 7, "n": 2})
+    g.conjugacy_classes()
+    tracemalloc.start()
+    try:
+        character_table(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2 ** 20, peak
 
 
 def test_dixon_prime_choice():

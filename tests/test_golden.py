@@ -41,6 +41,7 @@ GROUPS = {
     "gn(3,3)": {"type": "gn", "p": 3, "n": 3},
     "gn(23,1)": {"type": "gn", "p": 23, "n": 1},
     "gn(7,2)": {"type": "gn", "p": 7, "n": 2},
+    "gn(3,4)": {"type": "gn", "p": 3, "n": 4},
     "PSL(2,7)": {"type": "perm", "points": 7,
                  "generators": [[[1, 2, 3, 4, 5, 6, 7]], [[2, 3], [4, 7]]]},
     "S5": {"type": "perm", "points": 5,
@@ -111,9 +112,11 @@ DIGESTS = {
         "7a3fb56e71746fe9f25c71b0ea4182f38fe78f62219b599c3f475bf0e7b27eb6",
 }
 
-# Tables with 551 and 679 classes, run by ``pytest -m slow``: each peaks above
-# 500 MB, and took over half a minute before the spectral split.  The
-# ``verify all`` digest of gn(23,1) predates the whole-table verifier passes.
+# Tables with 551, 679 and 2,403 classes, run by ``pytest -m slow``: each
+# peaks above 500 MB (gn(3,4) at about 1.4 GB), and the first two took over
+# half a minute before the spectral split.  The ``verify all`` digest of
+# gn(23,1) predates the whole-table verifier passes, and the gn(3,4) table
+# digest the lockstep split.
 SLOW_DIGESTS = {
     ("gn(23,1)", "table"):
         "dcbc294b2dccca4b442a84fe8c5fe3085988d465f2420ed2bcf5330e3bb89f99",
@@ -121,6 +124,8 @@ SLOW_DIGESTS = {
         "261b47722486b9ab32abaffa7aa9aede9077b4bf1c76cdebb3b12e986cdcdcf0",
     ("gn(7,2)", "table"):
         "e6a3114aee0101a1a40fce1e9e04e7f0d493fbea7b8dacc0dc214f8ad52e4c81",
+    ("gn(3,4)", "table"):
+        "a33fc53203f35161d453bcf55d0b8881e932eb99ac25622b01673bd3e906e686",
 }
 
 VERBS = {"table": ("table",), "verify": ("verify", "all")}

@@ -28,6 +28,8 @@ from groupchar import chartable, modular
 from groupchar.cyclotomic import _zeta_powers, embedding, euler_phi
 from groupchar.modular import is_prime
 
+import old_split
+
 LIFT_SPECS = {
     "s3": {"type": "named", "name": "s3"},
     "heis3": {"type": "named", "name": "heis3"},
@@ -275,15 +277,26 @@ def test_irrational_pairing_is_refused(tables):
 # ---------------------------------------------------------------------------
 # eigenspace split
 
-def _as_lists(spaces):
-    """The eigenspaces as lists: rows and pivots, without the starts."""
-    return [(rows.tolist(), tuple(pivots)) for rows, pivots, *_ in spaces]
-
-
 def _whole(k):
     """The whole space of a k-class table, starting at the identity class."""
     eye = np.eye(k, dtype=np.int64)
     return [(eye, tuple(range(k)), eye[0])]
+
+
+def _scaled(rows, q):
+    """Each row scaled to 1 at its first nonzero entry, sorted, as lists."""
+    rows = np.asarray(rows, dtype=np.int64) % q
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    inv = np.array([pow(int(c), -1, q) for c in lead], dtype=np.int64)
+    return sorted((rows * inv[:, None] % q).tolist())
+
+
+def _split_rows(g, order=None):
+    """The central characters of ``g`` from the lockstep split, sorted."""
+    classes = g.conjugacy_classes()
+    q = chartable.dixon_prime(g.order, g.exponent)
+    matrices = chartable._split_matrices(g, classes, q, order)
+    return sorted(chartable._split(matrices, len(classes), q).tolist())
 
 
 SPLIT_SPECS = {**LIFT_SPECS,
@@ -293,26 +306,23 @@ SPLIT_SPECS = {**LIFT_SPECS,
 
 @pytest.mark.parametrize("name", list(SPLIT_SPECS))
 def test_split_matches_full_scan(name):
-    # Every class matrix refines the spaces in the order character_table
-    # uses them.  Each also splits the whole space, except that past 24
-    # classes only one class per element order does, to bound the scan.
+    # The full scan refines the whole space by M_1, M_2, ... until every
+    # space is one row.  Those rows, scaled to 1 on the identity class, are
+    # what the lockstep split gives from its combinations and from the
+    # class matrices in either order, and what the old route gives.
     g = from_spec(SPLIT_SPECS[name])
     classes = g.conjugacy_classes()
     k = len(classes)
     q = chartable.dixon_prime(g.order, g.exponent)
-    orders = g.element_orders()
-    per_order = {orders[r]: i for i, r in enumerate(classes.reps)}
-    whole = _whole(k)
-    refined = whole
+    spaces = _whole(k)
     for i in range(1, k):
-        m = chartable.class_matrix(g, classes, i)
-        if k <= 24 or per_order[orders[classes.reps[i]]] == i:
-            assert (_as_lists(chartable._split_spaces(whole, m, q))
-                    == _as_lists(_reference_split(whole, m, q)))
-        got = chartable._split_spaces(refined, m, q)
-        assert _as_lists(got) == _as_lists(_reference_split(refined, m, q))
-        refined = got
-    assert len(refined) == k
+        if all(len(rows) == 1 for rows, *_ in spaces):
+            break
+        spaces = _reference_split(spaces, chartable.class_matrix(g, classes, i), q)
+    want = _scaled([rows[0] for rows, _ in spaces], q)
+    assert len(want) == k and want == old_split.central_characters(g)
+    for order in (None, range(1, k), range(k - 1, 0, -1)):
+        assert _split_rows(g, order) == want, order
 
 
 def _count_nullspaces(monkeypatch):
@@ -341,15 +351,16 @@ MISSED = [([[2, 1], [0, 3]], [1, 0], [0, 1]),
 @pytest.mark.parametrize("a, missing, _", MISSED, ids=["eigenvector", "plane"])
 def test_split_refuses_a_start_that_misses_an_eigenvalue(a, missing, _,
                                                          monkeypatch):
+    # The missing starts are e_0, where the split starts: a round gives one
+    # piece per eigenvalue met, fewer than d, and the matrices run out.
     q = 7
     a = np.array(a, dtype=np.int64)
     d = len(a)
-    start = np.array(missing, dtype=np.int64)
-    assert len(chartable._minimal_polynomial(a, start, q)) - 1 < d
+    assert missing == np.eye(1, d, dtype=int)[0].tolist()
+    assert len(chartable._split_round(np.array([missing]), a, q)) < d
     calls = _count_nullspaces(monkeypatch)
     with pytest.raises(ConsistencyError):
-        chartable._split_spaces([(np.eye(d, dtype=np.int64), tuple(range(d)), start)],
-                                a, q)
+        chartable._split(iter([a]), d, q)
     assert calls == []
 
 
@@ -360,24 +371,27 @@ def test_split_from_a_start_on_every_eigenvector_is_the_full_scan(a, _, covering
     d = len(a)
     space = [(np.eye(d, dtype=np.int64), tuple(range(d)),
               np.array(covering, dtype=np.int64))]
-    got = chartable._split_spaces(space, a, q)
-    assert _as_lists(got) == _as_lists(_reference_split(space, a, q))
+    got = chartable._split_round(np.array([covering]), a, q)
     assert len(got) == d
+    assert _scaled(got, q) == _scaled([rows[0] for rows, _ in _reference_split(space, a, q)], q)
 
 
 def test_spectral_images_are_the_eigenspaces():
-    # Both choices of X: r = d with e_0 cyclic, and r < d with X = I, where
-    # each image has the dimension of its eigenspace.
+    # A round gives one piece per eigenvalue that the start meets, each an
+    # eigenvector: three where e_0 is cyclic, two where e_0 lies in the plane
+    # of the eigenvalue 2 plus the line of 3.
     q = 7
-    start = np.array([1, 0, 0], dtype=np.int64)
-    for a, dims in ((np.array([[1, 0, 0], [1, 2, 0], [0, 1, 4]]), [1, 1, 1]),
-                    (np.array([[2, 0, 0], [1, 3, 0], [0, 0, 2]]), [2, 1])):
-        mu = chartable._minimal_polynomial(a, start, q)
-        roots = chartable._roots_mod(mu, q)
-        images = chartable._spectral_images(a, mu, roots, start, q)
-        assert [modular.rank(u, q) for u in images] == dims
-        for lam, u in zip(roots, images):
-            assert not ((a @ u.T - lam * u.T) % q).any()
+    start = np.array([[1, 0, 0]])
+    for a, lams in ((np.array([[1, 0, 0], [1, 2, 0], [0, 1, 4]]), {1, 2, 4}),
+                    (np.array([[2, 0, 0], [1, 3, 0], [0, 0, 2]]), {2, 3})):
+        pieces = chartable._split_round(start, a, q)
+        seen = set()
+        for u in pieces:
+            lead = int(np.flatnonzero(u)[0])
+            lam = int(a[lead] @ u) * pow(int(u[lead]), -1, q) % q
+            assert not ((a @ u - lam * u) % q).any()
+            seen.add(lam)
+        assert seen == lams and len(pieces) == len(lams)
 
 
 @pytest.mark.parametrize("spec", [{"type": "gn", "p": 3, "n": 2},
@@ -392,8 +406,9 @@ def test_tables_of_the_benchmark_groups_need_no_nullspace(spec, monkeypatch):
 
 
 def test_split_refuses_a_matrix_that_is_not_diagonalisable():
-    # The first Jordan block has e_0 as an eigenvector; in its transpose
-    # e_0 is cyclic with minimal polynomial (x - 2)^2, a repeated root.
+    # The first Jordan block has e_0 as an eigenvector, so the split keeps
+    # one piece and runs out; in its transpose e_0 is cyclic with minimal
+    # polynomial (x - 2)^2, a repeated root, which the root search refuses.
     q = 7
     for a in ([[2, 1], [0, 2]], [[2, 0], [1, 2]]):
         a = np.array(a, dtype=np.int64)
@@ -401,7 +416,9 @@ def test_split_refuses_a_matrix_that_is_not_diagonalisable():
         with pytest.raises(ConsistencyError):
             _reference_split(space, a, q)
         with pytest.raises(ConsistencyError):
-            chartable._split_spaces(space, a, q)
+            chartable._split(iter([a]), 2, q)
+    with pytest.raises(ConsistencyError, match="diagonalisable"):
+        chartable._split_round(np.array([[1, 0]]), a, q)
 
 
 def _central_characters(t, q):
@@ -416,9 +433,11 @@ def _central_characters(t, q):
 
 
 def test_every_start_is_a_multiple_of_the_identity_projection(tables):
-    # Replays the split in both class orders.  On every space S the start
-    # must be a nonzero multiple of sum over chi in S of chi(1)^2 omega_chi,
-    # which is |G| times the projection of the identity class onto S.
+    # Replays the split by its default sequence and by the class matrices in
+    # both orders.  Written in the basis of the omega_chi, every piece must
+    # be a nonzero multiple of sum over chi in S of chi(1)^2 omega_chi, |G|
+    # times the projection of the identity class onto its set S, and the
+    # sets S of the pieces must partition Irr(G).
     inputs = dict(tables)
     inputs.update((name, character_table(from_spec(spec)))
                   for name, spec in SPLIT_SPECS.items())
@@ -431,24 +450,35 @@ def test_every_start_is_a_multiple_of_the_identity_projection(tables):
         k = len(classes)
         q = t.field_prime
         omega = _central_characters(t, q)
+        red, _ = modular.rref(np.hstack([omega, np.eye(k, dtype=np.int64)]), q)
+        assert (red[:, :k] == np.eye(k)).all()
         weights = np.array([chi.degree ** 2 % q for chi in t.irreducibles])
-        for order in (range(1, k), range(k - 1, 0, -1)):
-            spaces = _whole(k)
-            for i in [*order, None]:
-                for rows, pivots, start in spaces:
-                    inside = ((omega[:, list(pivots)] @ rows % q) == omega).all(axis=1)
-                    assert inside.sum() == len(rows), (name, i)
-                    want = weights[inside] @ omega[inside] % q
-                    got = start @ rows % q
-                    lead = int(np.flatnonzero(want)[0])
-                    scale = int(got[lead]) * pow(int(want[lead]), -1, q) % q
-                    assert scale and not ((scale * want - got) % q).any(), (name, i)
-                    checked += len(rows) > 1
-                if i is None or all(len(rows) == 1 for rows, *_ in spaces):
+        for order in (None, range(1, k), range(k - 1, 0, -1)):
+            matrices = chartable._split_matrices(g, classes, q, order)
+            pieces = np.eye(1, k, dtype=np.int64)
+            while True:
+                coords = pieces @ red[:, k:] % q  # along the omega_chi
+                support = coords != 0
+                assert (support.sum(axis=0) == 1).all(), (name, order)
+                for c, s in zip(coords, support):
+                    scale = int(c[s][0]) * pow(int(weights[s][0]), -1, q) % q
+                    assert not ((c[s] - scale * weights[s]) % q).any(), (name, order)
+                checked += int((support.sum(axis=1) > 1).sum())
+                if len(pieces) == k:
                     break
-                spaces = chartable._split_spaces(
-                    spaces, chartable.class_matrix(g, classes, i), q)
+                pieces = chartable._split_round(pieces, next(matrices), q)
     assert checked > 100
+
+
+def _minimal_polynomials(a, xs, q):
+    """The minimal polynomial of each row of ``xs`` under ``a``, from one
+    lockstep Krylov pass over all of them, as lists in row order."""
+    ct = (a.T % q).astype(modular.carrier(len(a) * (q - 1) ** 2))
+    out = [None] * len(xs)
+    for rows, mu, _ in chartable._krylov(np.asarray(xs) % q, ct, q):
+        for i, poly in zip(rows, mu.astype(np.int64).tolist()):
+            out[i] = poly
+    return out
 
 
 def test_minimal_polynomial_annihilates_its_vector():
@@ -456,18 +486,18 @@ def test_minimal_polynomial_annihilates_its_vector():
     q = 61
     for d in (1, 2, 5, 9):
         for rank in range(d + 1):
-            # a d x d matrix of the given rank, and a vector in its image
+            # a d x d matrix of the given rank, and vectors in its image
             a = rng.integers(0, q, (d, rank)) @ rng.integers(0, q, (rank, d)) % q
-            x = rng.integers(0, q, d)
-            poly = chartable._minimal_polynomial(a, x, q)
-            assert poly[-1] == 1
-            krylov = [x % q]
-            for _ in range(len(poly) - 1):
-                krylov.append(a @ krylov[-1] % q)
-            acc = sum(c * v for c, v in zip(poly, krylov)) % q
-            assert not acc.any()
-            # the lower powers are independent, so no smaller degree works
-            assert modular.rank(np.array(krylov[:-1]).reshape(-1, d), q) == len(poly) - 1
+            xs = rng.integers(0, q, (4, d))
+            for x, poly in zip(xs, _minimal_polynomials(a, xs, q)):
+                assert poly[-1] == 1
+                krylov = [x % q]
+                for _ in range(len(poly) - 1):
+                    krylov.append(a @ krylov[-1] % q)
+                acc = sum(c * v for c, v in zip(poly, krylov)) % q
+                assert not acc.any()
+                # the lower powers are independent, so no smaller degree works
+                assert modular.rank(np.array(krylov[:-1]).reshape(-1, d), q) == len(poly) - 1
 
 
 def _poly_from_roots(roots, q):
@@ -480,8 +510,15 @@ def _poly_from_roots(roots, q):
 def test_roots_mod_finds_every_root():
     q = 10007
     for roots in ([0, 3, 4095, 4096, 9000, q - 1], [1, 5000], [q - 1]):
-        assert chartable._roots_mod(_poly_from_roots(roots, q), q) == roots
-    assert chartable._roots_mod([1, 0, 1], 7) == []  # x^2 + 1 has no root mod 7
+        assert chartable._roots(np.array([_poly_from_roots(roots, q)]), q).tolist() == [roots]
+    # several polynomials of one degree in one pass, in either carrier
+    batch = [[1, 2, 3], [5, 9000, q - 1], [0, 4096, 8000]]
+    polys = np.array([_poly_from_roots(roots, q) for roots in batch])
+    for dtype in (np.int64, np.float64):
+        assert chartable._roots(polys.astype(dtype), q).tolist() == batch
+    for poly in ([1, 0, 1], _poly_from_roots([2, 2], 7)):  # no root; a double root
+        with pytest.raises(ConsistencyError):
+            chartable._roots(np.array([poly]), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -764,15 +801,16 @@ def _reference_minimal_polynomial(a, x, q):
 
 
 def test_minimal_polynomial_matches_the_vstack_loop_on_random_matrices():
+    # d = 100 at q near 1e7 passes 2**53 and runs in int64
     rng = np.random.default_rng(11)
     for q in (7, 61, 10007, 9_999_991):
         assert is_prime(q)
-        for d in (1, 2, 3, 6, 13, 24):
+        for d in (1, 2, 3, 6, 13, 24) + ((100,) if q > 10 ** 6 else ()):
             for rank in {0, 1, d // 2, d}:
                 a = rng.integers(0, q, (d, rank)) @ rng.integers(0, q, (rank, d)) % q
-                for x in (np.eye(d, dtype=np.int64)[0], rng.integers(0, q, d)):
-                    assert (chartable._minimal_polynomial(a, x, q)
-                            == _reference_minimal_polynomial(a, x, q)), (q, d, rank)
+                xs = np.vstack([np.eye(1, d, dtype=np.int64), rng.integers(0, q, (3, d))])
+                assert (_minimal_polynomials(a, xs, q)
+                        == [_reference_minimal_polynomial(a, x, q) for x in xs]), (q, d, rank)
 
 
 def test_minimal_polynomial_matches_the_vstack_loop_on_class_matrices(zoo):
@@ -782,11 +820,10 @@ def test_minimal_polynomial_matches_the_vstack_loop_on_class_matrices(zoo):
         classes = g.conjugacy_classes()
         k = len(classes)
         q = chartable.dixon_prime(g.order, g.exponent)
-        start = np.eye(k, dtype=np.int64)[0]
+        xs = np.vstack([np.eye(1, k, dtype=np.int64), rng.integers(0, q, (2, k))])
         for i in range(k):
             a = chartable.class_matrix(g, classes, i) % q
-            for x in (start, rng.integers(0, q, k)):
-                assert (chartable._minimal_polynomial(a, x, q)
-                        == _reference_minimal_polynomial(a, x, q)), (name, i)
-                count += 1
+            assert (_minimal_polynomials(a, xs, q)
+                    == [_reference_minimal_polynomial(a, x, q) for x in xs]), (name, i)
+            count += len(xs)
     assert count > 300

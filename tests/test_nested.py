@@ -4,7 +4,8 @@
 second table of it is built.  The comparison that the copy used to make at
 run time is kept here: the table of the copy, lifted back, must give every
 row of the table exactly once, so the table does not depend on how the
-elements are labelled.  Quotients by N != 1 keep tables of their own, and a
+elements are labelled.  Quotients by N != 1 keep tables of their own, shared
+only between quotients and centres with equal Cayley tables, and a
 quotient's name is only built when something reads it.
 """
 
@@ -186,6 +187,54 @@ def _peak_kib(*argv: str) -> int:
     code, kib = map(int, out.split())
     assert code == 0, argv
     return kib
+
+
+def _count_tables(monkeypatch):
+    """Patch the ``character_table`` that ``verify`` calls to count calls."""
+    calls = []
+    original = gvz.character_table
+
+    def spy(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(gvz, "character_table", spy)
+    return calls
+
+
+def test_reused_nested_tables_equal_fresh_ones(wider, monkeypatch):
+    # A table reused for another quotient or centre is rebound onto the
+    # asking group and equals that group's own table row for row.
+    seen = []
+    nested_table = gvz._Ctx.nested_table
+
+    def spy(self, h, keep):
+        t = nested_table(self, h, keep)
+        seen.append((h, t))
+        return t
+
+    monkeypatch.setattr(gvz._Ctx, "nested_table", spy)
+    calls = _count_tables(monkeypatch)
+    for name in ("gn32", "gn(7,1)", "heis3xc3"):
+        seen.clear()
+        calls.clear()
+        verify_all(wider[name][1])
+        assert len(calls) < len(seen), name  # some tables were reused
+        for h, t in seen:
+            fresh = character_table(h)
+            assert t.group is h and all(ch.group is h for ch in t.irreducibles)
+            assert ([(ch.degree, ch.coeffs.tolist()) for ch in t.irreducibles]
+                    == [(ch.degree, ch.coeffs.tolist()) for ch in fresh.irreducibles])
+            assert t.field_prime == fresh.field_prime and t.classes == fresh.classes
+
+
+def test_each_verify_all_builds_its_own_nested_tables(wider, monkeypatch):
+    calls = _count_tables(monkeypatch)
+    t = wider["gn32"][1]
+    verify_all(t)
+    first = len(calls)
+    verify_all(t)
+    assert first > 0 and len(calls) == 2 * first
 
 
 @pytest.mark.slow

@@ -2,10 +2,10 @@
 
 ``thm1.1`` induces and decomposes all of Irr*(Z) in one product per centre,
 ``lemmas`` takes every norm from one weighted Gram pass and every lift of a
-quotient table from one class-index gather, and the eigenspace split keeps
-a space on which the class matrix is scalar and normalises one-row pieces
-all at once.  Each must give exactly what the route it replaced gives, on
-every centre or table of the zoo, gn(3,2), gn(7,1) and gn(3,3).
+quotient table from one class-index gather, and the eigenspace split runs
+the Krylov sequences of all its pieces in lockstep.  Each must give exactly
+what the route it replaced gives, on every centre or table of the zoo,
+gn(3,2), gn(7,1) and gn(3,3).
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 from groupchar import (Cyclotomic, character_table, char_center, decompose,
-                       gn, induce, inner_product, lift, quotient, restrict,
-                       verify_identity_suite)
+                       from_spec, gn, induce, inner_product, lift, quotient,
+                       restrict, verify_identity_suite)
 from groupchar import chartable, gvz, modular
 from groupchar.groups import Subgroup
+
+import old_split
 
 
 @pytest.fixture(scope="module")
@@ -201,120 +203,60 @@ def test_maps_onto_centre_matches_the_set_image(wide):
 
 
 # ---------------------------------------------------------------------------
-# eigenspace split: no minimal polynomial on a scalar restriction, one step
-# for all one-row pieces
+# eigenspace split: the lockstep split against the old restricted-space route
 
-def _times_cofactor(a, mu, lam, x, q):
-    """p(a) x for p = mu / (t - lam), by synthetic division and Horner's
-    rule, one product with ``a`` per coefficient."""
-    coef = [1]
-    for c in reversed(mu[1:-1]):
-        coef.append((c + lam * coef[-1]) % q)
-    v = np.zeros_like(x)
-    for c in coef:
-        v = (a @ v + c * x) % q
-    return v
-
-
-def _rref_route_split(spaces, matrix, q):
-    """The split as it was before the two shortcuts: a minimal polynomial on
-    every space and one ``rref`` per piece.  Each piece starts at
-    p_j(A) start, taken by ``_times_cofactor``."""
-    out = []
-    for rows, pivots, start in spaces:
-        d = rows.shape[0]
-        if d == 1:
-            out.append((rows, pivots, start))
-            continue
-        restricted = modular.matmul(matrix[list(pivots)] % q, rows.T, q)
-        mu = chartable._minimal_polynomial(restricted, start, q)
-        roots = chartable._roots_mod(mu, q)
-        pieces = chartable._spectral_images(restricted, mu, roots, start, q)
-        if len(pieces) == 1:
-            out.append((rows, pivots, start))
-            continue
-        reds = [modular.rref(piece, q) for piece in pieces]
-        full = modular.matmul(np.vstack([red for red, _ in reds]), rows, q)
-        lo = 0
-        for lam, (red, cols) in zip(roots, reds):
-            piece_start = _times_cofactor(restricted, mu, lam, start, q)
-            out.append((full[lo:lo + len(red)], tuple(pivots[c] for c in cols),
-                        piece_start[list(cols)]))
-            lo += len(red)
-    return out
+OLD_ROUTE_SPECS = {
+    "PSL(2,7)": {"type": "perm", "points": 7,
+                 "generators": [[[1, 2, 3, 4, 5, 6, 7]], [[2, 3], [4, 7]]]},
+    "S5": {"type": "perm", "points": 5, "generators": [[[1, 2, 3, 4, 5]], [[1, 2]]]},
+    "s3 x s3 x q8": {"type": "product",
+                     "factors": [{"type": "named", "name": "s3"},
+                                 {"type": "named", "name": "s3"},
+                                 {"type": "named", "name": "q8"}]},
+    # C10 wr C2: a 10-cycle and the swap of two blocks of ten points
+    "perm20": {"type": "perm", "points": 20,
+               "generators": [[list(range(1, 11))], [[i, i + 10] for i in range(1, 11)]]},
+}
 
 
-def _as_lists(spaces):
-    return [(rows.tolist(), tuple(pivots), start.tolist())
-            for rows, pivots, start in spaces]
+def _lockstep(g, order):
+    classes = g.conjugacy_classes()
+    q = chartable.dixon_prime(g.order, g.exponent)
+    matrices = chartable._split_matrices(g, classes, q, order)
+    return sorted(chartable._split(matrices, len(classes), q).tolist())
 
 
-def test_split_matches_the_rref_route_through_every_table(wide, monkeypatch):
-    taken = {"scalar": 0, "one-row": 0}
-    is_scalar, leading_ones = chartable._is_scalar, chartable._leading_ones
-
-    def scalar_spy(a):
-        hit = is_scalar(a)
-        taken["scalar"] += hit
-        return hit
-
-    def rows_spy(rows, q):
-        taken["one-row"] += 1
-        return leading_ones(rows, q)
-
-    monkeypatch.setattr(chartable, "_is_scalar", scalar_spy)
-    monkeypatch.setattr(chartable, "_leading_ones", rows_spy)
-    for name, t in wide.items():
-        g = t.group
-        if g.is_abelian():
-            continue
-        classes = g.conjugacy_classes()
-        k = len(classes)
-        q = chartable.dixon_prime(g.order, g.exponent)
-        eye = np.eye(k, dtype=np.int64)
-        spaces = [(eye, tuple(range(k)), eye[0])]
-        for i in range(1, k):
-            if all(rows.shape[0] == 1 for rows, *_ in spaces):
-                break
-            m = chartable.class_matrix(g, classes, i)
-            got = chartable._split_spaces(spaces, m, q)
-            assert _as_lists(got) == _as_lists(_rref_route_split(spaces, m, q)), (name, i)
-            spaces = got
-        assert len(spaces) == k, name
-    assert taken["scalar"] > 20 and taken["one-row"] > 20
+def test_split_matches_the_rref_route_through_every_table(wide):
+    # Same central characters, scaled to 1 on the identity class, from the
+    # default sequence and from the class matrices in either order.
+    groups = {name: t.group for name, t in wide.items()}
+    groups.update((name, from_spec(spec)) for name, spec in OLD_ROUTE_SPECS.items())
+    for name, g in groups.items():
+        k = len(g.conjugacy_classes())
+        want = old_split.central_characters(g)
+        assert len(want) == k, name
+        for order in (None, range(1, k), range(k - 1, 0, -1)):
+            assert _lockstep(g, order) == want, (name, order)
 
 
 def test_scalar_restriction_keeps_the_space_without_a_polynomial(monkeypatch):
+    # Pieces on which the matrix acts as a scalar (eigenvectors of a diagonal
+    # matrix; any vector under a multiple of the identity) come back
+    # unchanged, with no root search.
     q = 7
-    rows = np.array([[1, 0, 3], [0, 1, 5]], dtype=np.int64)
-    space = [(rows, (0, 1), np.array([1, 0], dtype=np.int64))]
-    for c in (0, 4):
-        matrix = c * np.eye(3, dtype=np.int64)
-        want = _as_lists(_rref_route_split(space, matrix, q))
-        calls = []
-        monkeypatch.setattr(chartable, "_minimal_polynomial",
-                            lambda *args: calls.append(args))
-        assert _as_lists(chartable._split_spaces(space, matrix, q)) == want
-        assert calls == [] and want == _as_lists(space)
-        monkeypatch.undo()
-    assert not chartable._is_scalar(np.array([[4, 1], [0, 4]]))
-    assert not chartable._is_scalar(np.array([[4, 0], [0, 3]]))
-    assert chartable._is_scalar(np.zeros((2, 2), dtype=np.int64))
+    pieces = np.array([[1, 0, 3], [0, 2, 0], [0, 0, 5]], dtype=np.int64)
+    monkeypatch.setattr(chartable, "_roots", lambda *args: pytest.fail("root search"))
+    for matrix in (np.diag([4, 2, 4]), 3 * np.eye(3, dtype=np.int64)):
+        assert chartable._split_round(pieces, matrix, q).tolist() == pieces.tolist()
 
 
-def test_one_row_pieces_are_normalised_without_rref(monkeypatch):
-    # distinct eigenvalues 1, 2, 3, 4 and e_0 cyclic, so the spectral images
-    # give four one-row pieces
-    q = 11
-    a = np.array([[1, 0, 0, 0], [1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4]], dtype=np.int64)
-    eye = np.eye(4, dtype=np.int64)
-    mu = chartable._minimal_polynomial(a, eye[0], q)
-    images = chartable._spectral_images(a, mu, chartable._roots_mod(mu, q), eye[0], q)
-    assert len(images) == 4
-    assert any(u[0][u[0] != 0][0] != 1 for u in images)  # some need scaling
-    space = [(eye, (0, 1, 2, 3), eye[0])]
-    want = _as_lists(_rref_route_split(space, a, q))
+def test_one_row_pieces_are_normalised_without_rref(wide, monkeypatch):
+    # The split forms no row echelon form at all: every table builds with
+    # rref refused, and the rows come out scaled to 1 on the identity class.
     monkeypatch.setattr(modular, "rref", lambda *args: pytest.fail("rref called"))
-    got = chartable._split_spaces(space, a, q)
-    assert _as_lists(got) == want and len(got) == 4
-    assert all(rows[0, pivots[0]] == 1 for rows, pivots, _ in got)
+    for name in ("gn32", "gn(7,1)", "c3wrc3", "heis3xc3"):
+        g = wide[name].group
+        got = character_table(g)
+        assert [(ch.degree, ch.coeffs.tolist()) for ch in got.irreducibles] == [
+            (ch.degree, ch.coeffs.tolist()) for ch in wide[name].irreducibles]
+        assert all(row[0] == 1 for row in _lockstep(g, None))
