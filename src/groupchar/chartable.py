@@ -26,8 +26,8 @@ among the eigenvalues of a representing matrix:
 
 with z a fixed element of multiplicative order e in F_q.  Since q exceeds
 twice the square root of |G|, the m_k are determined by their residues and
-the recovered values are exact.  For one character this is a single
-integer matrix product over all classes at once,
+the recovered values are exact.  For a block of characters this is one
+integer matrix product over all their classes at once,
 
     M = theta[P] @ Z * e^-1  (mod q),   values = M @ W,
 
@@ -92,7 +92,7 @@ from . import modular
 from .cyclotomic import Cyclotomic, _zeta_powers, embedding, euler_phi
 from .errors import ConsistencyError, InputError, ResourceError
 from .groups import (ORDER_CAP, ConjugacyClasses, Group, QuotientMap, Subgroup,
-                     quotient, right_coset_minima)
+                     _row_keys, quotient, right_coset_minima)
 from .modular import is_prime, prime_factors
 
 PRIME_BOUND = 10_000_000
@@ -104,8 +104,10 @@ class Character:
     """A class function on a group with values in Q(zeta_conductor).
 
     ``coeffs[c]`` holds the power-basis coefficients of the value on class
-    ``c`` of ``group``, in a private read-only int64 array of shape
-    (classes, phi(conductor)); character values are algebraic integers.  For
+    ``c`` of ``group``, in a read-only int64 array of shape (classes,
+    phi(conductor)) that owns its data: a copy of the array given, unless
+    that is one already, as another character's is; character values are
+    algebraic integers.  For
     genuine characters the value on class 0 equals ``degree``.
     ``irreducible`` says whether the character is irreducible; ``None``
     leaves it to ``is_irreducible``, which then pairs the character with
@@ -126,8 +128,9 @@ class Character:
             arr.dtype == object and all(c == int(c) for c in arr.flat))
         if arr.shape != shape or not integral:
             raise InputError(f"character values need an integer array of shape {shape}")
-        arr = arr.astype(np.int64)
-        arr.flags.writeable = False
+        if arr.flags.writeable or arr.base is not None or arr.dtype != np.int64:
+            arr = arr.astype(np.int64)
+            arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     @cached_property
@@ -207,9 +210,13 @@ class CharacterTable:
                 rows.setdefault((ch.degree, _digest(ch.at(e2))), []).append(i)
             self._rows[e2] = rows
         keys = self._rows[e2]
-        return [next((i for i in keys.get((d, _digest(values)), ())
-                      if np.array_equal(self.irreducibles[i].at(e2), values)), None)
-                for d, values in zip(degrees, coeffs)]
+        cands = [keys.get((d, _digest(values)), ()) for d, values in zip(degrees, coeffs)]
+        # first rows under each key confirmed at once, the rest (collisions) one by one
+        firsts = [self.irreducibles[c[0] if c else 0].at(e2) for c in cands]
+        same = (np.array(firsts) == coeffs).all(axis=(1, 2)) if cands else []
+        return [c[0] if ok and c else next((i for i in c[1:] if np.array_equal(
+                    self.irreducibles[i].at(e2), values)), None)
+                for c, ok, values in zip(cands, same, coeffs)]
 
     def operand(self, e: int) -> tuple[np.ndarray, np.ndarray]:
         """The coefficients of every irreducible at conductor ``e`` (a
@@ -507,7 +514,6 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     exps = np.arange(e)
     zmat = zpow[np.outer(exps, -exps) % e]
     inv_e = pow(e, -1, q)
-    zeta_rows = np.array(_zeta_powers(e), dtype=np.int64)
 
     # Row i of omega is the i-th central character, scaled to 1 on the
     # identity class.  Every product below is of two residues, below 2**47,
@@ -531,16 +537,25 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     thetas *= inv_sizes
     thetas %= q
 
+    # The lift of a block of characters: one _root_multiplicities product,
+    # then the multiplicities times W in the carrier of max(degree) * max|W|,
+    # a bound on every partial sum as the multiplicities on a class sum to
+    # the degree.  Temporaries, carrier copies included, hold ~BLOCK // 8 entries.
+    w, w_max = _zeta_matrix(e)
+    w = w.astype(modular.carrier(int(degrees.max()) * w_max))
     chars = []
-    for degree, theta in zip(degrees.tolist(), thetas):
-        mults = _root_multiplicities(theta[pm_arr], zmat, inv_e, q)
-        if np.any(mults.sum(axis=1) != degree):
+    step = max(1, BLOCK // (8 * k * e))
+    for lo in range(0, k, step):
+        d = degrees[lo:lo + step]
+        mults = _root_multiplicities(thetas[lo:lo + step][:, pm_arr].reshape(-1, e),
+                                     zmat, inv_e, q).reshape(len(d), k, e)
+        if (mults.sum(axis=2) != d[:, None]).any():
             raise ConsistencyError("root-of-unity multiplicities do not sum "
                                    "to the degree")
-        coeffs = mults @ zeta_rows
-        if not _rational_rows(coeffs[:1], degree)[0]:
+        coeffs = (mults.astype(w.dtype) @ w).astype(np.int64)
+        if not _rational_rows(coeffs[:, 0], d).all():
             raise ConsistencyError("identity value differs from the degree")
-        chars.append(Character(g, degree, e, coeffs, True))
+        chars += [Character(g, degree, e, c, True) for degree, c in zip(d.tolist(), coeffs)]
     return _finish(g, classes, chars, q, inverse_class, pm)
 
 
@@ -627,9 +642,11 @@ def _abelian_table(g: Group) -> CharacterTable:
     q = dixon_prime(g.order, e)
     f = _abelian_exponents(g)
     _check_abelian(g, f)
-    zeta_rows = np.array(_zeta_powers(e), dtype=np.int64)
-    reps = list(classes.reps)
-    chars = [Character(g, 1, e, zeta_rows[row[reps]], True) for row in f]
+    w, _ = _zeta_matrix(e)
+    exps = f[:, classes.reps]  # the exponent of each character on each class
+    step = max(1, BLOCK // (exps.shape[1] * w.shape[1]))  # rows gathered at once
+    chars = [Character(g, 1, e, c, True) for lo in range(0, len(exps), step)
+             for c in w[exps[lo:lo + step]]]
     return _finish(g, classes, chars, q, _inverse_class(g, classes),
                    _power_map(g, classes, e))
 
@@ -637,9 +654,10 @@ def _abelian_table(g: Group) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # operations on characters
 
-def _rational_rows(coeffs: np.ndarray, r: int) -> np.ndarray:
-    """Mask of the rows of a coefficient array whose value is the rational r."""
-    return (coeffs[:, 0] == r) & ~coeffs[:, 1:].any(axis=1)
+def _rational_rows(coeffs: np.ndarray, r) -> np.ndarray:
+    """Mask of the values of a coefficient array, rows along its last axis,
+    that are the rational r (an integer, or integers that broadcast)."""
+    return (coeffs[..., 0] == r) & ~coeffs[..., 1:].any(axis=-1)
 
 
 def _abs_max(a: np.ndarray) -> int:
@@ -863,11 +881,18 @@ def kernel(chi: Character) -> Subgroup:
     return _classes_where(chi, _rational_rows(chi.coeffs, chi.degree))
 
 
-@lru_cache(maxsize=None)
-def _root_multiples(d: int, e: int) -> frozenset:
-    """Coefficient vectors of d*eps for each root of unity eps in Q(zeta_e)."""
-    return frozenset(tuple(s * d * c for c in row)
-                     for row in _zeta_powers(e) for s in (1, -1))
+def _root_cells(coeffs: np.ndarray, d, e: int) -> np.ndarray:
+    """Mask of the values of a coefficient array at conductor e, rows along
+    its last axis, that are d (integers that broadcast) times a root of
+    unity of Q(zeta_e), some +-zeta_e^j: those divisible by d whose quotient
+    is among the sorted bytes of the coefficient rows of those roots."""
+    w, _ = _zeta_matrix(e)
+    units = np.unique(_row_keys(np.concatenate([w, -w])))
+    d = np.asarray(d)[..., None]
+    hit = (coeffs % d == 0).all(axis=-1) & coeffs.any(axis=-1)
+    quotients = _row_keys((coeffs // d)[hit])  # only the nonzero multiples of d
+    hit[hit] = units[np.searchsorted(units, quotients).clip(max=len(units) - 1)] == quotients
+    return hit
 
 
 def char_center(chi: Character) -> Subgroup:
@@ -877,8 +902,24 @@ def char_center(chi: Character) -> Subgroup:
     (Isaacs, Lemma 2.27), and eps = chi(g)/chi(1) lies in Q(zeta_e), whose
     roots of unity are the +-zeta^j.  So the test is a lookup.
     """
-    roots = _root_multiples(chi.degree, chi.conductor)
-    return _classes_where(chi, [tuple(row) in roots for row in chi.coeffs.tolist()])
+    return _classes_where(chi, _root_cells(chi.coeffs, chi.degree, chi.conductor))
+
+
+def _class_masks(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The centre, kernel and support of every irreducible as masks over the
+    classes, each (len(table), classes), by the tests of ``char_center`` and
+    ``kernel`` in one pass over ``operand``, ``BLOCK`` entries at a time."""
+    e, k, classes = table.exponent, len(table), len(table.classes)
+    coeffs = table.operand(e)[0].reshape(classes, k, -1)
+    degrees = np.array([ch.degree for ch in table.irreducibles])
+    out = np.empty((3, k, classes), dtype=bool)
+    step = max(1, BLOCK // coeffs[:, 0].size)
+    for lo in range(0, k, step):
+        values = coeffs[:, lo:lo + step].transpose(1, 0, 2)  # [chi, class, coefficient]
+        d = degrees[lo:lo + step, None]
+        out[:, lo:lo + step] = (_root_cells(values, d, e), _rational_rows(values, d),
+                                values.any(axis=2))
+    return out[0], out[1], out[2].copy()  # the support outlives the others
 
 
 def degree_set(table: CharacterTable) -> tuple[int, ...]:

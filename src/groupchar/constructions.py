@@ -47,16 +47,22 @@ def elementary_abelian(p: int, k: int, *, cap: int = ORDER_CAP) -> Group:
         raise InputError("rank must be nonnegative")
     admit(p ** k, cap)
     gens = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-
-    def word(v):
-        parts = [f"g{i + 1}" + (f"^{c}" if c > 1 else "")
-                 for i, c in enumerate(v) if c]
-        return "*".join(parts) or "1"
-
+    names = [f"g{i + 1}" for i in range(k)]
     return build_group(f"C{p}^{k}", gens, lambda a, b: (a + b) % p,
-                       tuple(0 for _ in range(k)),
-                       gen_names=[f"g{i + 1}" for i in range(k)],
-                       cap=cap, word_fn=word)
+                       tuple(0 for _ in range(k)), gen_names=names, cap=cap,
+                       words_fn=lambda labels: power_words(labels, names))
+
+
+def power_words(labels: np.ndarray, names: list[str]) -> list[str]:
+    """The word of each row of exponents in ``labels``: the names of its
+    nonzero columns, in column order, each as ``x`` or ``x^c``, joined by
+    ``*``, or ``1`` for the zero row.  One object-array gather and
+    concatenation per column, not one Python call per element."""
+    words = np.full(len(labels), "", dtype=object)
+    for name, col in zip(names, labels.T):
+        parts = ["", f"*{name}"] + [f"*{name}^{c}" for c in range(2, int(col.max(initial=0)) + 1)]
+        words += np.array(parts, dtype=object)[col]
+    return [w[1:] or "1" for w in words.tolist()]
 
 
 def direct_product(a: Group, b: Group, *, cap: int = ORDER_CAP) -> Group:
@@ -121,20 +127,10 @@ def gn(p: int, n: int, *, cap: int = ORDER_CAP) -> Group:
     gen_labels = [alpha] + alphas + betas
     gen_names = ["a"] + [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
 
-    def word(u):
-        parts = []
-        for i in range(n):
-            if u[i]:
-                parts.append(f"a{i + 1}" + (f"^{u[i]}" if u[i] > 1 else ""))
-        if u[n]:
-            parts.append("a" + (f"^{u[n]}" if u[n] > 1 else ""))
-        for i in range(n):
-            if u[n + 1 + i]:
-                parts.append(f"b{i + 1}" + (f"^{u[n + 1 + i]}" if u[n + 1 + i] > 1 else ""))
-        return "*".join(parts) or "1"
-
-    g = build_group(f"gn({p},{n})", gen_labels, comp, zero,
-                    gen_names=gen_names, cap=cap, word_fn=word)
+    # a word lists a_1..a_n, a and b_1..b_n in label order
+    names = gen_names[1:n + 1] + gen_names[:1] + gen_names[n + 1:]
+    g = build_group(f"gn({p},{n})", gen_labels, comp, zero, gen_names=gen_names,
+                    cap=cap, words_fn=lambda labels: power_words(labels, names))
     if g.order != order:
         raise ConsistencyError("collected enumeration missed elements")
 

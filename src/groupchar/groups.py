@@ -22,6 +22,7 @@ their table in blocks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse, repeat
@@ -324,7 +325,7 @@ def build_group(name: str | Callable[[], str], gen_labels: Sequence[Label],
                 identity: Label, *,
                 gen_names: Sequence[str] | None = None,
                 cap: int = ORDER_CAP,
-                word_fn: Callable[[Label], str] | None = None,
+                words_fn: Callable[[np.ndarray], list[str]] | None = None,
                 meta: dict | None = None) -> Group:
     """Enumerate the closure of ``gen_labels`` under ``compose``.
 
@@ -338,7 +339,8 @@ def build_group(name: str | Callable[[], str], gen_labels: Sequence[Label],
     one by one.  Raises ResourceError once the closure exceeds
     ``min(cap, ORDER_CAP)`` elements, and InputError when a product of a
     generator on the left leaves the closure.  ``name`` may be a function,
-    as for ``Group``.
+    as for ``Group``.  ``words_fn`` maps the array of all labels, in order,
+    to their words; by default a word is its parent's times a generator.
     """
     gens = list(dict.fromkeys(gen_labels))
     k = len(gens)
@@ -379,7 +381,7 @@ def build_group(name: str | Callable[[], str], gen_labels: Sequence[Label],
 
     labels = rows.tolist()
     elements = labels if rows.ndim == 1 else list(map(tuple, labels))
-    words = (list(map(word_fn, elements)) if word_fn is not None
+    words = (words_fn(rows) if words_fn is not None
              else _bfs_words(parents, slots, gen_names))
     return Group(name, elements, words, _indices(index, garr).tolist(), table,
                  meta=meta)
@@ -464,7 +466,7 @@ def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]],
 class Subgroup:
     """A subgroup of a parent group, held as a sorted tuple of member indices."""
 
-    __slots__ = ("parent", "members", "_member_set", "_group", "_small_gens", "_hash")
+    __slots__ = ("parent", "members", "_group", "_small_gens", "_hash")
 
     def __init__(self, parent: Group, members: Iterable[int]):
         arr = (members if isinstance(members, np.ndarray)
@@ -478,7 +480,6 @@ class Subgroup:
             raise InputError("member index out of range")
         self.parent = parent
         self.members = mt
-        self._member_set = frozenset(mt)
         self._group = None
         self._small_gens = None
         self._hash = None
@@ -488,7 +489,8 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._member_set
+        at = bisect_left(self.members, x)
+        return at < self.order and self.members[at] == x
 
     def __eq__(self, other) -> bool:
         return other is self or (
@@ -504,7 +506,7 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name})"
 
     def contains_set(self, other: "Subgroup") -> bool:
-        return self._member_set.issuperset(other.members)
+        return set(self.members).issuperset(other.members)
 
     def small_generators(self) -> tuple[int, ...]:
         """A short generating list, chosen greedily over ascending indices."""
@@ -536,9 +538,8 @@ class Subgroup:
                 table = par.table
             else:
                 table = lookup[par.table[np.ix_(m, m)]]
-                escapes = np.argwhere(table == outside)
-                if escapes.size:
-                    a, b = m[escapes[0]]
+                if table.max(initial=0) == outside:  # some product escapes
+                    a, b = m[np.argwhere(table == outside)[0]]
                     raise InputError(
                         f"not closed under multiplication: "
                         f"{par.words[a]} * {par.words[b]} escapes")
@@ -702,6 +703,16 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
     The target is named ``G/<generators of N>`` on the first read of its name,
     so a quotient nobody names never looks for small generators of N.
     """
+    target, projection, section = _cosets(g, n)
+    return QuotientMap(g, n, target, _shared_ints(projection, target.order),
+                       tuple(section.tolist()))
+
+
+def _cosets(g: Group, n: Subgroup, via: tuple | None = None) -> tuple:
+    """(G/N, projection, section) as ``quotient`` builds them, the last two
+    as arrays.  With ``via``, this triple for G/M with M inside N, the
+    cosets of N are found in G/M: x N is the union of the M-cosets in the
+    coset of N/M through x M, so its least element is their least section."""
     witness = _normality_witness(g, n)
     if witness is not None:
         m, x, c = witness
@@ -710,7 +721,17 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
             f"{g.words[m]} by {g.words[x]} gives {g.words[c]}, "
             "which is outside the subgroup")
 
-    low = right_coset_minima(n)  # N is normal, so x N = N x
+    if via is None:
+        low = right_coset_minima(n)  # N is normal, so x N = N x
+    else:
+        over, proj, over_section = via
+        image = np.unique(proj[list(n.members)])
+        if image.size * g.order != n.order * over.order:  # then M is not inside N
+            raise InputError("the given quotient is not by a subgroup of N")
+        low = right_coset_minima(Subgroup(over, image))
+        least = np.full(over.order, g.order)
+        np.minimum.at(least, low, over_section)
+        low = least[low][proj]
     reps = np.flatnonzero(low == np.arange(g.order))
     coset = np.zeros(g.order, dtype=np.uint16)
     coset[reps] = np.arange(reps.size)
@@ -722,14 +743,13 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
         g.name, reps.size,
         lambda rows, cols: coset[g.table[reps[rows][:, None], reps[cols]]],
         list(gens))
-    section = reps[order].tolist()
-    target = Group(lambda: f"{g.name}/{n.describe()}", section,
+    section = reps[order]
+    target = Group(lambda: f"{g.name}/{n.describe()}", section.tolist(),
                    _bfs_words(parents, slots, list(gens.values())),
                    rank[list(gens)].tolist(), table)
     if target.order * n.order != g.order:
         raise ConsistencyError("coset count does not match the index")
-    return QuotientMap(g, n, target, _shared_ints(rank[coset], target.order),
-                       tuple(section))
+    return target, rank[coset], section
 
 
 def nilpotency_class(g: Group) -> int:

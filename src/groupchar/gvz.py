@@ -24,21 +24,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import attrgetter
+from functools import wraps
 from typing import Callable
 
 import numpy as np
 
-from .chartable import (BLOCK, Character, CharacterTable, char_center,
-                        character_table, decompose, decompose_batch, deflate,
-                        degree_set, induce, induce_batch, kernel, lift_batch,
-                        weighted_norms)
+from .chartable import (BLOCK, Character, CharacterTable, _class_masks,
+                        _rational_rows, character_table, decompose,
+                        decompose_batch, degree_set, induce, induce_batch,
+                        lift_batch, weighted_norms)
 from .constructions import predicted_centres
 from .cyclotomic import euler_phi
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      TheoremViolation)
-from .groups import (Group, QuotientMap, Subgroup, commutator_subgroup, coset,
-                     is_normal, nilpotency_class, quotient)
+from .groups import (Group, Subgroup, _cosets, commutator_subgroup,
+                     nilpotency_class, quotient)
 from .modular import prime_factors
 
 
@@ -78,8 +78,11 @@ class TheoremReport:
     def add(self, label, status, lhs=None, rhs=None, witness=None) -> None:
         self.checks.append(CheckRecord(label, status, lhs, rhs, witness))
 
-    def add_failures(self, label, bad: list, limit: int | None = None) -> None:
-        """A check that passes when ``bad`` lists no counterexample."""
+    def add_failures(self, label, bad, limit: int | None = None) -> None:
+        """A check that passes when ``bad`` lists no counterexample; a boolean
+        array lists the positions where it is set."""
+        if isinstance(bad, np.ndarray):
+            bad = np.flatnonzero(bad).tolist()
         self.add(label, "fail" if bad else "pass", lhs=len(bad),
                  witness=bad[:limit] or None)
 
@@ -92,225 +95,287 @@ class TheoremReport:
 # ---------------------------------------------------------------------------
 # shared computation context
 
+def _kept(method):
+    """A method of ``_Ctx`` run once per tuple of arguments, its result kept
+    in ``_memo`` under its name and those arguments."""
+    @wraps(method)
+    def kept(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return kept
+
+
 class _Ctx:
     """What the claim verifiers share on one table, each computed once.
 
-    One dict, ``_memo``, holds it all under keys tagged by kind: the centre
-    and kernel of each irreducible, [N,G], G/N with its table and lifted
-    rows, the nonlinear positions, the two-degree hypothesis, the classes
-    inside each centre, the vanishing flag of each irreducible, the image
-    test of a subgroup in G/N, the coset condition per centre and the
-    norms of all irreducibles.  Claims are checked in passes over whole
-    tables: the norms come from one weighted Gram pass, the lifts of
-    Irr(G/N) from one class-index gather, and ``thm1.1`` induces and
-    decomposes all of Irr*(Z) at once per centre.
-
-    Subgroups are interned by value: ``canonical`` returns the first equal
-    subgroup seen, so each centre, kernel and commutator is one object that
-    builds ``as_group()`` once.  Compare subgroups with ``==``, never
-    ``is``: one built elsewhere is equal to the interned one but is another
-    object.
+    Every subgroup the claims compare is normal, so a union of classes
+    (Isaacs, Lemmas 2.22 and 2.27), held exactly as a mask over the k
+    classes, as by GAP's ``ClassPositionsOfKernel``.  One blocked pass gives
+    the centre, kernel and support masks of all irreducibles
+    (``_class_masks``).  Each distinct mask is interned as an id, a row of
+    ``masks``: ``centre_ids`` and ``kernel_ids`` by position, 1, G, G', Z(G)
+    and each [Z(chi),G].  Every relation a claim checks is an array pass
+    over ids and positions, and ``_memo`` is keyed by ids.  A ``Subgroup``
+    is built at most once per id, where a group is needed: a quotient, a
+    centre induced from, a commutator, a ``describe()``.  The cross-checks
+    stay two computations: degree against vanishing, the two formulations
+    of the Camina condition, and the coset condition on elements.
 
     G/1 is G itself: the quotient by the trivial subgroup is the identity
-    map onto G, and its table is ``table``, so no relabelled copy of G and
-    its table is built.  Every G/N with N != 1 is a group of its own whose
-    table comes from its own Dixon split, never from the deflations of
-    Irr(G): otherwise the bijections that ``lemmas`` and ``thm1.1`` check
-    between Irr(G/N) and characters of G would hold by construction.
-
-    Quotients and centres reuse the table of an earlier quotient with an
-    equal Cayley table (``nested_table``, keyed by order and a digest of the
-    squares): the Dixon table of that exact multiplication table, never a
-    deflation of Irr(G), so the rule above holds.  The tables live in the
+    map onto G, and its table is ``table``.  Every G/N with N != 1 is a
+    group of its own whose table comes from its own Dixon split, never from
+    the deflations of Irr(G): otherwise the bijections that ``lemmas`` and
+    ``thm1.1`` check between Irr(G/N) and characters of G would hold by
+    construction.  A quotient reuses the table of an earlier one with an
+    equal Cayley table (``nested_table``): the Dixon table of that exact
+    multiplication table, so the rule holds.  The tables live in the
     context, so every ``verify_all`` builds its own.
     """
 
     def __init__(self, table: CharacterTable):
-        self.table = table
-        self.g = table.group
-        self.reps = np.array(table.classes.reps)
+        self.table, self.g = table, table.group
+        self.reps, self.class_of = np.array(table.classes.reps), table.classes.class_array
+        self.sizes = np.array(table.classes.sizes, dtype=np.int64)
+        self.degrees = np.array([ch.degree for ch in table.irreducibles])
+        self.nonlinear = np.flatnonzero(self.degrees > 1)
         self._memo: dict[tuple, object] = {}
+        self._ids: dict[bytes, int] = {}  # a mask's packed bytes -> its id
+        self._subgroups: dict[int, Subgroup] = {}
+        self.masks = np.zeros((0, len(self.sizes)), dtype=bool)  # row i: the mask of id i
+        self.orders = np.zeros(0, dtype=np.int64)  # entry i: the order of id i
+        centres, kernels, self.support = _class_masks(table)
+        self.centre_ids, self.kernel_ids = self.intern(centres), self.intern(kernels)
+        ends = np.zeros((2, len(self.sizes)), dtype=bool)
+        ends[0, 0] = ends[1] = True  # the trivial subgroup and G
+        self.trivial, self.whole = self.intern(ends).tolist()
+        self.derived, self.centre_of_g = self.ids_of([self.g.derived_subgroup(), self.g.center()])
 
-    def _once(self, key: tuple, make: Callable[[], object]):
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+    # -- ids and masks ----------------------------------------------------
 
-    def canonical(self, sub: Subgroup) -> Subgroup:
-        return self._once(("subgroup", sub), lambda: sub)
+    def intern(self, masks: np.ndarray) -> np.ndarray:
+        """The ids of the class masks in the rows of ``masks``; each distinct
+        mask gets one id, the first time it is seen."""
+        ids, new = [], []
+        for key, row in zip(map(bytes, np.packbits(masks, axis=1)), masks):
+            if key not in self._ids:
+                self._ids[key] = len(self._ids)
+                new.append(row)
+            ids.append(self._ids[key])
+        if new:
+            self.masks = np.concatenate([self.masks, new])
+            self.orders = self.masks @ self.sizes
+        return np.array(ids, dtype=np.intp)
 
-    def centre(self, pos: int) -> Subgroup:
-        return self._once(("centre", pos), lambda: self.canonical(
-            char_center(self.table.irreducibles[pos])))
+    def ids_of(self, subs: list[Subgroup]) -> list[int]:
+        """The ids of normal subgroups of G, the subgroups that are unions of
+        classes; each is kept as the subgroup of its id unless that id has
+        one."""
+        masks = np.zeros((len(subs), len(self.sizes)), dtype=bool)
+        for mask, sub in zip(masks, subs):
+            mask[self.class_of[np.array(sub.members)]] = True
+            if self.sizes[mask].sum() != sub.order:
+                raise InputError(f"{sub.describe()} is not normal in {self.g.name}")
+        ids = self.intern(masks).tolist()
+        for i, sub in zip(ids, subs):
+            self._subgroups.setdefault(i, sub)
+        return ids
 
-    def kernel_of(self, pos: int) -> Subgroup:
-        return self._once(("kernel", pos), lambda: self.canonical(
-            kernel(self.table.irreducibles[pos])))
+    def subgroup(self, i: int) -> Subgroup:
+        """The normal subgroup of id ``i``, built on the first call."""
+        if i not in self._subgroups:
+            self._subgroups[i] = Subgroup(self.g, np.flatnonzero(self.masks[i][self.class_of]))
+        return self._subgroups[i]
 
-    def derived(self) -> Subgroup:
-        return self.canonical(self.g.derived_subgroup())
+    def contains(self, a, b) -> np.ndarray:
+        """Whether N_a contains N_b, for ids or arrays of ids that broadcast."""
+        return ~(self.masks[b] & ~self.masks[a]).any(axis=-1)
 
-    def commutator_with_group(self, sub: Subgroup) -> Subgroup:
-        return self._once(("commutator", sub), lambda: self.canonical(
-            commutator_subgroup(sub, self.g.full_subgroup())))
+    @_kept
+    def commutators(self) -> np.ndarray:
+        """The id of [Z(chi), G] for every irreducible chi."""
+        centres, at = np.unique(self.centre_ids, return_inverse=True)
+        whole = self.subgroup(self.whole)
+        return np.array(self.ids_of([commutator_subgroup(self.subgroup(z), whole)
+                                     for z in centres.tolist()]))[at]
 
-    def quotient_by(self, sub: Subgroup) -> QuotientMap:
-        return self._once(("quotient", sub), lambda: self._quotient(sub))
+    def commutator(self, z: int) -> int:
+        """The id of [Z, G] for the id ``z`` of a centre Z(chi)."""
+        return int(self.commutators()[np.argmax(self.centre_ids == z)])
 
-    def _quotient(self, sub: Subgroup) -> QuotientMap:
-        if sub.order > 1:
-            return quotient(self.g, sub)
-        same = tuple(range(self.g.order))
-        return QuotientMap(self.g, sub, self.g, same, same)
+    def pairwise(self, fn: Callable[[int, int], object], a, b) -> np.ndarray:
+        """fn(a[i], b[i]) for every i, called once per distinct pair."""
+        n = len(self._ids)
+        pairs, inverse = np.unique(a * n + b, return_inverse=True)
+        return np.array([fn(*divmod(x, n)) for x, in pairs[:, None].tolist()])[inverse]
 
-    def quotient_table(self, qm: QuotientMap) -> CharacterTable:
-        if qm.target is self.g:
-            return self.table
-        return self._once(("quotient_table", qm.kernel),
-                          lambda: self.nested_table(qm.target, keep=True))
+    # -- quotients and nested tables --------------------------------------
 
-    def subgroup_table(self, sub: Subgroup) -> CharacterTable:
-        # not kept: asked once per centre, which can take hundreds of MB
-        return self.nested_table(sub.as_group(), keep=False)
+    def quotient(self, i: int) -> tuple[Group, np.ndarray, np.ndarray]:
+        """G/N for the id ``i`` of N, with its projection and section as
+        arrays (``groups._cosets``).  Kept for N = 1 and the [Z(chi),G], in
+        the largest of which inside N the cosets of any other N are found;
+        another is built again if asked again, while ``image`` keeps what
+        the claims read of it."""
+        comms = np.unique(self.commutators())
+        if i == self.trivial or i in comms:
+            return self._kept_quotient(i)
+        comms = comms[self.contains(i, comms) & (comms != self.trivial)]
+        via = self._kept_quotient(int(comms[self.orders[comms].argmax()])) if comms.size else None
+        return _cosets(self.g, self.subgroup(i), via)
 
-    def nested_table(self, h: Group, keep: bool) -> CharacterTable:
+    @_kept
+    def _kept_quotient(self, i: int) -> tuple[Group, np.ndarray, np.ndarray]:
+        if i != self.trivial:
+            return _cosets(self.g, self.subgroup(i))
+        same = np.arange(self.g.order)
+        return self.g, same, same
+
+    @_kept
+    def image(self, i: int) -> tuple[Group, np.ndarray]:
+        """G/N, N of id ``i``, and the class of G/N holding the image of each
+        class of G."""
+        target, projection, _ = self.quotient(i)
+        return target, target.conjugacy_classes().class_array[projection[self.reps]]
+
+    @_kept
+    def quotient_table(self, i: int) -> CharacterTable:
+        return self.table if i == self.trivial else self.nested_table(self.image(i)[0])
+
+    def nested_table(self, h: Group) -> CharacterTable:
         """The table of ``h``: a kept one with an equal Cayley table, its rows
-        as new characters of ``h``, or else a fresh one, kept if ``keep``."""
+        as new characters of ``h``, or else a fresh one, kept."""
         squares = hash(h.table.diagonal().tobytes())
-        built = self._memo.setdefault(("nested_table", h.order, squares), [])
+        built = self._memo.setdefault(("nested tables", h.order, squares), [])
         for t in built:
             if np.array_equal(t.group.table, h.table):
                 return replace(t, group=h, classes=h.conjugacy_classes(), irreducibles=tuple(
                     replace(ch, group=h) for ch in t.irreducibles))
         t = character_table(h)
-        if keep:
-            built.append(t)
+        built.append(t)
         return t
 
-    def lifted_rows(self, qm: QuotientMap) -> frozenset:
-        """Rows of the table holding the lifts of Irr(G/N); a lift that
-        matches no row adds None."""
-        return self._once(("lifted_rows", qm.kernel), lambda: self._lifted_rows(qm))
-
-    def _lifted_rows(self, qm: QuotientMap) -> frozenset:
-        chars = self.quotient_table(qm).irreducibles
-        e = self.g.exponent
+    @_kept
+    def lifted(self, i: int) -> np.ndarray:
+        """Which rows of the table are lifts of Irr(G/N), N of id ``i``, as a
+        mask with one more entry, set when a lift matches no row."""
+        chars, classes, e = self.quotient_table(i).irreducibles, self.image(i)[1], self.g.exponent
         step = max(1, BLOCK // (len(self.reps) * euler_phi(e)))
-        rows = []
+        hit = np.zeros(len(self.table) + 1, dtype=bool)
         for lo in range(0, len(chars), step):
-            block = chars[lo:lo + step]
-            rows += self.table.rows_of([ch.degree for ch in block],
-                                       lift_batch(block, qm), e)
-        return frozenset(rows)
+            block = chars[lo:lo + step]  # lifted as by ``lift_batch``
+            rows = self.table.rows_of([ch.degree for ch in block],
+                                      np.stack([ch.at(e) for ch in block])[:, classes], e)
+            hit[[len(self.table) if r is None else r for r in rows]] = True
+        return hit
 
-    def centre_classes(self, centre: Subgroup) -> tuple[np.ndarray, np.ndarray]:
-        """Which classes of G lie inside ``centre``, a normal subgroup, and
-        the class of ``centre.as_group()`` holding each of them."""
-        return self._once(("centre_classes", centre), lambda: self._centre_classes(centre))
+    def deflated(self, positions: list[int], i: int) -> set:
+        """The rows of the table of G/N, N of id ``i``, holding the deflations
+        of the irreducibles at ``positions``; None stands for one whose kernel
+        misses N or whose deflation matches no row."""
+        qtable, e = self.quotient_table(i), self.table.exponent
+        pos = np.array(positions, dtype=np.intp)
+        over = self.contains(self.kernel_ids[pos], i)
+        coeffs = self.table.operand(e)[0].reshape(len(self.reps), len(self.table), -1)
+        sections = self.class_of[self.quotient(i)[2][list(qtable.classes.reps)]]
+        rows = qtable.rows_of(self.degrees[pos[over]].tolist(),
+                              coeffs[np.ix_(sections, pos[over])].transpose(1, 0, 2), e)
+        return set(rows) | ({None} if not over.all() else set())
 
-    def _centre_classes(self, centre: Subgroup) -> tuple[np.ndarray, np.ndarray]:
-        inside = np.isin(self.reps, centre.members)
+    # -- the claims' shared facts -----------------------------------------
+
+    @_kept
+    def centre_classes(self, z: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which classes of G lie inside the normal subgroup Z of id ``z``,
+        and the class of ``Z.as_group()`` holding each of them."""
+        inside, centre = self.masks[z], self.subgroup(z)
         z_classes = centre.as_group().conjugacy_classes().class_array[
             np.searchsorted(centre.members, self.reps[inside])]
         return inside, z_classes
 
+    @_kept
     def norms(self) -> tuple[np.ndarray, np.ndarray]:
         """|Z(chi)| [chi_Z, chi_Z] on Z = Z(chi), and |G| [chi, chi], for
         every irreducible chi, from one weighted Gram pass over the table."""
-        return self._once(("norms",), self._norms)
-
-    def _norms(self) -> tuple[np.ndarray, np.ndarray]:
-        sizes = np.array(self.table.classes.sizes, dtype=np.int64)
         k, e = len(self.table), self.table.exponent
-        weights = np.zeros((k, 2, len(sizes)), dtype=np.int64)
-        weights[:, 1] = sizes
-        for pos in range(k):
-            weights[pos, 0] = sizes * self.centre_classes(self.centre(pos))[0]
-        coeffs = self.table.operand(e)[0].reshape(len(sizes), k, -1)
-        totals = weighted_norms(coeffs, weights, e)
+        weights = np.stack([self.masks[self.centre_ids] * self.sizes,
+                            np.tile(self.sizes, (k, 1))], axis=1)
+        totals = weighted_norms(self.table.operand(e)[0].reshape(len(self.sizes), k, -1),
+                                weights, e)
         return totals[:, 0], totals[:, 1]
 
-    # -- frequently needed flags ------------------------------------------
+    @_kept
+    def vanishing(self) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each irreducible is zero on every class outside its centre,
+        and the first class where it is not (0 where it is)."""
+        outside = self.support & ~self.masks[self.centre_ids]
+        return ~outside.any(axis=1), outside.argmax(axis=1)
 
-    def degrees(self) -> np.ndarray:
-        return self._once(("degrees",), lambda: np.array(
-            [ch.degree for ch in self.table.irreducibles]))
-
-    def nonlinear_positions(self) -> tuple[int, ...]:
-        return self._once(("nonlinear",), lambda: tuple(
-            i for i, ch in enumerate(self.table.irreducibles) if ch.degree > 1))
-
-    def vanishes_off_centre(self, pos: int) -> tuple[bool, int | None]:
-        """Whether chi is zero on every class outside Z(chi); witness class."""
-        return self._once(("vanishes", pos), lambda: self._vanishes_off_centre(pos))
-
-    def _vanishes_off_centre(self, pos: int) -> tuple[bool, int | None]:
-        inside, _ = self.centre_classes(self.centre(pos))
-        outside = self.table.irreducibles[pos].coeffs.any(axis=1) & ~inside
-        if outside.any():
-            return False, int(outside.argmax())
-        return True, None
-
-    def maps_onto_centre(self, sub: Subgroup, qm: QuotientMap) -> bool:
-        """Whether the image of ``sub`` in G/N is the centre of G/N."""
-        return self._once(("maps_onto_centre", sub, qm.kernel),
-                          lambda: _maps_onto_centre(sub, qm))
-
-    def gvz_flags(self, pos: int) -> tuple[bool, bool, int | None]:
-        """(degree criterion, vanishing criterion, witness class); must agree."""
-        chi = self.table.irreducibles[pos]
-        centre = self.centre(pos)
-        by_degree = chi.degree ** 2 * centre.order == self.g.order
-        vanishes, witness = self.vanishes_off_centre(pos)
-        if by_degree != vanishes:
+    def gvz_flags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(degree criterion, vanishing criterion, witness class) for every
+        irreducible; the two criteria must agree."""
+        by_degree = self.degrees ** 2 * self.orders[self.centre_ids] == self.g.order
+        vanishes, witness = self.vanishing()
+        if (by_degree != vanishes).any():
             raise ConsistencyError(
                 "degree-square and vanishing criteria disagree; "
                 "this is a bug, the two are provably equivalent")
         return by_degree, vanishes, witness
 
     def is_gvz_bool(self) -> tuple[bool, int | None, int | None]:
-        for pos in self.nonlinear_positions():
-            _, vanishes, witness = self.gvz_flags(pos)
-            if not vanishes:
-                return False, pos, witness
-        return True, None, None
+        _, vanishes, witness = self.gvz_flags()
+        bad = self.nonlinear[~vanishes[self.nonlinear]].tolist()
+        return (False, bad[0], int(witness[bad[0]])) if bad else (True, None, None)
 
-    def coset_condition(self, centre: Subgroup) -> tuple[bool, dict | None]:
-        """Whether x[Z,G] is the class of x for every x in the centre Z that
-        lies in no other nonlinear centre; a witness element if not."""
-        return self._once(("coset_condition", centre),
-                          lambda: self._coset_condition(centre))
+    @_kept
+    def maps_onto_centre(self, z: int, n: int) -> bool:
+        """Whether the image of N_z in G/N, N of id ``n``, is the centre of
+        G/N: the classes of G/N meeting the image are those of size one."""
+        target, classes = self.image(n)
+        image = np.unique(classes[self.masks[z]])
+        sizes = np.array(target.conjugacy_classes().sizes)
+        return np.array_equal(image, np.flatnonzero(sizes == 1))
 
-    def _coset_condition(self, centre: Subgroup) -> tuple[bool, dict | None]:
-        classes = self.table.classes
-        m = self.commutator_with_group(centre)
-        others = np.zeros(self.g.order, dtype=bool)  # the other nonlinear centres
-        for other in {self.centre(pos) for pos in self.nonlinear_positions()}:
-            if other != centre:
-                others[list(other.members)] = True
-        members = np.array(centre.members)
-        for x in members[~others[members]].tolist():
-            cls = classes.members[classes.class_of[x]]
-            cos = coset(x, m)
-            if cls != cos:
-                return False, {"element": self.g.words[x],
-                               "coset_size": len(cos), "class_size": len(cls)}
-        return True, None
+    def cosets_are_classes(self, xs: np.ndarray, m: Subgroup) -> np.ndarray:
+        """For each element x of ``xs``, whether its class is the coset x M:
+        as large as M and holding every x m, in blocks of about ``BLOCK``
+        products."""
+        members, step = np.array(m.members), max(1, BLOCK // m.order)
+        out = [np.zeros(0, dtype=bool)]
+        for lo in range(0, len(xs), step):
+            x = xs[lo:lo + step]
+            c = self.class_of[x]
+            products = self.class_of[self.g.table[np.ix_(x, members)]]
+            out.append((self.sizes[c] == m.order) & (products == c[:, None]).all(axis=1))
+        return np.concatenate(out)
+
+    @_kept
+    def coset_condition(self, z: int) -> tuple[bool, dict | None]:
+        """Whether x[Z,G] is the class of x for every x in the centre Z of id
+        ``z`` that lies in no other nonlinear centre; a witness element if
+        not."""
+        others = np.unique(self.centre_ids[self.nonlinear])
+        others = self.masks[others[others != z]].any(axis=0)
+        xs = np.flatnonzero((self.masks[z] & ~others)[self.class_of])
+        m = self.subgroup(self.commutator(z))
+        ok = self.cosets_are_classes(xs, m)
+        if ok.all():
+            return True, None
+        x = int(xs[ok.argmin()])
+        return False, {"element": self.g.words[x], "coset_size": m.order,
+                       "class_size": int(self.sizes[self.class_of[x]])}
 
     @property
+    @_kept
     def two_degree_gvz(self) -> tuple[bool, str]:
-        return self._once(("two_degree_gvz",), self._two_degree_gvz)
-
-    def _two_degree_gvz(self) -> tuple[bool, str]:
         if self.g.is_abelian():
             return False, "the group is abelian"
         ds = degree_set(self.table)
         if len(ds) != 2:
             return False, f"the degree set {list(ds)} does not have exactly two members"
         ok, pos, _ = self.is_gvz_bool()
-        if not ok:
-            return False, (f"irreducible #{pos} does not vanish off its centre")
-        return True, ""
+        return (True, "") if ok else (False, f"irreducible #{pos} does not vanish off its centre")
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +423,25 @@ def is_gvz(table: CharacterTable, *, _ctx: _Ctx | None = None) -> GvzReport:
         raise HypothesisNotMet(
             f"{ctx.g.name} is abelian; the vanishing property is about "
             "non-abelian groups")
-    records = []
+    by_degree, vanishes, wclass = ctx.gvz_flags()
+    orders = ctx.orders[ctx.centre_ids]
+    records = tuple(GvzCharRecord(*row) for row in zip(
+        range(len(table)), ctx.degrees.tolist(), orders.tolist(),
+        by_degree.tolist(), vanishes.tolist()))
     witness = None
-    holds = True
-    for pos, chi in enumerate(table.irreducibles):
-        by_degree, vanishes, wclass = ctx.gvz_flags(pos)
-        centre = ctx.centre(pos)
-        records.append(GvzCharRecord(pos, chi.degree, centre.order,
-                                     by_degree, vanishes))
-        if not vanishes and witness is None:
-            holds = False
-            rep = table.classes.reps[wclass]
-            witness = {
-                "character": pos, "degree": chi.degree,
-                "degree_squared": chi.degree ** 2,
-                "centre_index": ctx.g.order // centre.order,
-                "class": wclass, "class_rep": ctx.g.words[rep],
-                "value": chi.value(wclass).render(),
-            }
-    return GvzReport(ctx.g.name, ctx.g.order, degree_set(table), holds,
-                     tuple(records), witness)
+    if not vanishes.all():
+        pos = int(vanishes.argmin())
+        c = int(wclass[pos])
+        chi = table.irreducibles[pos]
+        witness = {
+            "character": pos, "degree": chi.degree,
+            "degree_squared": chi.degree ** 2,
+            "centre_index": ctx.g.order // int(orders[pos]),
+            "class": c, "class_rep": ctx.g.words[table.classes.reps[c]],
+            "value": chi.value(c).render(),
+        }
+    return GvzReport(ctx.g.name, ctx.g.order, degree_set(table), witness is None,
+                     records, witness)
 
 
 @dataclass(frozen=True)
@@ -401,31 +465,25 @@ def is_gcp(table: CharacterTable, n: Subgroup, *, _ctx: _Ctx | None = None) -> G
     g = ctx.g
     if n.parent is not g:
         raise InputError("the normal subgroup lives in a different group")
-    if not is_normal(g, n):
-        raise InputError(f"{n.describe()} is not normal in {g.name}")
-    derived = ctx.derived()
-    nl = [table.irreducibles[i] for i in ctx.nonlinear_positions()]
-    witness = None
-    holds = True
-    for c, rep in enumerate(table.classes.reps):
-        if rep in n:
-            continue
-        vanishing = not any(ch.coeffs[c].any() for ch in nl)
-        class_is_coset = table.classes.members[c] == coset(rep, derived)
-        if vanishing != class_is_coset:
-            raise ConsistencyError(
-                "character and class-coset formulations of the Camina "
-                "condition disagree; this is a bug")
-        if not vanishing and witness is None:
-            holds = False
-            bad = next(ch for ch in nl if ch.coeffs[c].any())
-            witness = {
-                "element": g.words[rep], "class_size": len(table.classes.members[c]),
-                "coset_size": derived.order,
-                "nonvanishing_degree": bad.degree,
-                "value": bad.value(c).render(),
-            }
-    return GcpResult(holds, n.order, witness)
+    (i,) = ctx.ids_of([n])  # InputError unless n, a subgroup, is a union of classes
+    outside = np.flatnonzero(~ctx.masks[i])
+    derived = ctx.subgroup(ctx.derived)
+    support = ctx.support[ctx.nonlinear][:, outside]
+    vanishing = ~support.any(axis=0)
+    if (vanishing != ctx.cosets_are_classes(ctx.reps[outside], derived)).any():
+        raise ConsistencyError(
+            "character and class-coset formulations of the Camina "
+            "condition disagree; this is a bug")
+    if vanishing.all():
+        return GcpResult(True, n.order, None)
+    at = int(vanishing.argmin())
+    c = int(outside[at])
+    bad = table.irreducibles[ctx.nonlinear[support[:, at].argmax()]]
+    return GcpResult(False, n.order, {
+        "element": g.words[ctx.reps[c]], "class_size": int(ctx.sizes[c]),
+        "coset_size": derived.order, "nonvanishing_degree": bad.degree,
+        "value": bad.value(c).render(),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +505,19 @@ def fiber_count(table: CharacterTable, chi: Character, *,
     pos = _position_of(table, chi)
     if chi.degree == 1:
         raise InputError("fibres are counted over nonlinear characters")
-    centre = ctx.centre(pos)
-    count = sum(1 for i in ctx.nonlinear_positions() if ctx.centre(i) == centre)
+    z = ctx.centre_ids[pos]
+    count = int((ctx.centre_ids[ctx.nonlinear] == z).sum())
     met, _ = ctx.two_degree_gvz
     if not met:
         return FiberCount(count, None, False, None)
-    m = ctx.commutator_with_group(centre)
-    derived = ctx.derived()
-    if m == derived:
+    m = ctx.commutator(z)
+    if m == ctx.derived:
         raise TheoremViolation(
             "[Z(chi), G] equals the derived subgroup for a nonlinear "
             "character; that forces a zero fibre and contradicts the "
             "linearity criterion", evidence={"character": pos})
-    formula = Fraction(centre.order, m.order) - Fraction(centre.order, derived.order)
+    zo, mo, do = ctx.orders[[z, m, ctx.derived]].tolist()
+    formula = Fraction(zo, mo) - Fraction(zo, do)
     return FiberCount(count, formula, True,
                       formula.denominator == 1 and int(formula) == count)
 
@@ -475,14 +533,23 @@ def _position_of(table: CharacterTable, chi: Character) -> int:
 class IrrStar:
     centre: Subgroup
     commutator: Subgroup
-    centre_table: CharacterTable
+    lifts: tuple[Character, ...]
     lambdas: tuple[Character, ...]
     derived_in_centre: bool
 
 
 def irr_star(table: CharacterTable, chi: Character, *,
              _ctx: _Ctx | None = None) -> IrrStar:
-    """Characters of Z(chi) that kill [Z(chi),G] but not all of G'."""
+    """Characters of Z = Z(chi) that kill [Z,G] but not all of G'.
+
+    By Lemma 2.22 (Isaacs) applied to Z, the characters of Z with [Z,G] in
+    their kernel are exactly the lifts of Irr(Z/[Z,G]).  So no table of Z is
+    built: ``lifts`` are the rows of the table of the abelian quotient
+    Z/[Z,G], by cyclic extension, lifted to ``Z.as_group()``, and
+    ``lambdas`` those of them that do not kill G'.  The ``thm1.1`` count
+    check compares their number with the nonlinear count of the Dixon table
+    of G/[Z,G], which is no deflation of Irr(G) (see ``_Ctx``).
+    """
     ctx = _ctx or _Ctx(table)
     met, why = ctx.two_degree_gvz
     if not met:
@@ -490,28 +557,27 @@ def irr_star(table: CharacterTable, chi: Character, *,
     pos = _position_of(table, chi)
     if chi.degree == 1:
         raise InputError("the star set is defined over nonlinear characters")
-    centre = ctx.centre(pos)
-    m = ctx.commutator_with_group(centre)
-    derived = ctx.derived()
-    ctable = ctx.subgroup_table(centre)
+    z = int(ctx.centre_ids[pos])
+    centre, m = ctx.subgroup(z), ctx.subgroup(ctx.commutator(z))
+    zg = centre.as_group()
+    qm = quotient(zg, Subgroup(zg, np.searchsorted(centre.members, m.members)))
+    chars = ctx.nested_table(qm.target).irreducibles
+    lifts = tuple(Character(zg, ch.degree, zg.exponent, c, True)
+                  for ch, c in zip(chars, lift_batch(chars, qm)))
     # the class of Z holding each element of G, -1 outside Z
     z_class = np.full(ctx.g.order, -1)
-    z_class[list(centre.members)] = ctable.classes.class_of
-    m_classes = np.unique(z_class[list(m.members)])
-    d_classes = np.unique(z_class[list(derived.members)])
-    lambdas = tuple(lam for lam in ctable.irreducibles
-                    if _kills(lam, m_classes) and not _kills(lam, d_classes))
-    return IrrStar(centre, m, ctable, lambdas, centre.contains_set(derived))
+    z_class[list(centre.members)] = zg.conjugacy_classes().class_array
+    d_classes = np.unique(z_class[list(ctx.subgroup(ctx.derived).members)])
+    return IrrStar(centre, m, lifts, tuple(lam for lam in lifts if not _kills(lam, d_classes)),
+                   bool(ctx.contains(z, ctx.derived)))
 
 
 def _kills(lam: Character, classes: np.ndarray) -> bool:
     """Whether ``lam`` equals its degree on every class listed, that is, the
     elements of those classes lie in its kernel; a -1 (an element outside
     lam's group) makes the answer no."""
-    if classes[0] < 0:  # np.unique sorts -1 first
-        return False
-    values = lam.coeffs[classes]
-    return bool((values[:, 0] == lam.degree).all() and not values[:, 1:].any())
+    # np.unique sorts -1 first
+    return bool(classes[0] >= 0 and _rational_rows(lam.coeffs[classes], lam.degree).all())
 
 
 @dataclass(frozen=True)
@@ -535,16 +601,16 @@ def unique_nonlinear_constituent(table: CharacterTable, lam: Character,
     induced character does not have exactly one nonlinear constituent.
     """
     ctx = _ctx or _Ctx(table)
-    return _constituent(ctx, lam, centre, decompose(induce(lam, centre, ctx.g), table))
+    return _constituent(ctx, lam, ctx.ids_of([centre])[0],
+                        decompose(induce(lam, centre, ctx.g), table))
 
 
-def _constituent(ctx: _Ctx, lam: Character, centre: Subgroup,
-                 mults) -> Constituent:
+def _constituent(ctx: _Ctx, lam: Character, z: int, mults) -> Constituent:
     """``unique_nonlinear_constituent`` from the multiplicities ``mults`` of
-    lam^G against the table's irreducibles."""
+    lam^G against the table's irreducibles, for the centre of id ``z``."""
     table, g = ctx.table, ctx.g
     mults = np.asarray(mults)
-    nonlin = np.flatnonzero((mults > 0) & (ctx.degrees() > 1))
+    nonlin = np.flatnonzero((mults > 0) & (ctx.degrees > 1))
     if len(nonlin) != 1:
         raise TheoremViolation(
             f"induction from the centre has {len(nonlin)} nonlinear "
@@ -553,25 +619,18 @@ def _constituent(ctx: _Ctx, lam: Character, centre: Subgroup,
     theta_pos = int(nonlin[0])
     mult = int(mults[theta_pos])
     theta = table.irreducibles[theta_pos]
-
-    index = g.order // centre.order
+    index = g.order // int(ctx.orders[z])
     root = math.isqrt(index)
-    checks = [("the index of the centre is a perfect square", root * root == index)]
-
-    e = g.exponent
-    theta_e = theta.at(e)
-    inside, z_classes = ctx.centre_classes(centre)
-    vanishes = not theta_e[~inside].any()
-    lam_e = lam.at(e)[z_classes]
-    value_formula = np.array_equal(theta_e[inside] * lam.degree, root * lam_e)
-    checks.append(("theta vanishes outside the centre", vanishes))
-    checks.append(("theta agrees with sqrt(index)/lambda(1) * lambda on the centre",
-                   value_formula))
-    checks.append(("the multiplicity equals sqrt(index)/lambda(1)",
-                   mult * lam.degree == root))
-    checks.append(("theta's centre is the inducing centre",
-                   ctx.centre(theta_pos) == centre))
-    return Constituent(theta, theta_pos, mult, tuple(checks))
+    theta_e = theta.at(g.exponent)
+    inside, z_classes = ctx.centre_classes(z)
+    lam_e = lam.at(g.exponent)[z_classes]
+    return Constituent(theta, theta_pos, mult, (
+        ("the index of the centre is a perfect square", root * root == index),
+        ("theta vanishes outside the centre", not theta_e[~inside].any()),
+        ("theta agrees with sqrt(index)/lambda(1) * lambda on the centre",
+         np.array_equal(theta_e[inside] * lam.degree, root * lam_e)),
+        ("the multiplicity equals sqrt(index)/lambda(1)", mult * lam.degree == root),
+        ("theta's centre is the inducing centre", bool(ctx.centre_ids[theta_pos] == z))))
 
 
 # ---------------------------------------------------------------------------
@@ -587,31 +646,28 @@ def verify_fiber_theorem(table: CharacterTable, *,
         raise HypothesisNotMet(why)
     report = TheoremReport("thm1.1", ctx.g.name)
 
-    nl = ctx.nonlinear_positions()
-    fibres: dict[Subgroup, list[int]] = {}
-    for pos in nl:
-        fibres.setdefault(ctx.centre(pos), []).append(pos)
+    nl = ctx.nonlinear.tolist()
+    fibres: dict[int, list[int]] = {}
+    for pos, z in zip(nl, ctx.centre_ids[nl].tolist()):
+        fibres.setdefault(z, []).append(pos)
 
     total = 0
-    for centre in sorted(fibres, key=attrgetter("members")):
-        fibre = fibres[centre]
+    for z in sorted(fibres, key=lambda i: ctx.subgroup(i).members):
+        fibre, centre = fibres[z], ctx.subgroup(z)
         total += len(fibre)
         tag = f"centre {centre.describe()} (order {centre.order})"
         chi = table.irreducibles[fibre[0]]
 
+        inside = bool(ctx.contains(z, ctx.derived))
         report.add(f"{tag}: derived subgroup lies inside the centre",
-                   "pass" if centre.contains_set(ctx.derived()) else "fail",
-                   lhs=centre.contains_set(ctx.derived()))
+                   "pass" if inside else "fail", lhs=inside)
 
+        label = f"{tag}: fibre count matches |Z|(1/|[Z,G]| - 1/|G'|)"
         try:
             fc = fiber_count(table, chi, _ctx=ctx)
-            report.add(f"{tag}: fibre count matches |Z|(1/|[Z,G]| - 1/|G'|)",
-                       "pass" if fc.passed else "fail",
-                       lhs=fc.count, rhs=fc.formula)
+            report.add(label, "pass" if fc.passed else "fail", lhs=fc.count, rhs=fc.formula)
         except TheoremViolation as exc:
-            report.add(f"{tag}: fibre count matches |Z|(1/|[Z,G]| - 1/|G'|)",
-                       "fail", witness={"reason": str(exc),
-                                        "evidence": _j(exc.evidence)})
+            report.add(label, "fail", witness={"reason": str(exc), "evidence": _j(exc.evidence)})
 
         star = irr_star(table, chi, _ctx=ctx)
         # one induction matrix and one Gram product for all of Irr*(Z)
@@ -621,7 +677,7 @@ def verify_fiber_theorem(table: CharacterTable, *,
         failures = []
         for li, lam in enumerate(star.lambdas):
             try:
-                con = _constituent(ctx, lam, centre, mults[li])
+                con = _constituent(ctx, lam, z, mults[li])
             except TheoremViolation as exc:
                 failures.append({"lambda": li, "reason": str(exc),
                                  "evidence": _j(exc.evidence)})
@@ -635,8 +691,8 @@ def verify_fiber_theorem(table: CharacterTable, *,
                    "pass" if not failures else "fail",
                    lhs=len(star.lambdas), witness=failures or None)
 
-        qm = ctx.quotient_by(star.commutator)
-        qtable = ctx.quotient_table(qm)
+        m = ctx.commutator(z)
+        qtable = ctx.quotient_table(m)
         q_nl = {i for i, ch in enumerate(qtable.irreducibles) if ch.degree > 1}
         report.add(f"{tag}: star set size equals the quotient's nonlinear count",
                    "pass" if len(star.lambdas) == len(q_nl) else "fail",
@@ -647,8 +703,7 @@ def verify_fiber_theorem(table: CharacterTable, *,
                    "pass" if len(set(thetas)) == len(thetas) else "fail",
                    lhs=len(set(thetas)), rhs=len(thetas))
 
-        downs = [deflate(c.theta, qm) for c in constituents]
-        deflated = {None if d is None else qtable.row_of(d) for d in downs}
+        deflated = ctx.deflated(thetas, m)
         report.add(f"{tag}: constituents deflate onto the quotient's nonlinear "
                    "characters exactly", "pass" if deflated == q_nl else "fail",
                    lhs=len(deflated), rhs=len(q_nl))
@@ -680,13 +735,10 @@ def verify_coset_criterion(table: CharacterTable, *,
                witness=None if gvz_holds else {
                    "character": bad_pos, "class": bad_class})
 
-    condition = True
-    witness = None
-    for pos in range(len(table.irreducibles)):
-        holds_here, wit = ctx.coset_condition(ctx.centre(pos))
-        if not holds_here and witness is None:
-            condition = False
-            witness = dict(wit, character=pos)
+    holds = ctx.pairwise(lambda z, _: ctx.coset_condition(z)[0], ctx.centre_ids, ctx.centre_ids)
+    condition, pos = bool(holds.all()), int(holds.argmin())
+    witness = None if condition else dict(
+        ctx.coset_condition(int(ctx.centre_ids[pos]))[1], character=pos)
     report.add("evaluated: x[Z(chi),G] equals the class of x for every "
                "admissible pair", "pass", lhs=condition, witness=witness)
     report.add("vanishing off centres holds exactly when the coset condition does",
@@ -695,19 +747,18 @@ def verify_coset_criterion(table: CharacterTable, *,
     return report
 
 
-def _maps_onto_centre(sub: Subgroup, qm: QuotientMap) -> bool:
-    """Whether the image of ``sub`` in G/N is the centre of G/N."""
-    image = np.unique(np.asarray(qm.projection)[list(sub.members)])
-    return image.tolist() == list(qm.target.center().members)
+def _curated_normals(ctx: _Ctx) -> list[int]:
+    """The ids of 1, G, G', Z(G), every kernel and every [Z(chi),G], in the
+    order of their members."""
+    ids = {ctx.trivial, ctx.whole, ctx.derived, ctx.centre_of_g,
+           *ctx.kernel_ids.tolist(), *ctx.commutators().tolist()}
+    return sorted(ids, key=lambda i: ctx.subgroup(i).members)
 
 
-def _curated_normals(ctx: _Ctx) -> list[Subgroup]:
-    g = ctx.g
-    subs = {Subgroup(g, [0]), g.full_subgroup(), ctx.derived(), g.center()}
-    for pos in range(len(ctx.table.irreducibles)):
-        subs.add(ctx.kernel_of(pos))
-        subs.add(ctx.commutator_with_group(ctx.centre(pos)))
-    return sorted(map(ctx.canonical, subs), key=attrgetter("members"))
+def _subsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j]: whether class mask a[i] lies inside b[j], from one product
+    counting the classes of a[i] outside b[j] (exact in float32: k < 2**24)."""
+    return (a.astype(np.float32) @ (~b).T.astype(np.float32)) == 0
 
 
 def verify_identity_suite(table: CharacterTable, *,
@@ -717,92 +768,49 @@ def verify_identity_suite(table: CharacterTable, *,
     ctx = _ctx or _Ctx(table)
     report = TheoremReport("lemmas", ctx.g.name)
     g = ctx.g
-    k = len(table.irreducibles)
-    derived = ctx.derived()
-    centre_of_g = ctx.canonical(g.center())
+    zs, ks, comms = ctx.centre_ids, ctx.kernel_ids, ctx.commutators()
+    squares = ctx.degrees ** 2
+    z_orders = ctx.orders[zs]
+    vanishes, _ = ctx.vanishing()
+    d_order, c_order = ctx.orders[[ctx.derived, ctx.centre_of_g]].tolist()
 
-    # linearity <-> [Z(chi),G] = G'
-    bad = [pos for pos in range(k)
-           if (table.irreducibles[pos].degree == 1)
-           != (ctx.commutator_with_group(ctx.centre(pos)) == derived)]
     report.add_failures("a character is linear exactly when [Z(chi),G] is "
-                        "the whole derived subgroup", bad)
-
-    # Z(G/[Z(chi),G]) = Z(chi)/[Z(chi),G]
-    bad = [pos for pos in range(k) if not ctx.maps_onto_centre(
-        ctx.centre(pos), ctx.quotient_by(ctx.commutator_with_group(ctx.centre(pos))))]
-    report.add_failures("the centre of G/[Z(chi),G] is the image of Z(chi)", bad)
-
-    # restriction norm: [chi_H, chi_H] = [G:H] [chi,chi] iff vanishing off H
-    bad = []
+                        "the whole derived subgroup",
+                        (ctx.degrees == 1) != (comms == ctx.derived))
+    report.add_failures("the centre of G/[Z(chi),G] is the image of Z(chi)",
+                        ~ctx.pairwise(ctx.maps_onto_centre, zs, comms))
+    # [chi_Z, chi_Z] = [G:Z] [chi,chi] scales both sides by |Z|
     restricted, full = ctx.norms()
-    for pos in range(k):
-        centre = ctx.centre(pos)
-        lhs = Fraction(int(restricted[pos]), centre.order)
-        rhs = Fraction(g.order, centre.order) * Fraction(int(full[pos]), g.order)
-        vanishes, _ = ctx.vanishes_off_centre(pos)
-        if lhs > rhs or (lhs == rhs) != vanishes:
-            bad.append(pos)
     report.add_failures("the restricted norm meets [G:H][chi,chi] exactly "
-                        "for characters vanishing off H (H = Z(chi))", bad)
-
-    # degree bound chi(1)^2 <= |G:Z(chi)| with equality iff vanishing
-    bad = []
-    for pos in range(k):
-        chi = table.irreducibles[pos]
-        index = g.order // ctx.centre(pos).order
-        vanishes, _ = ctx.vanishes_off_centre(pos)
-        if chi.degree ** 2 > index or (chi.degree ** 2 == index) != vanishes:
-            bad.append(pos)
+                        "for characters vanishing off H (H = Z(chi))",
+                        (restricted > full) | ((restricted == full) != vanishes))
+    index = g.order // z_orders
     report.add_failures("chi(1)^2 is bounded by |G:Z(chi)| with equality "
-                        "exactly at vanishing off the centre", bad)
-
-    # abelian central quotient forces the extreme degree
-    bad = [pos for pos in range(k)
-           if ctx.centre(pos).contains_set(derived)
-           and table.irreducibles[pos].degree ** 2
-           * ctx.centre(pos).order != g.order]
+                        "exactly at vanishing off the centre",
+                        (squares > index) | ((squares == index) != vanishes))
     report.add_failures("when G/Z(chi) is abelian, chi(1)^2 equals |G:Z(chi)|",
-                        bad)
-
-    # Z(chi)/ker chi = Z(G/ker chi)
-    bad = [pos for pos in range(k) if not ctx.maps_onto_centre(
-        ctx.centre(pos), ctx.quotient_by(ctx.kernel_of(pos)))]
+                        ctx.contains(zs, ctx.derived) & (squares * z_orders != g.order))
     report.add_failures("the centre of chi maps onto the centre of G/ker(chi)",
-                        bad)
+                        ~ctx.pairwise(ctx.maps_onto_centre, zs, ks))
 
     # \{chi with N <= ker chi\} is exactly the lifted Irr(G/N), over a
     # curated family of normal subgroups
-    bad_n = []
-    for n in _curated_normals(ctx):
-        over = {pos for pos in range(k) if ctx.kernel_of(pos).contains_set(n)}
-        if over != ctx.lifted_rows(ctx.quotient_by(n)):
-            bad_n.append(n.describe())
+    normals = _curated_normals(ctx)
+    kernels, at = np.unique(ks, return_inverse=True)
+    over = _subsets(ctx.masks[normals], ctx.masks[kernels])[:, at.reshape(-1)]
     report.add_failures("the characters with N inside the kernel are exactly "
-                        "the lifts from G/N", bad_n)
+                        "the lifts from G/N", [
+                            ctx.subgroup(n).describe() for n, row in zip(normals, over)
+                            if not np.array_equal(np.append(row, False), ctx.lifted(n))])
+    report.add_failures("[Z(chi),G] lies inside the kernel of chi", ~ctx.contains(ks, comms))
 
-    # [Z(chi),G] <= ker chi
-    bad = [pos for pos in range(k)
-           if not ctx.kernel_of(pos).contains_set(
-               ctx.commutator_with_group(ctx.centre(pos)))]
-    report.add_failures("[Z(chi),G] lies inside the kernel of chi", bad)
-
-    # Z(chi) <= Z(phi) iff phi factors through G/[Z(chi),G]
-    nl = ctx.nonlinear_positions()
-    bad_pairs = []
-    seen_centres = set()
-    for pos in nl:
-        centre = ctx.centre(pos)
-        if centre in seen_centres:
-            continue
-        seen_centres.add(centre)
-        qm = ctx.quotient_by(ctx.commutator_with_group(centre))
-        lifted = ctx.lifted_rows(qm)
-        for other in range(k):
-            contained = ctx.centre(other).contains_set(centre)
-            factors = other in lifted
-            if contained != factors:
-                bad_pairs.append((pos, other))
+    # Z(chi) <= Z(phi) iff phi factors through G/[Z(chi),G], for the first
+    # nonlinear chi with each centre
+    nl = ctx.nonlinear
+    firsts = np.sort(nl[np.unique(zs[nl], return_index=True)[1]])
+    contained = _subsets(ctx.masks[zs[firsts]], ctx.masks[zs])
+    bad_pairs = [(pos, other) for pos, row in zip(firsts.tolist(), contained)
+                 for other in np.flatnonzero(row != ctx.lifted(comms[pos])[:-1]).tolist()]
     report.add_failures("Z(chi) is contained in Z(phi) exactly when phi "
                         "factors through G/[Z(chi),G]", bad_pairs, 5)
 
@@ -812,16 +820,8 @@ def verify_identity_suite(table: CharacterTable, *,
     label = ("two nonlinear characters share a centre exactly when one lives "
              "on the other's quotient")
     if met:
-        bad_pairs = []
-        for pos in nl:
-            centre = ctx.centre(pos)
-            qm = ctx.quotient_by(ctx.commutator_with_group(centre))
-            lifted = ctx.lifted_rows(qm)
-            for other in nl:
-                same_centre = ctx.centre(other) == centre
-                in_quotient_nl = other in lifted
-                if same_centre != in_quotient_nl:
-                    bad_pairs.append((pos, other))
+        bad_pairs = [(pos, other) for pos in nl.tolist() for other in nl[
+            (zs[nl] == zs[pos]) != ctx.lifted(comms[pos])[nl]].tolist()]
         report.add_failures(label, bad_pairs, 5)
     else:
         report.add(label, "skip", witness=why)
@@ -833,10 +833,9 @@ def verify_identity_suite(table: CharacterTable, *,
     if met:
         bad = []
         ds = degree_set(table)
-        for pos in nl:
-            centre = ctx.centre(pos)
-            expected = centre.order - Fraction(centre.order, derived.order)
-            root = math.isqrt(g.order // centre.order)
+        for pos, order in zip(nl.tolist(), z_orders[nl].tolist()):
+            expected = order - Fraction(order, d_order)
+            root = math.isqrt(g.order // order)
             if len(nl) != expected or ds != (1, root):
                 bad.append((pos, f"count {len(nl)} vs {expected}, "
                                  f"degrees {list(ds)} vs [1, {root}]"))
@@ -844,15 +843,13 @@ def verify_identity_suite(table: CharacterTable, *,
     else:
         report.add(label, "skip", witness=why)
 
-    # with all centres equal: they equal Z(G) and count from the group centre
+    # with all nonlinear centres equal: they equal Z(G) and count from the group centre
     label = ("with all nonlinear centres equal, they are Z(G) and the "
              "nonlinear count is |Z(G)| - |Z(G)|/|G'|")
     if met:
-        if len({ctx.centre(p) for p in nl}) == 1:
-            common = ctx.centre(nl[0])
-            expected = centre_of_g.order - Fraction(centre_of_g.order,
-                                                    derived.order)
-            ok = common == centre_of_g and len(nl) == expected
+        if len(np.unique(zs[nl])) == 1:
+            expected = c_order - Fraction(c_order, d_order)
+            ok = zs[nl[0]] == ctx.centre_of_g and len(nl) == expected
             report.add(label, "pass" if ok else "fail",
                        lhs=len(nl), rhs=expected)
         else:
@@ -864,14 +861,13 @@ def verify_identity_suite(table: CharacterTable, *,
     # Camina-type pair with the centre: degrees and nonlinear count
     label = ("for a Camina-type pair with the centre, the degrees are "
              "{1, sqrt(|G:Z|)} and the nonlinear count is |Z(G)| - |Z(G)|/|G'|")
-    gcp = is_gcp(table, centre_of_g, _ctx=ctx)
+    gcp = is_gcp(table, ctx.subgroup(ctx.centre_of_g), _ctx=ctx)
     if gcp.holds:
-        index = g.order // centre_of_g.order
+        index = g.order // c_order
         root = math.isqrt(index)
         ds = degree_set(table)
         expected_ds = tuple(sorted({1, root}))
-        expected_nl = centre_of_g.order - Fraction(centre_of_g.order,
-                                                   derived.order)
+        expected_nl = c_order - Fraction(c_order, d_order)
         ok = (root * root == index and ds == expected_ds
               and len(nl) == expected_nl)
         report.add(label, "pass" if ok else "fail",
@@ -897,7 +893,7 @@ def verify_p4_criterion(table: CharacterTable, *,
     if g.is_abelian():
         raise HypothesisNotMet(f"{g.name} is abelian")
     report = TheoremReport("prop2.11", g.name)
-    gcp = is_gcp(table, ctx.canonical(g.center()), _ctx=ctx)
+    gcp = is_gcp(table, ctx.subgroup(ctx.centre_of_g), _ctx=ctx)
     cls = nilpotency_class(g)
     report.add("nilpotency class", "pass", lhs=cls)
     report.add("(G, Z(G)) is a Camina-type pair", "pass", lhs=gcp.holds,
@@ -962,18 +958,17 @@ def centre_census(table: CharacterTable, *,
     if g.is_abelian():
         raise HypothesisNotMet(f"{g.name} is abelian; there are no nonlinear "
                                "characters to survey")
-    counts = Counter(ctx.centre(pos) for pos in ctx.nonlinear_positions())
+    counts = Counter(ctx.centre_ids[ctx.nonlinear].tolist())
     predicted = tuple(predicted_centres(g))
-    listed = {Subgroup(g, members) for members in predicted}
+    listed, present = set(predicted), {ctx.subgroup(z).members: z for z in counts}
     entries = tuple(CensusEntry(
-        sub.members, sub.order, tuple(g.words[i] for i in sub.small_generators()),
-        counts[sub], (sub in listed) if predicted else None)
-        for sub in sorted(counts, key=attrgetter("members")))
-    all_present = listed <= counts.keys() if predicted else None
-    unlisted = not counts.keys() <= listed if predicted else None
-    return CensusReport("centres", g.name, entries,
-                        len(ctx.nonlinear_positions()), predicted,
-                        all_present, unlisted)
+        members, len(members), tuple(g.words[i] for i in ctx.subgroup(z).small_generators()),
+        counts[z], (members in listed) if predicted else None)
+        for members, z in sorted(present.items()))
+    all_present = listed <= present.keys() if predicted else None
+    unlisted = not present.keys() <= listed if predicted else None
+    return CensusReport("centres", g.name, entries, len(ctx.nonlinear),
+                        predicted, all_present, unlisted)
 
 
 # ---------------------------------------------------------------------------

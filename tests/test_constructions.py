@@ -92,6 +92,27 @@ def test_gn_structural_facts():
         assert orders[0] == 1 and all(o == p for o in orders[1:])
 
 
+def _reference_gn_word(u, n):
+    """The word of one gn label by one Python call per element, as ``gn``
+    named its elements before it named them all from the label array."""
+    parts = []
+    for i in range(n):
+        if u[i]:
+            parts.append(f"a{i + 1}" + (f"^{u[i]}" if u[i] > 1 else ""))
+    if u[n]:
+        parts.append("a" + (f"^{u[n]}" if u[n] > 1 else ""))
+    for i in range(n):
+        if u[n + 1 + i]:
+            parts.append(f"b{i + 1}" + (f"^{u[n + 1 + i]}" if u[n + 1 + i] > 1 else ""))
+    return "*".join(parts) or "1"
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (7, 1), (5, 2)])
+def test_gn_words_match_the_per_element_word(p, n):
+    g = gn(p, n)
+    assert g.words == tuple(_reference_gn_word(u, n) for u in g.elements)
+
+
 def test_gn_rejects_bad_parameters():
     for p, n in ((2, 1), (4, 1), (9, 1), (1, 1)):
         with pytest.raises(InputError):

@@ -115,8 +115,9 @@ DIGESTS = {
 # Tables with 551, 679 and 2,403 classes, run by ``pytest -m slow``: each
 # peaks above 500 MB (gn(3,4) at about 1.4 GB), and the first two took over
 # half a minute before the spectral split.  The ``verify all`` digest of
-# gn(23,1) predates the whole-table verifier passes, and the gn(3,4) table
-# digest the lockstep split.
+# gn(23,1) predates the whole-table verifier passes, the gn(3,4) table
+# digest the lockstep split, and the ``verify all`` digests of gn(7,2) and
+# gn(3,4) the verifier on class masks.
 SLOW_DIGESTS = {
     ("gn(23,1)", "table"):
         "dcbc294b2dccca4b442a84fe8c5fe3085988d465f2420ed2bcf5330e3bb89f99",
@@ -126,6 +127,10 @@ SLOW_DIGESTS = {
         "e6a3114aee0101a1a40fce1e9e04e7f0d493fbea7b8dacc0dc214f8ad52e4c81",
     ("gn(3,4)", "table"):
         "a33fc53203f35161d453bcf55d0b8881e932eb99ac25622b01673bd3e906e686",
+    ("gn(7,2)", "verify"):
+        "4a9bad78f322b65e2f14e24320176de9a11a8fe7af21a1916fc607c929c56ab0",
+    ("gn(3,4)", "verify"):
+        "82bec934e96290e0195b7e656db9d358ad68e60189076e441e830d14ecbceb55",
 }
 
 VERBS = {"table": ("table",), "verify": ("verify", "all")}
@@ -188,3 +193,20 @@ def test_text_stdout_matches_golden_digest(name, form, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[(name, form)]
+
+
+# Text-format ``verify all``, which prints every check's label, so the
+# witnesses and the ``describe()`` names of the centres are pinned too;
+# taken before the verifier read class masks.
+TEXT_VERIFY_DIGESTS = {
+    "gn(3,2)": "b76a247a5d56150bf911e36d0504a25928b016755366108880c6bb2233f0431e",
+    "gn(7,1)": "a48465f24820fb1ff9b0934686f4d782003795241a862d2afd0c03c523e56f09",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_VERIFY_DIGESTS))
+def test_verify_text_matches_golden_digest(name, capsys):
+    code = main(["verify", "all", "--group", json.dumps(GROUPS[name])])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_VERIFY_DIGESTS[name]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from groupchar import (
@@ -36,6 +37,8 @@ from groupchar import (
 )
 from groupchar import char_center, gvz, kernel
 from groupchar.groups import Subgroup, generated_by
+
+import old_verify
 
 
 def test_is_gvz_verdicts(tables):
@@ -142,35 +145,42 @@ def test_context_interns_subgroups_by_value(tables):
     g = t.group
     k = len(t.irreducibles)
     ctx = gvz._Ctx(t)
-    kernels = [ctx.kernel_of(i) for i in range(k)]  # asked before the centres
-    centres = [ctx.centre(i) for i in range(k)]
+    # one id per distinct class mask, each with one subgroup, built once
+    assert len(np.unique(ctx.masks, axis=0)) == len(ctx.masks)
+    assert len(set(ctx.centre_ids.tolist())) < k  # some centres are shared
     for i in range(k):
-        assert kernels[i] == kernel(t.irreducibles[i])
-        assert centres[i] == char_center(t.irreducibles[i])
-    assert len({c.members for c in centres}) < k  # some centres are shared
-    for a in centres:
-        for b in centres:
-            assert (a is b) == (a.members == b.members)
-    for sub in centres + kernels:
-        assert ctx.canonical(Subgroup(g, sub.members)) is sub
-    for pos in ctx.nonlinear_positions():
-        assert ctx.subgroup_table(centres[pos]).group is centres[pos].as_group()
+        assert ctx.subgroup(ctx.kernel_ids[i]) == kernel(t.irreducibles[i])
+        assert ctx.subgroup(ctx.centre_ids[i]) == char_center(t.irreducibles[i])
+    for i in range(len(ctx.masks)):
+        sub = ctx.subgroup(i)
+        assert ctx.subgroup(i) is sub
+        assert ctx.ids_of([Subgroup(g, sub.members)]) == [i]
+        assert ctx.subgroup(i) is sub  # an equal subgroup does not replace it
+        assert ctx.orders[i] == sub.order
 
     # a centre from another context is equal, not identical, and serves as well
     other = gvz._Ctx(t)
     for i in range(k):
-        assert other.centre(i) == centres[i] and other.centre(i) is not centres[i]
-    pos = ctx.nonlinear_positions()[0]
+        mine, theirs = ctx.subgroup(ctx.centre_ids[i]), other.subgroup(other.centre_ids[i])
+        assert mine == theirs and mine is not theirs
+    pos = ctx.nonlinear[0]
     star = irr_star(t, t.irreducibles[pos], _ctx=other)
     for lam in star.lambdas:
         con = unique_nonlinear_constituent(t, lam, star.centre, _ctx=ctx)
         assert con.formula_holds, con.checks
 
+    # the same lambda as the per-character route's, as coefficient sets,
+    # for every nonlinear character
+    for pos in ctx.nonlinear.tolist():
+        chi = t.irreducibles[pos]
+        lams = [irr_star(t, chi, _ctx=ctx).lambdas, old_verify.irr_star(t, chi).lambdas]
+        assert len({tuple(sorted(lam.coeffs.tobytes() for lam in ls)) for ls in lams}) == 1
+
 
 def test_trivial_inducing_character_violates_uniqueness(tables):
     t = tables["heis3"]
     star = irr_star(t, t.nonlinear()[0])
-    trivial = next(lam for lam in star.centre_table.irreducibles
+    trivial = next(lam for lam in star.lifts
                    if all(v.equals_rational(1) for v in lam.values))
     with pytest.raises(TheoremViolation) as exc:
         unique_nonlinear_constituent(t, trivial, star.centre)

@@ -142,6 +142,9 @@ def test_lift_kernel_matches_scalar_loop(name, monkeypatch):
     monkeypatch.setattr(chartable, "_root_multiplicities", spy)
     g = from_spec(LIFT_SPECS[name])
     t = chartable._dixon_table(g, None)  # abelian groups bypass it otherwise
+    k = len(t.classes)  # a block of characters stacks k rows per character
+    seen = [(block[lo:lo + k], q) for block, q in seen
+            for lo in range(0, len(block), k)]
     assert len(seen) == len(t)
     e = t.exponent
     reference = []
@@ -152,6 +155,42 @@ def test_lift_kernel_matches_scalar_loop(name, monkeypatch):
         reference.append((degree, tuple(v.coeffs for v in values)))
     assert sorted(reference) == [(ch.degree, tuple(v.coeffs for v in ch.values))
                                  for ch in t.irreducibles]
+
+
+def _per_character_lift(theta_pm, zmat, inv_e, q, kernel):
+    """The value lift of one character as ``_dixon_table`` ran it before it
+    took blocks of characters: one ``_root_multiplicities`` and one int64
+    product with W, with both checks."""
+    mults = kernel(theta_pm, zmat, inv_e, q)
+    degree = int(mults[0].sum())
+    assert (mults.sum(axis=1) == degree).all()
+    coeffs = mults @ np.array(_zeta_powers(zmat.shape[0]), dtype=np.int64)
+    assert chartable._rational_rows(coeffs[:1], degree)[0]
+    return degree, coeffs.tolist()
+
+
+def test_batched_lift_matches_the_per_character_loop(zoo, monkeypatch):
+    # Each block the lift takes stacks k rows per character; the loop lifts
+    # them one character at a time, from the same residues.
+    seen = []
+    kernel = chartable._root_multiplicities
+
+    def spy(theta_pm, zmat, inv_e, q):
+        seen.append((theta_pm, zmat, inv_e, q))
+        return kernel(theta_pm, zmat, inv_e, q)
+
+    monkeypatch.setattr(chartable, "_root_multiplicities", spy)
+    groups = list(zoo.values()) + [from_spec(spec) for spec in SPLIT_SPECS.values()]
+    blocks = 0
+    for g in groups:
+        seen.clear()
+        t = chartable._dixon_table(g, None)  # abelian groups bypass it otherwise
+        k = len(t.classes)
+        want = [_per_character_lift(theta_pm[lo:lo + k], zmat, inv_e, q, kernel)
+                for theta_pm, zmat, inv_e, q in seen for lo in range(0, len(theta_pm), k)]
+        assert sorted(want) == [(ch.degree, ch.coeffs.tolist()) for ch in t.irreducibles]
+        blocks += sum(len(theta_pm) > k for theta_pm, *_ in seen)
+    assert blocks  # some blocks hold several characters
 
 
 def _largest_prime_below(bound, e):
@@ -756,6 +795,24 @@ def test_decompose_stacks_nothing_after_the_first_call(tables, monkeypatch):
     decompose(c3.irreducibles[0], c3)
     with pytest.raises(ConsistencyError):
         decompose(odd, c3)
+
+
+def test_rows_of_confirms_a_block_like_row_of(tables, monkeypatch):
+    # All rows of a table at once, with two class functions that are no row,
+    # under the real digest and under one that makes every key collide.
+    t = tables["gn32"]
+    a, b = t.irreducibles[-2], t.irreducibles[-1]
+    chars = [*t.irreducibles, Character(t.group, a.degree, t.exponent, a.coeffs + b.coeffs),
+             Character(t.group, a.degree + 1, t.exponent, a.coeffs)]
+    degrees = [ch.degree for ch in chars]
+    coeffs = np.stack([ch.coeffs for ch in chars])
+    want = list(range(len(t))) + [None, None]
+    for digest in (chartable._digest, lambda values: 0):
+        monkeypatch.setattr(chartable, "_digest", digest)
+        fresh = dataclasses.replace(t)  # no keys cached under another digest
+        assert fresh.rows_of(degrees, coeffs, t.exponent) == want
+        assert [fresh.row_of(ch) for ch in chars] == want
+        assert fresh.rows_of(degrees[::-1], coeffs[::-1], t.exponent) == want[::-1]
 
 
 def test_row_of_survives_colliding_digests(tables, monkeypatch):

@@ -24,6 +24,8 @@ from groupchar import (character_table, direct_product, gn, irr_star, kernel,
 from groupchar import gvz
 from groupchar.groups import Subgroup, coset
 
+import old_verify
+
 
 @pytest.fixture(scope="module")
 def wider(zoo, tables):
@@ -62,14 +64,17 @@ def test_verify_all_builds_no_table_of_the_whole_group(wider, monkeypatch):
 def test_trivial_quotient_in_the_context_is_the_identity(wider):
     g, t = wider["gn(7,1)"]
     ctx = gvz._Ctx(t)
-    qm = ctx.quotient_by(Subgroup(g, [0]))
-    assert qm.source is g and qm.target is g
-    assert qm.projection == qm.section == tuple(range(g.order))
-    assert ctx.quotient_table(qm) is t
-    assert ctx.lifted_rows(qm) == frozenset(range(len(t)))
+    (trivial,) = ctx.ids_of([Subgroup(g, [0])])
+    assert trivial == ctx.trivial
+    target, projection, section = ctx.quotient(trivial)
+    assert target is g
+    assert projection.tolist() == section.tolist() == list(range(g.order))
+    assert ctx.quotient_table(trivial) is t
+    assert ctx.lifted(trivial).tolist() == [True] * len(t) + [False]
     # N != 1 still gets a group and a table of its own
-    qz = ctx.quotient_by(g.center())
-    assert qz.target is not g and ctx.quotient_table(qz).group is qz.target
+    z = ctx.centre_of_g
+    target, _ = ctx.image(z)
+    assert target is not g and ctx.quotient_table(z).group is target
 
 
 def test_quotient_names_its_target_on_first_read(wider, monkeypatch):
@@ -96,7 +101,8 @@ def test_quotient_names_its_target_on_first_read(wider, monkeypatch):
 
 def _reference_star(ctx, pos):
     """Irr*(Z) for the irreducible at ``pos`` by set comprehensions over
-    ``to_parent``."""
+    ``to_parent``, from the table of Z in ``ctx``, a context of the
+    per-character route (``old_verify``)."""
     centre = ctx.centre(pos)
     m_set = set(ctx.commutator_with_group(centre).members)
     d_set = set(ctx.derived().members)
@@ -109,6 +115,8 @@ def _reference_star(ctx, pos):
 
 
 def _reference_coset_condition(ctx, centre):
+    """The coset condition by set loops, in a context of the per-character
+    route (``old_verify``)."""
     classes = ctx.table.classes
     m = ctx.commutator_with_group(centre)
     others = {x for pos in ctx.nonlinear_positions()
@@ -124,18 +132,25 @@ def _reference_coset_condition(ctx, centre):
     return True, None
 
 
+def _coefficient_set(lams):
+    return sorted((lam.degree, lam.coeffs.tobytes()) for lam in lams)
+
+
 def test_star_sets_match_the_set_loop(wider):
+    # The lifts of Irr(Z/[Z,G]) minus those killing G' are the characters of
+    # Z's own table that the reference keeps: the same lambda, as coefficient
+    # arrays on the classes of Z.as_group(), which both contexts build alike.
     count = 0
     for name, (g, t) in wider.items():
-        ctx = gvz._Ctx(t)
+        ctx, old = gvz._Ctx(t), old_verify._Ctx(t)
         if not ctx.two_degree_gvz[0]:
             continue
-        for pos in ctx.nonlinear_positions():
+        for pos in ctx.nonlinear.tolist():
             star = irr_star(t, t.irreducibles[pos], _ctx=ctx)
-            want = _reference_star(ctx, pos)
-            rows = [star.centre_table.row_of(lam) for lam in star.lambdas]
-            assert rows == [star.centre_table.row_of(lam) for lam in want], name
-            count += len(rows)
+            want = _reference_star(old, pos)
+            assert _coefficient_set(star.lambdas) == _coefficient_set(want), name
+            assert len(star.lifts) == star.centre.order // star.commutator.order, name
+            count += len(want)
     assert count > 100
 
 
@@ -151,13 +166,13 @@ def test_coset_condition_matches_the_set_loop(wider):
     extra = direct_product(s3, s3)  # Z(chi x 1) = 1 x S3 fails at (1, 3-cycle)
     cases = [t for _, t in wider.values()] + [character_table(extra)]
     for t in cases:
-        ctx = gvz._Ctx(t)
-        for centre in {ctx.centre(pos) for pos in range(len(t))}:
-            assert (ctx.coset_condition(centre)
-                    == _reference_coset_condition(ctx, centre)), t.group.name
+        ctx, old = gvz._Ctx(t), old_verify._Ctx(t)
+        for pos in range(len(t)):
+            assert (ctx.coset_condition(int(ctx.centre_ids[pos]))
+                    == _reference_coset_condition(old, old.centre(pos))), t.group.name
     # ctx is now the context of S3 x S3
-    fails = [c for c in {ctx.centre(p) for p in ctx.nonlinear_positions()}
-             if not ctx.coset_condition(c)[0]]
+    fails = [z for z in set(ctx.centre_ids[ctx.nonlinear].tolist())
+             if not ctx.coset_condition(z)[0]]
     assert fails  # a nonlinear centre where skipping the other centres matters
 
 
@@ -208,8 +223,8 @@ def test_reused_nested_tables_equal_fresh_ones(wider, monkeypatch):
     seen = []
     nested_table = gvz._Ctx.nested_table
 
-    def spy(self, h, keep):
-        t = nested_table(self, h, keep)
+    def spy(self, h):
+        t = nested_table(self, h)
         seen.append((h, t))
         return t
 

@@ -90,7 +90,7 @@ def test_public_constituent_matches_the_verifier(wide):
         chartable.induce_batch(star.lambdas, star.centre, t.group), t.group.exponent, t)
     for li, lam in enumerate(star.lambdas):
         con = gvz.unique_nonlinear_constituent(t, lam, star.centre, _ctx=ctx)
-        assert con == gvz._constituent(ctx, lam, star.centre, mults[li])
+        assert con == gvz._constituent(ctx, lam, ctx.ids_of([star.centre])[0], mults[li])
         assert type(con.multiplicity) is int and con.formula_holds
 
 
@@ -149,10 +149,12 @@ def test_batched_lifts_match_row_of_lift(wide):
         g = t.group
         ctx = gvz._Ctx(t)
         for n in gvz._curated_normals(ctx):
-            qm = ctx.quotient_by(n)
-            qtable = ctx.quotient_table(qm)
-            want = frozenset(t.row_of(lift(ch, qm)) for ch in qtable.irreducibles)
-            assert ctx.lifted_rows(qm) == want, name
+            qm = quotient(g, ctx.subgroup(n))  # G/1 is a relabelled copy of G here
+            qtable = ctx.nested_table(qm.target)
+            want = {t.row_of(lift(ch, qm)) for ch in qtable.irreducibles}
+            lifted = ctx.lifted(n)
+            assert set(np.flatnonzero(lifted[:-1]).tolist()) == want - {None}, name
+            assert lifted[-1] == (None in want), name
             lifted = chartable.lift_batch(qtable.irreducibles, qm)
             for ch, coeffs in zip(qtable.irreducibles, lifted):
                 assert np.array_equal(coeffs, lift(ch, qm).coeffs), name
@@ -178,15 +180,18 @@ def test_memoised_flags_are_computed_once(wide, monkeypatch):
     t = wide["gn32"]
     ctx = gvz._Ctx(t)
     calls = []
-    original = gvz._maps_onto_centre
-    monkeypatch.setattr(gvz, "_maps_onto_centre",
-                        lambda sub, qm: calls.append(1) or original(sub, qm))
+    original = gvz._cosets
+    monkeypatch.setattr(gvz, "_cosets", lambda *args: calls.append(1) or original(*args))
+
+    def onto():
+        return sum(key[0] == "maps_onto_centre" for key in ctx._memo)
+
     verify_identity_suite(t, _ctx=ctx)
-    first = len(calls)
-    assert first < 2 * len(t)  # two tests per character, far fewer distinct
+    first, flags = len(calls), onto()
+    assert first and flags < 2 * len(t)  # two tests per character, far fewer distinct
     verify_identity_suite(t, _ctx=ctx)
-    assert len(calls) == first
-    assert all(("vanishes", pos) in ctx._memo for pos in range(len(t)))
+    assert len(calls) == first and onto() == flags  # nothing is built again
+    assert ("vanishing",) in ctx._memo  # one pass for every character
 
 
 def test_maps_onto_centre_matches_the_set_image(wide):
@@ -195,11 +200,12 @@ def test_maps_onto_centre_matches_the_set_image(wide):
         g = t.group
         ctx = gvz._Ctx(t)
         for pos in range(len(t)):
-            sub = ctx.centre(pos)
-            for n in (ctx.kernel_of(pos), ctx.commutator_with_group(sub)):
-                qm = quotient(g, n) if n.order > 1 else ctx.quotient_by(n)
+            z = int(ctx.centre_ids[pos])
+            sub = ctx.subgroup(z)
+            for n in (int(ctx.kernel_ids[pos]), int(ctx.commutators()[pos])):
+                qm = quotient(g, ctx.subgroup(n))
                 image = Subgroup(qm.target, {qm.projection[x] for x in sub.members})
-                assert gvz._maps_onto_centre(sub, qm) == (image == qm.target.center())
+                assert ctx.maps_onto_centre(z, n) == (image == qm.target.center())
 
 
 # ---------------------------------------------------------------------------
