@@ -104,10 +104,8 @@ class Character:
     """A class function on a group with values in Q(zeta_conductor).
 
     ``coeffs[c]`` holds the power-basis coefficients of the value on class
-    ``c`` of ``group``, in a read-only int64 array of shape (classes,
-    phi(conductor)) that owns its data: a copy of the array given, unless
-    that is one already, as another character's is; character values are
-    algebraic integers.  For
+    ``c`` of ``group``, in a private read-only int64 array of shape
+    (classes, phi(conductor)); character values are algebraic integers.  For
     genuine characters the value on class 0 equals ``degree``.
     ``irreducible`` says whether the character is irreducible; ``None``
     leaves it to ``is_irreducible``, which then pairs the character with
@@ -128,9 +126,8 @@ class Character:
             arr.dtype == object and all(c == int(c) for c in arr.flat))
         if arr.shape != shape or not integral:
             raise InputError(f"character values need an integer array of shape {shape}")
-        if arr.flags.writeable or arr.base is not None or arr.dtype != np.int64:
-            arr = arr.astype(np.int64)
-            arr.flags.writeable = False
+        arr = arr.astype(np.int64)
+        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     @cached_property
@@ -211,9 +208,9 @@ class CharacterTable:
             self._rows[e2] = rows
         keys = self._rows[e2]
         cands = [keys.get((d, _digest(values)), ()) for d, values in zip(degrees, coeffs)]
-        # first rows under each key confirmed at once, the rest (collisions) one by one
-        firsts = [self.irreducibles[c[0] if c else 0].at(e2) for c in cands]
-        same = (np.array(firsts) == coeffs).all(axis=(1, 2)) if cands else []
+        # the first rows under the keys are confirmed at once, collisions one by one
+        firsts = np.array([self.irreducibles[c[0] if c else 0].at(e2) for c in cands])
+        same = (firsts.reshape(coeffs.shape) == coeffs).all(axis=(1, 2))
         return [c[0] if ok and c else next((i for i in c[1:] if np.array_equal(
                     self.irreducibles[i].at(e2), values)), None)
                 for c, ok, values in zip(cands, same, coeffs)]
@@ -537,10 +534,10 @@ def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
     thetas *= inv_sizes
     thetas %= q
 
-    # The lift of a block of characters: one _root_multiplicities product,
-    # then the multiplicities times W in the carrier of max(degree) * max|W|,
-    # a bound on every partial sum as the multiplicities on a class sum to
-    # the degree.  Temporaries, carrier copies included, hold ~BLOCK // 8 entries.
+    # Per block of characters one _root_multiplicities product, then one with
+    # W in the carrier of max(degree) * max|W|, which bounds every partial sum
+    # (the multiplicities on a class sum to the degree).  Temporaries, carrier
+    # copies included, hold about BLOCK // 8 entries.
     w, w_max = _zeta_matrix(e)
     w = w.astype(modular.carrier(int(degrees.max()) * w_max))
     chars = []
@@ -883,9 +880,8 @@ def kernel(chi: Character) -> Subgroup:
 
 def _root_cells(coeffs: np.ndarray, d, e: int) -> np.ndarray:
     """Mask of the values of a coefficient array at conductor e, rows along
-    its last axis, that are d (integers that broadcast) times a root of
-    unity of Q(zeta_e), some +-zeta_e^j: those divisible by d whose quotient
-    is among the sorted bytes of the coefficient rows of those roots."""
+    its last axis, that are d (integers that broadcast) times some +-zeta_e^j:
+    those divisible by d whose quotient is among the byte rows of those roots."""
     w, _ = _zeta_matrix(e)
     units = np.unique(_row_keys(np.concatenate([w, -w])))
     d = np.asarray(d)[..., None]
@@ -915,8 +911,7 @@ def _class_masks(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, np.ndar
     out = np.empty((3, k, classes), dtype=bool)
     step = max(1, BLOCK // coeffs[:, 0].size)
     for lo in range(0, k, step):
-        values = coeffs[:, lo:lo + step].transpose(1, 0, 2)  # [chi, class, coefficient]
-        d = degrees[lo:lo + step, None]
+        values, d = coeffs[:, lo:lo + step].transpose(1, 0, 2), degrees[lo:lo + step, None]
         out[:, lo:lo + step] = (_root_cells(values, d, e), _rational_rows(values, d),
                                 values.any(axis=2))
     return out[0], out[1], out[2].copy()  # the support outlives the others

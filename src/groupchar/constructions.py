@@ -54,10 +54,9 @@ def elementary_abelian(p: int, k: int, *, cap: int = ORDER_CAP) -> Group:
 
 
 def power_words(labels: np.ndarray, names: list[str]) -> list[str]:
-    """The word of each row of exponents in ``labels``: the names of its
-    nonzero columns, in column order, each as ``x`` or ``x^c``, joined by
-    ``*``, or ``1`` for the zero row.  One object-array gather and
-    concatenation per column, not one Python call per element."""
+    """The word of each row of exponents in ``labels``: its nonzero columns'
+    names in order, each as ``x`` or ``x^c``, joined by ``*``, or ``1`` for
+    the zero row; one object-array gather per column, not a call per row."""
     words = np.full(len(labels), "", dtype=object)
     for name, col in zip(names, labels.T):
         parts = ["", f"*{name}"] + [f"*{name}^{c}" for c in range(2, int(col.max(initial=0)) + 1)]

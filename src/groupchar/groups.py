@@ -538,8 +538,9 @@ class Subgroup:
                 table = par.table
             else:
                 table = lookup[par.table[np.ix_(m, m)]]
-                if table.max(initial=0) == outside:  # some product escapes
-                    a, b = m[np.argwhere(table == outside)[0]]
+                escapes = np.argwhere(table == outside)
+                if escapes.size:
+                    a, b = m[escapes[0]]
                     raise InputError(
                         f"not closed under multiplication: "
                         f"{par.words[a]} * {par.words[b]} escapes")
@@ -684,7 +685,8 @@ def right_coset_minima(h: Subgroup) -> np.ndarray:
     if h.order == 1:
         return everything
     members = np.array(h.members, dtype=np.intp)
-    picks = [g.table[m] for m in members[1 << np.arange((h.order - 1).bit_length())]]
+    at = 1 << np.arange((h.order - 1).bit_length())
+    picks = [g.table[m].astype(np.intp) for m in members[at]]  # no gather casts again
     label, cosets = everything, g.order // h.order
     while True:
         low = _lower(label, picks)
@@ -692,7 +694,7 @@ def right_coset_minima(h: Subgroup) -> np.ndarray:
                 and np.array_equal(low[low], low)):
             return low
         if np.array_equal(low, label):
-            picks.append(g.table[members[np.argmax(low[members] != 0)]])
+            picks.append(g.table[members[np.argmax(low[members] != 0)]].astype(np.intp))
         label = low
 
 
@@ -708,11 +710,8 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
                        tuple(section.tolist()))
 
 
-def _cosets(g: Group, n: Subgroup, via: tuple | None = None) -> tuple:
-    """(G/N, projection, section) as ``quotient`` builds them, the last two
-    as arrays.  With ``via``, this triple for G/M with M inside N, the
-    cosets of N are found in G/M: x N is the union of the M-cosets in the
-    coset of N/M through x M, so its least element is their least section."""
+def _cosets(g: Group, n: Subgroup) -> tuple:
+    """(G/N, projection, section) as ``quotient`` builds them, the last two arrays."""
     witness = _normality_witness(g, n)
     if witness is not None:
         m, x, c = witness
@@ -721,17 +720,7 @@ def _cosets(g: Group, n: Subgroup, via: tuple | None = None) -> tuple:
             f"{g.words[m]} by {g.words[x]} gives {g.words[c]}, "
             "which is outside the subgroup")
 
-    if via is None:
-        low = right_coset_minima(n)  # N is normal, so x N = N x
-    else:
-        over, proj, over_section = via
-        image = np.unique(proj[list(n.members)])
-        if image.size * g.order != n.order * over.order:  # then M is not inside N
-            raise InputError("the given quotient is not by a subgroup of N")
-        low = right_coset_minima(Subgroup(over, image))
-        least = np.full(over.order, g.order)
-        np.minimum.at(least, low, over_section)
-        low = least[low][proj]
+    low = right_coset_minima(n)  # N is normal, so x N = N x
     reps = np.flatnonzero(low == np.arange(g.order))
     coset = np.zeros(g.order, dtype=np.uint16)
     coset[reps] = np.arange(reps.size)

@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import wraps
-from typing import Callable
 
 import numpy as np
 
@@ -81,8 +80,7 @@ class TheoremReport:
     def add_failures(self, label, bad, limit: int | None = None) -> None:
         """A check that passes when ``bad`` lists no counterexample; a boolean
         array lists the positions where it is set."""
-        if isinstance(bad, np.ndarray):
-            bad = np.flatnonzero(bad).tolist()
+        bad = np.flatnonzero(bad).tolist() if isinstance(bad, np.ndarray) else bad
         self.add(label, "fail" if bad else "pass", lhs=len(bad),
                  witness=bad[:limit] or None)
 
@@ -142,13 +140,11 @@ class _Ctx:
         self.nonlinear = np.flatnonzero(self.degrees > 1)
         self._memo: dict[tuple, object] = {}
         self._ids: dict[bytes, int] = {}  # a mask's packed bytes -> its id
-        self._subgroups: dict[int, Subgroup] = {}
         self.masks = np.zeros((0, len(self.sizes)), dtype=bool)  # row i: the mask of id i
         self.orders = np.zeros(0, dtype=np.int64)  # entry i: the order of id i
         centres, kernels, self.support = _class_masks(table)
         self.centre_ids, self.kernel_ids = self.intern(centres), self.intern(kernels)
-        ends = np.zeros((2, len(self.sizes)), dtype=bool)
-        ends[0, 0] = ends[1] = True  # the trivial subgroup and G
+        ends = np.arange(len(self.sizes)) <= [[0], [len(self.sizes)]]  # 1 and G
         self.trivial, self.whole = self.intern(ends).tolist()
         self.derived, self.centre_of_g = self.ids_of([self.g.derived_subgroup(), self.g.center()])
 
@@ -179,14 +175,13 @@ class _Ctx:
                 raise InputError(f"{sub.describe()} is not normal in {self.g.name}")
         ids = self.intern(masks).tolist()
         for i, sub in zip(ids, subs):
-            self._subgroups.setdefault(i, sub)
+            self._memo.setdefault(("subgroup", i), sub)
         return ids
 
+    @_kept
     def subgroup(self, i: int) -> Subgroup:
         """The normal subgroup of id ``i``, built on the first call."""
-        if i not in self._subgroups:
-            self._subgroups[i] = Subgroup(self.g, np.flatnonzero(self.masks[i][self.class_of]))
-        return self._subgroups[i]
+        return Subgroup(self.g, np.flatnonzero(self.masks[i][self.class_of]))
 
     def contains(self, a, b) -> np.ndarray:
         """Whether N_a contains N_b, for ids or arrays of ids that broadcast."""
@@ -204,44 +199,20 @@ class _Ctx:
         """The id of [Z, G] for the id ``z`` of a centre Z(chi)."""
         return int(self.commutators()[np.argmax(self.centre_ids == z)])
 
-    def pairwise(self, fn: Callable[[int, int], object], a, b) -> np.ndarray:
-        """fn(a[i], b[i]) for every i, called once per distinct pair."""
-        n = len(self._ids)
-        pairs, inverse = np.unique(a * n + b, return_inverse=True)
-        return np.array([fn(*divmod(x, n)) for x, in pairs[:, None].tolist()])[inverse]
-
     # -- quotients and nested tables --------------------------------------
 
+    @_kept
     def quotient(self, i: int) -> tuple[Group, np.ndarray, np.ndarray]:
-        """G/N for the id ``i`` of N, with its projection and section as
-        arrays (``groups._cosets``).  Kept for N = 1 and the [Z(chi),G], in
-        the largest of which inside N the cosets of any other N are found;
-        another is built again if asked again, while ``image`` keeps what
-        the claims read of it."""
-        comms = np.unique(self.commutators())
-        if i == self.trivial or i in comms:
-            return self._kept_quotient(i)
-        comms = comms[self.contains(i, comms) & (comms != self.trivial)]
-        via = self._kept_quotient(int(comms[self.orders[comms].argmax()])) if comms.size else None
-        return _cosets(self.g, self.subgroup(i), via)
-
-    @_kept
-    def _kept_quotient(self, i: int) -> tuple[Group, np.ndarray, np.ndarray]:
-        if i != self.trivial:
-            return _cosets(self.g, self.subgroup(i))
-        same = np.arange(self.g.order)
-        return self.g, same, same
-
-    @_kept
-    def image(self, i: int) -> tuple[Group, np.ndarray]:
-        """G/N, N of id ``i``, and the class of G/N holding the image of each
-        class of G."""
-        target, projection, _ = self.quotient(i)
-        return target, target.conjugacy_classes().class_array[projection[self.reps]]
+        """G/N for the id ``i`` of N, the class of G/N holding the image of
+        each class of G, and the section of G/N (``groups._cosets``)."""
+        if i == self.trivial:
+            return self.g, np.arange(len(self.reps)), np.arange(self.g.order)
+        target, projection, section = _cosets(self.g, self.subgroup(i))
+        return target, target.conjugacy_classes().class_array[projection[self.reps]], section
 
     @_kept
     def quotient_table(self, i: int) -> CharacterTable:
-        return self.table if i == self.trivial else self.nested_table(self.image(i)[0])
+        return self.table if i == self.trivial else self.nested_table(self.quotient(i)[0])
 
     def nested_table(self, h: Group) -> CharacterTable:
         """The table of ``h``: a kept one with an equal Cayley table, its rows
@@ -260,7 +231,8 @@ class _Ctx:
     def lifted(self, i: int) -> np.ndarray:
         """Which rows of the table are lifts of Irr(G/N), N of id ``i``, as a
         mask with one more entry, set when a lift matches no row."""
-        chars, classes, e = self.quotient_table(i).irreducibles, self.image(i)[1], self.g.exponent
+        _, classes, _ = self.quotient(i)
+        chars, e = self.quotient_table(i).irreducibles, self.g.exponent
         step = max(1, BLOCK // (len(self.reps) * euler_phi(e)))
         hit = np.zeros(len(self.table) + 1, dtype=bool)
         for lo in range(0, len(chars), step):
@@ -332,7 +304,7 @@ class _Ctx:
     def maps_onto_centre(self, z: int, n: int) -> bool:
         """Whether the image of N_z in G/N, N of id ``n``, is the centre of
         G/N: the classes of G/N meeting the image are those of size one."""
-        target, classes = self.image(n)
+        target, classes, _ = self.quotient(n)
         image = np.unique(classes[self.masks[z]])
         sizes = np.array(target.conjugacy_classes().sizes)
         return np.array_equal(image, np.flatnonzero(sizes == 1))
@@ -342,9 +314,8 @@ class _Ctx:
         as large as M and holding every x m, in blocks of about ``BLOCK``
         products."""
         members, step = np.array(m.members), max(1, BLOCK // m.order)
-        out = [np.zeros(0, dtype=bool)]
-        for lo in range(0, len(xs), step):
-            x = xs[lo:lo + step]
+        out = []
+        for x in np.array_split(xs, range(step, len(xs), step)):
             c = self.class_of[x]
             products = self.class_of[self.g.table[np.ix_(x, members)]]
             out.append((self.sizes[c] == m.order) & (products == c[:, None]).all(axis=1))
@@ -735,7 +706,7 @@ def verify_coset_criterion(table: CharacterTable, *,
                witness=None if gvz_holds else {
                    "character": bad_pos, "class": bad_class})
 
-    holds = ctx.pairwise(lambda z, _: ctx.coset_condition(z)[0], ctx.centre_ids, ctx.centre_ids)
+    holds = np.array([ctx.coset_condition(z)[0] for z in ctx.centre_ids.tolist()])
     condition, pos = bool(holds.all()), int(holds.argmin())
     witness = None if condition else dict(
         ctx.coset_condition(int(ctx.centre_ids[pos]))[1], character=pos)
@@ -778,7 +749,7 @@ def verify_identity_suite(table: CharacterTable, *,
                         "the whole derived subgroup",
                         (ctx.degrees == 1) != (comms == ctx.derived))
     report.add_failures("the centre of G/[Z(chi),G] is the image of Z(chi)",
-                        ~ctx.pairwise(ctx.maps_onto_centre, zs, comms))
+                        ~np.array(list(map(ctx.maps_onto_centre, zs.tolist(), comms.tolist()))))
     # [chi_Z, chi_Z] = [G:Z] [chi,chi] scales both sides by |Z|
     restricted, full = ctx.norms()
     report.add_failures("the restricted norm meets [G:H][chi,chi] exactly "
@@ -791,7 +762,7 @@ def verify_identity_suite(table: CharacterTable, *,
     report.add_failures("when G/Z(chi) is abelian, chi(1)^2 equals |G:Z(chi)|",
                         ctx.contains(zs, ctx.derived) & (squares * z_orders != g.order))
     report.add_failures("the centre of chi maps onto the centre of G/ker(chi)",
-                        ~ctx.pairwise(ctx.maps_onto_centre, zs, ks))
+                        ~np.array(list(map(ctx.maps_onto_centre, zs.tolist(), ks.tolist()))))
 
     # \{chi with N <= ker chi\} is exactly the lifted Irr(G/N), over a
     # curated family of normal subgroups
@@ -974,25 +945,19 @@ def centre_census(table: CharacterTable, *,
 # ---------------------------------------------------------------------------
 # one-shot driver
 
-_CLAIMS = ("thm1.1", "thm1.2", "lemmas", "prop2.11", "centres")
+_VERIFIERS = {"thm1.1": verify_fiber_theorem, "thm1.2": verify_coset_criterion,
+              "lemmas": verify_identity_suite, "prop2.11": verify_p4_criterion,
+              "centres": centre_census}
+_CLAIMS = tuple(_VERIFIERS)
 
 
 def verify_claim(table: CharacterTable, claim: str, *,
                  _ctx: _Ctx | None = None):
     """Run one claim verifier; HypothesisNotMet propagates to the caller."""
-    ctx = _ctx or _Ctx(table)
-    if claim == "thm1.1":
-        return verify_fiber_theorem(table, _ctx=ctx)
-    if claim == "thm1.2":
-        return verify_coset_criterion(table, _ctx=ctx)
-    if claim == "lemmas":
-        return verify_identity_suite(table, _ctx=ctx)
-    if claim == "prop2.11":
-        return verify_p4_criterion(table, _ctx=ctx)
-    if claim == "centres":
-        return centre_census(table, _ctx=ctx)
-    raise InputError(f"unknown claim {claim!r}; expected one of "
-                     f"{', '.join(_CLAIMS)} or all")
+    if claim not in _VERIFIERS:
+        raise InputError(f"unknown claim {claim!r}; expected one of "
+                         f"{', '.join(_CLAIMS)} or all")
+    return _VERIFIERS[claim](table, _ctx=_ctx or _Ctx(table))
 
 
 def verify_all(table: CharacterTable) -> list:

@@ -9,12 +9,11 @@ import random
 import numpy as np
 import pytest
 
-from groupchar import groups
 from groupchar import (InputError, NotNilpotent, ResourceError, Subgroup,
                        build_group, centralizer, commutator_subgroup, coset,
                        cyclic, enumerate_from_permutations, generated_by,
-                       gn, heisenberg, is_normal, kernel, named,
-                       nilpotency_class, perm_from_cycles, quotient)
+                       gn, heisenberg, is_normal, named, nilpotency_class,
+                       perm_from_cycles, quotient)
 
 
 def test_identity_is_index_zero(zoo):
@@ -166,32 +165,6 @@ def test_quotient_homomorphism():
     # sections land in the right fibre
     for c in range(qm.target.order):
         assert proj[qm.section[c]] == c
-
-
-def test_cosets_found_through_a_smaller_quotient_are_the_same(tables):
-    # G/N with its cosets found in G/M, for every pair of kernels M <= N:
-    # the same projection, section, multiplication, words and name as
-    # ``quotient`` gives.
-    count = 0
-    for name, t in tables.items():
-        g = t.group
-        kernels = list({kernel(ch): None for ch in t.irreducibles})
-        for m in kernels:
-            via = groups._cosets(g, m)
-            for n in kernels:
-                if n.contains_set(m):
-                    want = quotient(g, n)
-                    target, projection, section = groups._cosets(g, n, via)
-                    assert projection.tolist() == list(want.projection), name
-                    assert section.tolist() == list(want.section), name
-                    assert np.array_equal(target.table, want.target.table), name
-                    assert target.words == want.target.words, name
-                    assert target.name == want.target.name, name
-                    count += 1
-    assert count > 100
-    g = tables["heis3"].group
-    with pytest.raises(InputError):  # M = Z(G) is not inside the trivial N
-        groups._cosets(g, Subgroup(g, [0]), groups._cosets(g, g.center()))
 
 
 def test_quotient_rejects_non_normal():

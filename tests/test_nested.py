@@ -66,14 +66,15 @@ def test_trivial_quotient_in_the_context_is_the_identity(wider):
     ctx = gvz._Ctx(t)
     (trivial,) = ctx.ids_of([Subgroup(g, [0])])
     assert trivial == ctx.trivial
-    target, projection, section = ctx.quotient(trivial)
+    target, classes, section = ctx.quotient(trivial)
     assert target is g
-    assert projection.tolist() == section.tolist() == list(range(g.order))
+    assert classes.tolist() == list(range(len(t.classes)))
+    assert section.tolist() == list(range(g.order))
     assert ctx.quotient_table(trivial) is t
     assert ctx.lifted(trivial).tolist() == [True] * len(t) + [False]
     # N != 1 still gets a group and a table of its own
     z = ctx.centre_of_g
-    target, _ = ctx.image(z)
+    target, _, _ = ctx.quotient(z)
     assert target is not g and ctx.quotient_table(z).group is target
 
 
