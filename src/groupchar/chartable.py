@@ -17,6 +17,15 @@ characters, so the split always ends: at k pieces, one omega_chi each,
 whatever the coefficients or the order.  A root outside F_q, a repeated
 root or running out of matrices is a ``ConsistencyError``.
 
+``character_tables`` splits groups in batches: all the non-abelian groups
+it is given with the same class count k and the same prime q share one
+split, whose rows each carry their group (the owner) and stay sorted by
+it.  A round takes the next matrix of every group still short of k pieces;
+a Krylov step makes one product per owner with live rows, and the
+reduction, the roots and the new pieces are one pass over all of them.  A
+group leaves the batch when it has k pieces, and its lift runs alone, so
+its table is the one it gets alone; ``character_table`` is a batch of one.
+
 Degrees are recovered from the second orthogonality relation inside F_q,
 and values are lifted exactly into Q(zeta_e) (e = exponent of the group)
 by extracting, for each class, the multiplicity of each e-th root of unity
@@ -92,7 +101,7 @@ from . import modular
 from .cyclotomic import Cyclotomic, _zeta_powers, embedding, euler_phi
 from .errors import ConsistencyError, InputError, ResourceError
 from .groups import (ORDER_CAP, ConjugacyClasses, Group, QuotientMap, Subgroup,
-                     _row_keys, quotient, right_coset_minima)
+                     _row_keys, _unique_sorted, quotient, right_coset_minima)
 from .modular import is_prime, prime_factors
 
 PRIME_BOUND = 10_000_000
@@ -276,15 +285,16 @@ def class_matrix(g: Group, classes: ConjugacyClasses, i: int) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=k * k).reshape(k, k)
 
 
-def _combination(g: Group, classes: ConjugacyClasses, coeffs: np.ndarray,
-                 q: int) -> np.ndarray:
+def _combination(g: Group, classes: ConjugacyClasses, inverse_class: Sequence[int],
+                 coeffs: np.ndarray, q: int) -> np.ndarray:
     """sum_i coeffs[i] M_i mod q, coefficients in [0, q).  Entry [j, t] weighs
     each x with x^-1 z_t in class j by the coefficient of x's class; as y z_t
     and z_t y are conjugate, column t is one bincount of the classes along
-    row z_t of the Cayley table, weighing y by that of y^-1, about ``BLOCK``
-    cells at a time.  Sums stay below |G| q < 2**53: exact in float64."""
+    row z_t of the Cayley table, weighing y by that of y^-1 (the class
+    ``inverse_class`` gives), about ``BLOCK`` cells at a time.  Sums stay
+    below |G| q < 2**53: exact in float64."""
     k, class_of = len(classes), classes.class_array
-    weights = coeffs[list(_inverse_class(g, classes))][class_of].astype(np.float64)
+    weights = coeffs[list(inverse_class)][class_of].astype(np.float64)
     reps = np.array(classes.reps)
     step = max(1, BLOCK // g.order)
     out = np.empty((k, k), dtype=np.int64)  # the transpose, one row per column
@@ -296,15 +306,15 @@ def _combination(g: Group, classes: ConjugacyClasses, coeffs: np.ndarray,
     return out.T
 
 
-def _split_matrices(g: Group, classes: ConjugacyClasses, q: int,
-                    split_order: Sequence[int] | None):
+def _split_matrices(g: Group, classes: ConjugacyClasses, inverse_class: Sequence[int],
+                    q: int, split_order: Sequence[int] | None):
     """The split's matrices, each built when its round starts: ``COMBINATIONS``
     class-sum combinations, then M_1 ... M_{k-1}, which separate all central
     characters; or the class matrices in ``split_order``."""
     k = len(classes)
     if split_order is None:
         for coeffs in _coefficients(k, q):
-            yield _combination(g, classes, coeffs, q)
+            yield _combination(g, classes, inverse_class, coeffs, q)
         split_order = range(1, k)
     for i in split_order:
         if not 0 <= i < k:
@@ -320,63 +330,86 @@ def _coefficients(k: int, q: int) -> np.ndarray:
     return (x % np.uint64(q)).astype(np.int64).reshape(COMBINATIONS, k)
 
 
-def _split(matrices, k: int, q: int) -> np.ndarray:
-    """The k central characters mod q, scaled to 1 on the identity class,
-    from e_0 by one ``_split_round`` per matrix until there are k pieces;
-    ConsistencyError if the matrices run out first."""
-    pieces = np.eye(1, k, dtype=np.int64)
-    while len(pieces) < k:
-        c = next(matrices, None)
-        if c is None:
+def _split(matrices: Sequence, k: int, q: int) -> list[np.ndarray]:
+    """The k central characters mod q of each group of a batch, scaled to 1
+    on the identity class, from ``matrices``, one iterator of split matrices
+    per group.  Each group starts at e_0; a round takes the next matrix of
+    every group short of k pieces and splits all their pieces in one
+    ``_split_round``, so a group leaves the batch once it has k pieces.
+    ConsistencyError if a group's matrices run out first."""
+    parts = [np.eye(1, k, dtype=np.int64)] * len(matrices)
+    while active := [i for i, p in enumerate(parts) if len(p) < k]:
+        cs = [next(matrices[i], None) for i in active]
+        if any(c is None for c in cs):
             raise ConsistencyError("the split matrices failed to separate all characters")
-        pieces = _split_round(pieces, c, q)
-    if len(pieces) != k or not pieces[:, 0].all():
-        raise ConsistencyError("the split did not end in k central characters")
-    inv = np.array([pow(int(c), -1, q) for c in pieces[:, 0]], dtype=np.int64)
-    return pieces * inv[:, None] % q
+        sizes = [len(parts[i]) for i in active]
+        pieces, owners = _split_round(np.concatenate([parts[i] for i in active]),
+                                      np.repeat(np.arange(len(active)), sizes), cs, q)
+        cuts = np.searchsorted(owners, np.arange(1, len(active)))
+        for i, p in zip(active, np.split(pieces, cuts)):
+            parts[i] = p
+    out = []
+    for pieces in parts:
+        if len(pieces) != k or not pieces[:, 0].all():
+            raise ConsistencyError("the split did not end in k central characters")
+        inv = np.array([pow(int(c), -1, q) for c in pieces[:, 0]], dtype=np.int64)
+        out.append(pieces * inv[:, None] % q)
+    return out
 
 
-def _split_round(pieces: np.ndarray, c: np.ndarray, q: int) -> np.ndarray:
-    """Each piece s split under C = ``c`` (residues) into the p_j(C) s, or
-    kept when its mu has one root: about ``BLOCK`` entries at a time through
-    ``_krylov``, one Horner pass and one batched product from the C^m s per
-    degree, in the carrier of k (q-1)**2 (never objects, as k <= ORDER_CAP
-    and q < PRIME_BOUND), to which C^T is cast once."""
+def _split_round(pieces: np.ndarray, owners: np.ndarray, cs: Sequence[np.ndarray],
+                 q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each piece s split under C = ``cs[o]``, o its entry of ``owners``
+    (ascending), into the p_j(C) s, or kept when its mu has one root; the
+    pieces come back with their owners, again ascending.  About ``BLOCK``
+    entries at a time go through ``_krylov``, then one Horner pass and one
+    batched product from the C^m s per degree, whatever the owners, in the
+    carrier of k (q-1)**2 (never objects, as k <= ORDER_CAP and q <
+    PRIME_BOUND), to which each C^T is cast once."""
     k = pieces.shape[1]
-    ct = c.T.astype(modular.carrier(k * (q - 1) ** 2))
-    out, step = [], max(1, BLOCK // k)
+    dtype = modular.carrier(k * (q - 1) ** 2)
+    cts = [c.T.astype(dtype) for c in cs]
+    out, whose, step = [], [], max(1, BLOCK // k)
     for lo in range(0, len(pieces), step):
-        for _, mu, kry in _krylov(pieces[lo:lo + step], ct, q):
+        chunk = owners[lo:lo + step]
+        for ids, mu, kry in _krylov(pieces[lo:lo + step], chunk, cts, q):
             rows, r = kry.shape[:2]
+            whose.append(np.repeat(chunk[ids], r))
             if r == 1:
                 out.append(kry[:, 0])
                 continue
             lams = _roots(mu, q)
             # coef[x, j, m]: the t^m coefficient of p_j for row x, by synthetic division
-            coef = np.zeros((rows, r, r), dtype=ct.dtype)
+            coef = np.zeros((rows, r, r), dtype=dtype)
             coef[:, :, r - 1] = 1
             for m in range(r - 1, 0, -1):
                 coef[:, :, m - 1] = (mu[:, m, None] + lams * coef[:, :, m]) % q
             out.append((coef @ kry % q).reshape(-1, k))
-    return np.concatenate(out).astype(np.int64)
+    whose = np.concatenate(whose)
+    order = np.argsort(whose, kind="stable")
+    return np.concatenate(out).astype(np.int64)[order], whose[order]
 
 
-def _krylov(v: np.ndarray, ct: np.ndarray, q: int) -> list:
+def _krylov(v: np.ndarray, owners: np.ndarray, cts: Sequence[np.ndarray], q: int) -> list:
     """(rows of ``v``, their mu, their C^m s for m < deg mu) for the rows s
     of ``v`` that end at each step, mu the ascending minimal polynomial of s
-    under C = ``ct``^T.  Step m takes one product for all live rows; row i of
-    a row's basis is C^i s reduced against the rows before it, scaled to 1 at
-    its pivot, with its combination of powers of C, and is never changed.  So
-    a new vector's coefficients x solve x L = (its entries at the pivots),
-    L[i, j] row i at pivot j, unit upper triangular; L^-1 gains a column."""
+    under C = ``cts[o]``^T, o the row's entry of ``owners`` (ascending).
+    Step m takes one product per owner with live rows, and everything else
+    is one pass over all of them; row i of a row's basis is C^i s reduced
+    against the rows before it, scaled to 1 at its pivot, with its
+    combination of powers of C, and is never changed.  So a new vector's
+    coefficients x solve x L = (its entries at the pivots), L[i, j] row i
+    at pivot j, unit upper triangular; L^-1 gains a column."""
     n, k = v.shape
-    v = v.astype(ct.dtype)
+    v = v.astype(cts[0].dtype)
     ids = np.arange(n)
     cap = min(k + 1, max(2, BLOCK // (4 * n * k)))  # Krylov depth held, doubled when reached
     basis = np.zeros((n, cap, k + cap + 1), dtype=v.dtype)  # [vector | powers]
     inverse = np.zeros((n, cap, cap), dtype=v.dtype)  # L^-1
     krylov = np.zeros((n, cap, k), dtype=v.dtype)  # C^m s
     pivots = np.zeros((n, cap), dtype=np.intp)
+    firsts = np.searchsorted(owners, np.arange(len(cts) + 1))  # where each owner starts
+    runs = _runs(cts, firsts.tolist())
     done = []
     for m in range(k + 1):
         if m == cap:
@@ -399,6 +432,7 @@ def _krylov(v: np.ndarray, ct: np.ndarray, q: int) -> list:
                 a[live] for a in (ids, v, row, basis, inverse, krylov, pivots))
             if not len(v):
                 break
+            runs = _runs(cts, np.searchsorted(ids, firsts).tolist())
         at, p = np.arange(len(v)), (row[:, :k] != 0).argmax(axis=1)
         row *= np.array([pow(int(c), -1, q) for c in row[at, p]], dtype=v.dtype)[:, None]
         row %= q
@@ -408,8 +442,16 @@ def _krylov(v: np.ndarray, ct: np.ndarray, q: int) -> list:
         basis[:, m, :w] = row
         pivots[:, m] = p
         krylov[:, m] = v
-        v = v @ ct % q
+        v = v @ runs[0][0] if len(runs) == 1 else np.concatenate(
+            [v[lo:hi] @ ct for ct, lo, hi in runs])
+        v %= q
     return done
+
+
+def _runs(cts: Sequence[np.ndarray], edges: list[int]) -> list:
+    """(C^T, first row, end row) for each owner with live rows, the rows of
+    owner o being ``edges[o]`` to ``edges[o + 1]``."""
+    return [(ct, lo, hi) for ct, lo, hi in zip(cts, edges, edges[1:]) if hi > lo]
 
 
 def _roots(polys: np.ndarray, q: int) -> np.ndarray:
@@ -462,17 +504,33 @@ def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, 
 
 def character_table(g: Group, *,
                     split_order: Sequence[int] | None = None) -> CharacterTable:
-    """Exact character table of ``g``.
+    """Exact character table of ``g``, a batch of one for
+    ``character_tables``."""
+    return character_tables([g], split_order=split_order)[0]
+
+
+def character_tables(groups: Sequence[Group], *,
+                     split_order: Sequence[int] | None = None) -> list[CharacterTable]:
+    """Exact character tables of ``groups``, in order.
 
     Abelian groups are built directly by cyclic extension
-    (``_abelian_table``); every other group goes through the Dixon split.
+    (``_abelian_table``); every other group goes through the Dixon split,
+    in one ``_split`` for all of those with the same class count k and the
+    same Dixon prime q, as their pieces then share a length and a field.
     ``split_order`` replaces the split's matrices by the class matrices in
     that order (the resulting table is identical, as rows are sorted
     canonically); an abelian table splits nothing and ignores it.
     """
-    if g.is_abelian():
-        return _abelian_table(g)
-    return _dixon_table(g, split_order)
+    tables, batches = {}, {}
+    for i, g in enumerate(groups):
+        if g.is_abelian():
+            tables[i] = _abelian_table(g)
+        else:
+            key = len(g.conjugacy_classes()), dixon_prime(g.order, g.exponent)
+            batches.setdefault(key, []).append(i)
+    for batch in batches.values():
+        tables.update(zip(batch, _dixon_tables([groups[i] for i in batch], split_order)))
+    return [tables[i] for i in range(len(groups))]
 
 
 def _inverse_class(g: Group, classes: ConjugacyClasses) -> tuple[int, ...]:
@@ -494,15 +552,26 @@ def _finish(g: Group, classes: ConjugacyClasses, chars: list, q: int,
     return CharacterTable(g, classes, tuple(chars), g.exponent, q, inverse_class, pm)
 
 
-def _dixon_table(g: Group, split_order: Sequence[int] | None) -> CharacterTable:
-    """The table by the class-matrix split over F_q and the value lift."""
-    classes = g.conjugacy_classes()
+def _dixon_tables(groups: Sequence[Group],
+                  split_order: Sequence[int] | None) -> list[CharacterTable]:
+    """The tables of groups that share their class count k and Dixon prime
+    q: one class-matrix split over F_q for all of them, then each group's
+    value lift."""
+    classes = [g.conjugacy_classes() for g in groups]
+    k, q = len(classes[0]), dixon_prime(groups[0].order, groups[0].exponent)
+    inverses = [_inverse_class(g, c) for g, c in zip(groups, classes)]
+    omegas = _split([_split_matrices(g, c, inv, q, split_order)
+                     for g, c, inv in zip(groups, classes, inverses)], k, q)
+    return [_lift_table(g, c, inv, omega, q)
+            for g, c, inv, omega in zip(groups, classes, inverses, omegas)]
+
+
+def _lift_table(g: Group, classes: ConjugacyClasses, inverse_class: tuple[int, ...],
+                omega: np.ndarray, q: int) -> CharacterTable:
+    """The table of ``g`` from its central characters ``omega`` mod q: the
+    degrees and the value lift."""
     k = len(classes)
     e = g.exponent
-    q = dixon_prime(g.order, e)
-    omega = _split(_split_matrices(g, classes, q, split_order), k, q)
-
-    inverse_class = _inverse_class(g, classes)
     inv_sizes = np.array([pow(len(m), -1, q) for m in classes.members], dtype=np.int64)
     pm = _power_map(g, classes, e)
     pm_arr = np.array(pm, dtype=np.int64)
@@ -883,7 +952,7 @@ def _root_cells(coeffs: np.ndarray, d, e: int) -> np.ndarray:
     its last axis, that are d (integers that broadcast) times some +-zeta_e^j:
     those divisible by d whose quotient is among the byte rows of those roots."""
     w, _ = _zeta_matrix(e)
-    units = np.unique(_row_keys(np.concatenate([w, -w])))
+    units = _unique_sorted(_row_keys(np.concatenate([w, -w])))
     d = np.asarray(d)[..., None]
     hit = (coeffs % d == 0).all(axis=-1) & coeffs.any(axis=-1)
     quotients = _row_keys((coeffs // d)[hit])  # only the nonzero multiples of d

@@ -245,6 +245,16 @@ def _named(name: str | Callable[[], str]) -> str:
     return name() if callable(name) else name
 
 
+def _unique_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array in ascending order, as
+    ``np.unique(a)`` gives them: numpy 2's plain ``np.unique`` asks
+    ``np.ma.is_masked`` and so imports ``numpy.ma``."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One exact, hashable key per label once ``tolist`` is applied: the
     label itself for integer labels, the row's bytes for tuple labels (a
@@ -472,7 +482,7 @@ class Subgroup:
         arr = (members if isinstance(members, np.ndarray)
                else np.fromiter(members, dtype=np.intp))
         if not (arr[1:] > arr[:-1]).all():  # an index array is often sorted already
-            arr = np.unique(arr)
+            arr = _unique_sorted(arr)
         mt = tuple(arr.tolist())
         if not mt or mt[0] != 0:
             raise InputError("a subgroup must contain the identity (index 0)")
@@ -551,6 +561,11 @@ class Subgroup:
                                 gens, table)
         return self._group
 
+    def drop_group(self) -> None:
+        """Let go of the group ``as_group`` built; the next call builds it
+        again."""
+        self._group = None
+
     def to_parent(self, sub_index: int) -> int:
         return self.members[sub_index]
 
@@ -577,7 +592,7 @@ def _closure(g: Group, seeds: Iterable[int]) -> np.ndarray:
         new = []
         for lo in range(0, frontier.size, step):
             ys = g.table[np.ix_(frontier[lo:lo + step], seeds)].ravel()
-            ys = np.unique(ys[~reached[ys]])
+            ys = _unique_sorted(ys[~reached[ys]])
             reached[ys] = True
             new.append(ys)
         frontier = np.concatenate(new)

@@ -29,15 +29,15 @@ from functools import wraps
 import numpy as np
 
 from .chartable import (BLOCK, Character, CharacterTable, _class_masks,
-                        _rational_rows, character_table, decompose,
+                        _rational_rows, character_tables, decompose,
                         decompose_batch, degree_set, induce, induce_batch,
                         lift_batch, weighted_norms)
 from .constructions import predicted_centres
 from .cyclotomic import euler_phi
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      TheoremViolation)
-from .groups import (Group, Subgroup, _cosets, commutator_subgroup,
-                     nilpotency_class, quotient)
+from .groups import (Group, Subgroup, _cosets, _unique_sorted,
+                     commutator_subgroup, nilpotency_class, quotient)
 from .modular import prime_factors
 
 
@@ -127,9 +127,12 @@ class _Ctx:
     the deflations of Irr(G): otherwise the bijections that ``lemmas`` and
     ``thm1.1`` check between Irr(G/N) and characters of G would hold by
     construction.  A quotient reuses the table of an earlier one with an
-    equal Cayley table (``nested_table``): the Dixon table of that exact
-    multiplication table, so the rule holds.  The tables live in the
-    context, so every ``verify_all`` builds its own.
+    equal Cayley table (``nested_tables``): the Dixon table of that exact
+    multiplication table, so the rule holds.  A claim asks for the
+    quotients it reads at once (``quotient_tables``), so their fresh
+    tables split in batches (``chartable.character_tables``), each still
+    from its own class matrices.  The tables live in the context, so every
+    ``verify_all`` builds its own.
     """
 
     def __init__(self, table: CharacterTable):
@@ -146,6 +149,7 @@ class _Ctx:
         self.centre_ids, self.kernel_ids = self.intern(centres), self.intern(kernels)
         ends = np.arange(len(self.sizes)) <= [[0], [len(self.sizes)]]  # 1 and G
         self.trivial, self.whole = self.intern(ends).tolist()
+        self._memo["quotient table", self.trivial] = table  # G/1 is G
         self.derived, self.centre_of_g = self.ids_of([self.g.derived_subgroup(), self.g.center()])
 
     # -- ids and masks ----------------------------------------------------
@@ -210,22 +214,47 @@ class _Ctx:
         target, projection, section = _cosets(self.g, self.subgroup(i))
         return target, target.conjugacy_classes().class_array[projection[self.reps]], section
 
-    @_kept
     def quotient_table(self, i: int) -> CharacterTable:
-        return self.table if i == self.trivial else self.nested_table(self.quotient(i)[0])
+        return self.quotient_tables([i])[0]
+
+    def quotient_tables(self, ids: list[int]) -> list[CharacterTable]:
+        """The tables of G/N for the ids of N in ``ids``; those not kept yet
+        come from one ``nested_tables`` call, so they split together."""
+        todo = [i for i in dict.fromkeys(ids) if ("quotient table", i) not in self._memo]
+        for i, t in zip(todo, self.nested_tables([self.quotient(i)[0] for i in todo])):
+            self._memo["quotient table", i] = t
+        return [self._memo["quotient table", i] for i in ids]
 
     def nested_table(self, h: Group) -> CharacterTable:
-        """The table of ``h``: a kept one with an equal Cayley table, its rows
-        as new characters of ``h``, or else a fresh one, kept."""
+        return self.nested_tables([h])[0]
+
+    def nested_tables(self, hs: list[Group]) -> list[CharacterTable]:
+        """The tables of ``hs``: for each, a kept one with an equal Cayley
+        table, its rows as new characters of the group, or else a fresh
+        one; the fresh ones come from one ``character_tables`` call and are
+        kept."""
+        found, fresh = [self._kept_table(h) for h in hs], []
+        for h, t in zip(hs, found):
+            if t is None and not any(np.array_equal(f.table, h.table) for f in fresh):
+                fresh.append(h)
+        for t in character_tables(fresh):
+            self._kept_tables(t.group).append(t)
+        return [self._kept_table(h) if t is None else t for h, t in zip(hs, found)]
+
+    def _kept_tables(self, h: Group) -> list[CharacterTable]:
+        """The kept tables that may share the Cayley table of ``h``."""
         squares = hash(h.table.diagonal().tobytes())
-        built = self._memo.setdefault(("nested tables", h.order, squares), [])
-        for t in built:
+        return self._memo.setdefault(("nested tables", h.order, squares), [])
+
+    def _kept_table(self, h: Group) -> CharacterTable | None:
+        """The kept table with the Cayley table of ``h``, on ``h``, or None."""
+        for t in self._kept_tables(h):
+            if t.group is h:
+                return t
             if np.array_equal(t.group.table, h.table):
                 return replace(t, group=h, classes=h.conjugacy_classes(), irreducibles=tuple(
                     replace(ch, group=h) for ch in t.irreducibles))
-        t = character_table(h)
-        built.append(t)
-        return t
+        return None
 
     @_kept
     def lifted(self, i: int) -> np.ndarray:
@@ -305,7 +334,7 @@ class _Ctx:
         """Whether the image of N_z in G/N, N of id ``n``, is the centre of
         G/N: the classes of G/N meeting the image are those of size one."""
         target, classes, _ = self.quotient(n)
-        image = np.unique(classes[self.masks[z]])
+        image = _unique_sorted(classes[self.masks[z]])
         sizes = np.array(target.conjugacy_classes().sizes)
         return np.array_equal(image, np.flatnonzero(sizes == 1))
 
@@ -326,7 +355,7 @@ class _Ctx:
         """Whether x[Z,G] is the class of x for every x in the centre Z of id
         ``z`` that lies in no other nonlinear centre; a witness element if
         not."""
-        others = np.unique(self.centre_ids[self.nonlinear])
+        others = _unique_sorted(self.centre_ids[self.nonlinear])
         others = self.masks[others[others != z]].any(axis=0)
         xs = np.flatnonzero((self.masks[z] & ~others)[self.class_of])
         m = self.subgroup(self.commutator(z))
@@ -538,7 +567,7 @@ def irr_star(table: CharacterTable, chi: Character, *,
     # the class of Z holding each element of G, -1 outside Z
     z_class = np.full(ctx.g.order, -1)
     z_class[list(centre.members)] = zg.conjugacy_classes().class_array
-    d_classes = np.unique(z_class[list(ctx.subgroup(ctx.derived).members)])
+    d_classes = _unique_sorted(z_class[list(ctx.subgroup(ctx.derived).members)])
     return IrrStar(centre, m, lifts, tuple(lam for lam in lifts if not _kills(lam, d_classes)),
                    bool(ctx.contains(z, ctx.derived)))
 
@@ -547,7 +576,7 @@ def _kills(lam: Character, classes: np.ndarray) -> bool:
     """Whether ``lam`` equals its degree on every class listed, that is, the
     elements of those classes lie in its kernel; a -1 (an element outside
     lam's group) makes the answer no."""
-    # np.unique sorts -1 first
+    # _unique_sorted puts -1 first
     return bool(classes[0] >= 0 and _rational_rows(lam.coeffs[classes], lam.degree).all())
 
 
@@ -621,6 +650,7 @@ def verify_fiber_theorem(table: CharacterTable, *,
     fibres: dict[int, list[int]] = {}
     for pos, z in zip(nl, ctx.centre_ids[nl].tolist()):
         fibres.setdefault(z, []).append(pos)
+    ctx.quotient_tables([ctx.commutator(z) for z in fibres])  # split together
 
     total = 0
     for z in sorted(fibres, key=lambda i: ctx.subgroup(i).members):
@@ -682,6 +712,7 @@ def verify_fiber_theorem(table: CharacterTable, *,
         report.add(f"{tag}: constituent set equals the fibre over this centre",
                    "pass" if set(thetas) == set(fibre) else "fail",
                    lhs=len(set(thetas)), rhs=len(fibre))
+        centre.drop_group()  # |Z|^2 entries that no later check reads
 
     report.add("fibres partition the nonlinear characters",
                "pass" if total == len(nl) else "fail",
@@ -739,6 +770,8 @@ def verify_identity_suite(table: CharacterTable, *,
     ctx = _ctx or _Ctx(table)
     report = TheoremReport("lemmas", ctx.g.name)
     g = ctx.g
+    normals = _curated_normals(ctx)
+    ctx.quotient_tables(normals)  # split together
     zs, ks, comms = ctx.centre_ids, ctx.kernel_ids, ctx.commutators()
     squares = ctx.degrees ** 2
     z_orders = ctx.orders[zs]
@@ -766,7 +799,6 @@ def verify_identity_suite(table: CharacterTable, *,
 
     # \{chi with N <= ker chi\} is exactly the lifted Irr(G/N), over a
     # curated family of normal subgroups
-    normals = _curated_normals(ctx)
     kernels, at = np.unique(ks, return_inverse=True)
     over = _subsets(ctx.masks[normals], ctx.masks[kernels])[:, at.reshape(-1)]
     report.add_failures("the characters with N inside the kernel are exactly "
@@ -818,7 +850,7 @@ def verify_identity_suite(table: CharacterTable, *,
     label = ("with all nonlinear centres equal, they are Z(G) and the "
              "nonlinear count is |Z(G)| - |Z(G)|/|G'|")
     if met:
-        if len(np.unique(zs[nl])) == 1:
+        if len(_unique_sorted(zs[nl])) == 1:
             expected = c_order - Fraction(c_order, d_order)
             ok = zs[nl[0]] == ctx.centre_of_g and len(nl) == expected
             report.add(label, "pass" if ok else "fail",

@@ -2,7 +2,7 @@
 
 ``character_table`` builds an abelian group's table directly, as exponents
 of zeta_e, and never runs the Dixon split.  Here that route must give the
-same table as the Dixon route (``chartable._dixon_table``): the same rows in
+same table as the Dixon route (``chartable._dixon_tables``): the same rows in
 the same order, the same field prime, inverse classes and power map.  It
 runs on the abelian groups of the zoo, on a few larger products, and on
 every abelian subgroup and quotient table that ``verify all`` builds on the
@@ -61,7 +61,7 @@ def test_abelian_route_matches_dixon(zoo):
     assert len(groups) == 7  # trivial, c2..c6, ea9
     groups += [cyclic(60), _products(4, 6, 10), elementary_abelian(2, 5)]
     for g in groups:
-        _assert_same_table(character_table(g), chartable._dixon_table(g, None))
+        _assert_same_table(character_table(g), chartable._dixon_tables([g], None)[0])
 
 
 def test_abelian_route_uses_no_split(monkeypatch):
@@ -89,21 +89,20 @@ def test_table_over_the_coefficient_limit_exits_3_at_once(capsys):
 
 def test_nested_abelian_tables_match_dixon(zoo, tables, monkeypatch):
     seen = []
-    original = gvz._Ctx.nested_table
+    original = gvz._Ctx.nested_tables
 
-    def spy(self, h):
-        t = original(self, h)
-        if t.group.is_abelian():
-            seen.append(t)
-        return t
+    def spy(self, hs):
+        out = original(self, hs)
+        seen.extend(t for t in out if t.group.is_abelian())
+        return out
 
-    monkeypatch.setattr(gvz._Ctx, "nested_table", spy)
+    monkeypatch.setattr(gvz._Ctx, "nested_tables", spy)
     for name, g in zoo.items():
         if not g.is_abelian():
             verify_all(tables[name])
     assert len(seen) >= 20
     for t in seen:
-        _assert_same_table(t, chartable._dixon_table(t.group, None))
+        _assert_same_table(t, chartable._dixon_tables([t.group], None)[0])
 
 
 @st.composite

@@ -367,9 +367,9 @@ def _spy_rounds(monkeypatch, events):
         monkeypatch.setattr(chartable, name, build)
     split_round = chartable._split_round
 
-    def round_spy(pieces, c, q):
-        out = split_round(pieces, c, q)
-        events.append(("round", len(out)))
+    def round_spy(pieces, owners, cs, q):
+        out = split_round(pieces, owners, cs, q)
+        events.append(("round", len(out[0])))
         return out
 
     monkeypatch.setattr(chartable, "_split_round", round_spy)
@@ -386,7 +386,7 @@ def test_dixon_table_builds_each_class_matrix_at_most_once(zoo, monkeypatch):
         with monkeypatch.context() as patch:
             if equal:
                 _equal_coefficients(patch)
-            chartable._dixon_table(g, None)
+            chartable._dixon_tables([g], None)
         k = len(g.conjugacy_classes())
         builds, rounds = events[0::2], events[1::2]
         assert len(builds) == len(rounds) and all(kind != "round" for kind, _ in builds)
@@ -424,7 +424,8 @@ def test_combination_is_the_weighted_sum_of_class_matrices(zoo):
         for coeffs in [*np.eye(k, dtype=np.int64), rng.integers(0, q, k)]:
             want = sum(int(c) * chartable.class_matrix(g, classes, i)
                        for i, c in enumerate(coeffs)) % q
-            assert (chartable._combination(g, classes, coeffs, q) == want).all(), name
+            inverse = chartable._inverse_class(g, classes)
+            assert (chartable._combination(g, classes, inverse, coeffs, q) == want).all(), name
 
 
 def test_split_that_runs_out_is_an_internal_error(zoo, monkeypatch, capsys):
@@ -441,6 +442,48 @@ def test_split_that_runs_out_is_an_internal_error(zoo, monkeypatch, capsys):
                             lambda *args, _m=matrices: iter(_m))
         assert cli.main(["table", "--group", spec, "--format", "json"]) == 5
         assert capsys.readouterr().out == ""
+
+
+def _same_table(a, b) -> bool:
+    """Row for row the same degrees and coefficients, the same classes and
+    the same prime."""
+    return ([(ch.degree, ch.coeffs.tolist()) for ch in a.irreducibles]
+            == [(ch.degree, ch.coeffs.tolist()) for ch in b.irreducibles]
+            and a.classes == b.classes and a.field_prime == b.field_prime)
+
+
+def test_batched_tables_equal_the_tables_one_by_one(zoo, tables):
+    # D4 and Q8 share k = 5 and q = 5, so they split in one batch.
+    names = list(zoo)
+    keys = [(len(g.conjugacy_classes()), dixon_prime(g.order, g.exponent))
+            for g in zoo.values() if not g.is_abelian()]
+    assert len(set(keys)) < len(keys)
+    for name, t in zip(names, chartable.character_tables([zoo[n] for n in names])):
+        assert t.group is zoo[name] and _same_table(t, tables[name]), name
+
+
+def test_groups_of_a_batch_may_finish_in_different_rounds(zoo, tables, monkeypatch):
+    # A scalar first matrix holds Q8 back a round, so D4 leaves the batch
+    # while Q8 still splits; both tables come out as they do alone.
+    d4, q8 = zoo["d4"], zoo["q8"]
+    split_matrices, split_round = chartable._split_matrices, chartable._split_round
+
+    def held_back(g, classes, *rest):
+        if g is q8:
+            yield np.eye(len(classes), dtype=np.int64)
+        yield from split_matrices(g, classes, *rest)
+
+    owners = []
+
+    def round_spy(pieces, whose, cs, q):
+        owners.append(len(cs))
+        return split_round(pieces, whose, cs, q)
+
+    monkeypatch.setattr(chartable, "_split_matrices", held_back)
+    monkeypatch.setattr(chartable, "_split_round", round_spy)
+    got = chartable.character_tables([d4, q8])
+    assert owners[0] == 2 and owners[-1] == 1
+    assert _same_table(got[0], tables["d4"]) and _same_table(got[1], tables["q8"])
 
 
 @pytest.mark.slow

@@ -250,3 +250,27 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = _run(capsys, *argv)
     assert done.returncode == 0 == code
     assert done.stdout == out.encode() and out
+
+
+_MA_CHILD = """
+import contextlib, os, sys
+from groupchar.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "all", "--group", '{"type":"gn","p":3,"n":2}'),
+    ("table", "--group", '{"type":"cyclic","n":60}'),
+])
+def test_cli_runs_without_importing_numpy_ma(argv):
+    # numpy 2's plain np.unique imports numpy.ma, about 1.3 MB and tens of
+    # milliseconds that no command needs.
+    src = str(Path(groupchar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _MA_CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr

@@ -141,7 +141,7 @@ def test_lift_kernel_matches_scalar_loop(name, monkeypatch):
 
     monkeypatch.setattr(chartable, "_root_multiplicities", spy)
     g = from_spec(LIFT_SPECS[name])
-    t = chartable._dixon_table(g, None)  # abelian groups bypass it otherwise
+    t = chartable._dixon_tables([g], None)[0]  # abelian groups bypass it otherwise
     k = len(t.classes)  # a block of characters stacks k rows per character
     seen = [(block[lo:lo + k], q) for block, q in seen
             for lo in range(0, len(block), k)]
@@ -184,7 +184,7 @@ def test_batched_lift_matches_the_per_character_loop(zoo, monkeypatch):
     blocks = 0
     for g in groups:
         seen.clear()
-        t = chartable._dixon_table(g, None)  # abelian groups bypass it otherwise
+        t = chartable._dixon_tables([g], None)[0]  # abelian groups bypass it otherwise
         k = len(t.classes)
         want = [_per_character_lift(theta_pm[lo:lo + k], zmat, inv_e, q, kernel)
                 for theta_pm, zmat, inv_e, q in seen for lo in range(0, len(theta_pm), k)]
@@ -330,12 +330,18 @@ def _scaled(rows, q):
     return sorted((rows * inv[:, None] % q).tolist())
 
 
+def _round(pieces, c, q):
+    """One ``_split_round`` of pieces that all belong to one group."""
+    return chartable._split_round(pieces, np.zeros(len(pieces), dtype=np.intp), [c], q)[0]
+
+
 def _split_rows(g, order=None):
     """The central characters of ``g`` from the lockstep split, sorted."""
     classes = g.conjugacy_classes()
     q = chartable.dixon_prime(g.order, g.exponent)
-    matrices = chartable._split_matrices(g, classes, q, order)
-    return sorted(chartable._split(matrices, len(classes), q).tolist())
+    matrices = chartable._split_matrices(g, classes, chartable._inverse_class(g, classes),
+                                         q, order)
+    return sorted(chartable._split([matrices], len(classes), q)[0].tolist())
 
 
 SPLIT_SPECS = {**LIFT_SPECS,
@@ -396,10 +402,10 @@ def test_split_refuses_a_start_that_misses_an_eigenvalue(a, missing, _,
     a = np.array(a, dtype=np.int64)
     d = len(a)
     assert missing == np.eye(1, d, dtype=int)[0].tolist()
-    assert len(chartable._split_round(np.array([missing]), a, q)) < d
+    assert len(_round(np.array([missing]), a, q)) < d
     calls = _count_nullspaces(monkeypatch)
     with pytest.raises(ConsistencyError):
-        chartable._split(iter([a]), d, q)
+        chartable._split([iter([a])], d, q)
     assert calls == []
 
 
@@ -410,7 +416,7 @@ def test_split_from_a_start_on_every_eigenvector_is_the_full_scan(a, _, covering
     d = len(a)
     space = [(np.eye(d, dtype=np.int64), tuple(range(d)),
               np.array(covering, dtype=np.int64))]
-    got = chartable._split_round(np.array([covering]), a, q)
+    got = _round(np.array([covering]), a, q)
     assert len(got) == d
     assert _scaled(got, q) == _scaled([rows[0] for rows, _ in _reference_split(space, a, q)], q)
 
@@ -423,7 +429,7 @@ def test_spectral_images_are_the_eigenspaces():
     start = np.array([[1, 0, 0]])
     for a, lams in ((np.array([[1, 0, 0], [1, 2, 0], [0, 1, 4]]), {1, 2, 4}),
                     (np.array([[2, 0, 0], [1, 3, 0], [0, 0, 2]]), {2, 3})):
-        pieces = chartable._split_round(start, a, q)
+        pieces = _round(start, a, q)
         seen = set()
         for u in pieces:
             lead = int(np.flatnonzero(u)[0])
@@ -455,9 +461,9 @@ def test_split_refuses_a_matrix_that_is_not_diagonalisable():
         with pytest.raises(ConsistencyError):
             _reference_split(space, a, q)
         with pytest.raises(ConsistencyError):
-            chartable._split(iter([a]), 2, q)
+            chartable._split([iter([a])], 2, q)
     with pytest.raises(ConsistencyError, match="diagonalisable"):
-        chartable._split_round(np.array([[1, 0]]), a, q)
+        _round(np.array([[1, 0]]), a, q)
 
 
 def _central_characters(t, q):
@@ -493,7 +499,8 @@ def test_every_start_is_a_multiple_of_the_identity_projection(tables):
         assert (red[:, :k] == np.eye(k)).all()
         weights = np.array([chi.degree ** 2 % q for chi in t.irreducibles])
         for order in (None, range(1, k), range(k - 1, 0, -1)):
-            matrices = chartable._split_matrices(g, classes, q, order)
+            matrices = chartable._split_matrices(
+                g, classes, chartable._inverse_class(g, classes), q, order)
             pieces = np.eye(1, k, dtype=np.int64)
             while True:
                 coords = pieces @ red[:, k:] % q  # along the omega_chi
@@ -505,7 +512,7 @@ def test_every_start_is_a_multiple_of_the_identity_projection(tables):
                 checked += int((support.sum(axis=1) > 1).sum())
                 if len(pieces) == k:
                     break
-                pieces = chartable._split_round(pieces, next(matrices), q)
+                pieces = _round(pieces, next(matrices), q)
     assert checked > 100
 
 
@@ -514,7 +521,8 @@ def _minimal_polynomials(a, xs, q):
     lockstep Krylov pass over all of them, as lists in row order."""
     ct = (a.T % q).astype(modular.carrier(len(a) * (q - 1) ** 2))
     out = [None] * len(xs)
-    for rows, mu, _ in chartable._krylov(np.asarray(xs) % q, ct, q):
+    owners = np.zeros(len(xs), dtype=np.intp)
+    for rows, mu, _ in chartable._krylov(np.asarray(xs) % q, owners, [ct], q):
         for i, poly in zip(rows, mu.astype(np.int64).tolist()):
             out[i] = poly
     return out

@@ -20,8 +20,8 @@ import pytest
 
 import groupchar
 from groupchar import (character_table, direct_product, gn, irr_star, kernel,
-                       lift, named, quotient, verify_all)
-from groupchar import gvz
+                       lift, named, quotient, verify_all, verify_fiber_theorem)
+from groupchar import chartable, cli, gvz
 from groupchar.groups import Subgroup, coset
 
 import old_verify
@@ -46,12 +46,13 @@ def test_table_of_the_relabelled_copy_lifts_onto_every_row(wider):
 
 def test_verify_all_builds_no_table_of_the_whole_group(wider, monkeypatch):
     orders = []
+    original = gvz.character_tables
 
-    def spy(h, **kwargs):
-        orders.append(h.order)
-        return character_table(h, **kwargs)
+    def spy(hs, **kwargs):
+        orders.extend(h.order for h in hs)
+        return original(hs, **kwargs)
 
-    monkeypatch.setattr(gvz, "character_table", spy)
+    monkeypatch.setattr(gvz, "character_tables", spy)
     for name, (g, t) in wider.items():
         orders.clear()
         reports = verify_all(t)
@@ -206,15 +207,16 @@ def _peak_kib(*argv: str) -> int:
 
 
 def _count_tables(monkeypatch):
-    """Patch the ``character_table`` that ``verify`` calls to count calls."""
+    """Patch the ``character_tables`` that ``verify`` calls to list the
+    groups it builds tables of."""
     calls = []
-    original = gvz.character_table
+    original = gvz.character_tables
 
-    def spy(h):
-        calls.append(h)
-        return original(h)
+    def spy(hs):
+        calls.extend(hs)
+        return original(hs)
 
-    monkeypatch.setattr(gvz, "character_table", spy)
+    monkeypatch.setattr(gvz, "character_tables", spy)
     return calls
 
 
@@ -222,14 +224,14 @@ def test_reused_nested_tables_equal_fresh_ones(wider, monkeypatch):
     # A table reused for another quotient or centre is rebound onto the
     # asking group and equals that group's own table row for row.
     seen = []
-    nested_table = gvz._Ctx.nested_table
+    nested_tables = gvz._Ctx.nested_tables
 
-    def spy(self, h):
-        t = nested_table(self, h)
-        seen.append((h, t))
-        return t
+    def spy(self, hs):
+        out = nested_tables(self, hs)
+        seen.extend(zip(hs, out))
+        return out
 
-    monkeypatch.setattr(gvz._Ctx, "nested_table", spy)
+    monkeypatch.setattr(gvz._Ctx, "nested_tables", spy)
     calls = _count_tables(monkeypatch)
     for name in ("gn32", "gn(7,1)", "heis3xc3"):
         seen.clear()
@@ -251,6 +253,60 @@ def test_each_verify_all_builds_its_own_nested_tables(wider, monkeypatch):
     first = len(calls)
     verify_all(t)
     assert first > 0 and len(calls) == 2 * first
+
+
+def test_batched_nested_tables_equal_their_own_tables(monkeypatch):
+    # Every group verify_all builds a table of, split in its batch, gets the
+    # table it gets alone: the same rows, classes and prime.
+    batches = []
+    original = gvz.character_tables
+
+    def spy(hs):
+        out = original(hs)
+        batches.append((hs, out))
+        return out
+
+    monkeypatch.setattr(gvz, "character_tables", spy)
+    for g in (gn(3, 2), gn(7, 1), gn(3, 3)):
+        verify_all(character_table(g))
+    shared = [len({len(h.conjugacy_classes()) for h in hs if not h.is_abelian()})
+              < sum(not h.is_abelian() for h in hs) for hs, _ in batches]
+    assert any(shared)  # some batches split several groups together
+    for hs, out in batches:
+        for h, t in zip(hs, out):
+            fresh = character_table(h)
+            assert t.group is h
+            assert ([(ch.degree, ch.coeffs.tolist()) for ch in t.irreducibles]
+                    == [(ch.degree, ch.coeffs.tolist()) for ch in fresh.irreducibles])
+            assert t.classes == fresh.classes and t.field_prime == fresh.field_prime
+
+
+def test_a_failed_split_in_a_batch_exits_5(monkeypatch, capsys):
+    # The nested tables of order 27 of gn(3,2) split in one batch; the
+    # second of them gets no split matrices.
+    seen = []
+    original = chartable._split_matrices
+
+    def broken(g, *rest):
+        if g.order == 27:
+            seen.append(g)
+            if len(seen) == 2:
+                return iter([])
+        return original(g, *rest)
+
+    monkeypatch.setattr(chartable, "_split_matrices", broken)
+    spec = '{"type": "gn", "p": 3, "n": 2}'
+    assert cli.main(["verify", "all", "--group", spec, "--format", "json"]) == 5
+    assert capsys.readouterr().out == "" and len(seen) > 2
+
+
+def test_verify_fiber_theorem_lets_go_of_each_centre_group(wider):
+    g, t = wider["gn32"]
+    ctx = gvz._Ctx(t)
+    verify_fiber_theorem(t, _ctx=ctx)
+    centres = set(ctx.centre_ids[ctx.nonlinear].tolist())
+    assert len(centres) > 1
+    assert all(ctx.subgroup(z)._group is None for z in centres)
 
 
 @pytest.mark.slow

@@ -228,8 +228,9 @@ OLD_ROUTE_SPECS = {
 def _lockstep(g, order):
     classes = g.conjugacy_classes()
     q = chartable.dixon_prime(g.order, g.exponent)
-    matrices = chartable._split_matrices(g, classes, q, order)
-    return sorted(chartable._split(matrices, len(classes), q).tolist())
+    matrices = chartable._split_matrices(g, classes, chartable._inverse_class(g, classes),
+                                         q, order)
+    return sorted(chartable._split([matrices], len(classes), q)[0].tolist())
 
 
 def test_split_matches_the_rref_route_through_every_table(wide):
@@ -253,7 +254,9 @@ def test_scalar_restriction_keeps_the_space_without_a_polynomial(monkeypatch):
     pieces = np.array([[1, 0, 3], [0, 2, 0], [0, 0, 5]], dtype=np.int64)
     monkeypatch.setattr(chartable, "_roots", lambda *args: pytest.fail("root search"))
     for matrix in (np.diag([4, 2, 4]), 3 * np.eye(3, dtype=np.int64)):
-        assert chartable._split_round(pieces, matrix, q).tolist() == pieces.tolist()
+        owners = np.zeros(len(pieces), dtype=np.intp)
+        got, _ = chartable._split_round(pieces, owners, [matrix], q)
+        assert got.tolist() == pieces.tolist()
 
 
 def test_one_row_pieces_are_normalised_without_rref(wide, monkeypatch):
