@@ -44,16 +44,17 @@ where P[j, s] is the class of g_j^s (the k x e power map),
 Z[s, k] = z^(-s k) mod q, and row k of W holds the power-basis coefficients
 of zeta^k.
 
-A ``Character`` holds exactly these coefficients, one read-only int64 array
-of shape (classes, phi(e)); the operations below are row gathers on it and
-products with ``embedding(e, e2)``.  No code path of the package makes a
-``Cyclotomic`` per table entry: the CLI renders each distinct row of a
-table once, a reported witness converts its one value (``Character.value``),
-and ``Character.values`` (one scalar per class) is a view for library
-callers and tests.  An irreducible is identified by its row:
-``CharacterTable.row_of`` looks a character up by its degree and a digest
-of its coefficients, confirmed against the row itself, so claims about sets
-of irreducibles compare sets of row indices.
+A table holds these coefficients once, in one read-only int64 array of
+shape (classes, k, phi(e)) (``CharacterTable.values``); the operations below
+are gathers on it and products with ``embedding(e, e2)``, and its
+``irreducibles`` are ``Character`` views of it, made on first read.  No code
+path of the package makes a ``Cyclotomic`` per table entry: the CLI renders
+each distinct value of a table once, a reported witness converts its one
+value (``Character.value``), and ``Character.values`` (one scalar per class)
+is a view for library callers and tests.  An irreducible is identified by
+its row: ``CharacterTable.rows_of`` looks class functions up by degree and a
+digest of their coefficients, confirmed against the row itself, so claims
+about sets of irreducibles compare sets of row indices.
 
 Abelian groups skip the split and the lift.  Their irreducibles are the
 homomorphisms to the e-th roots of unity, built by cyclic extension along
@@ -72,8 +73,8 @@ so G is folded onto the exponents (i - j) mod e and reduced through W; the
 result must be rational.  The operations come in batches over whole
 tables, and each single-character function is a batch of one:
 ``decompose_batch`` pairs m class functions side by side with B, the
-coefficients of all irreducibles, which the table stacks once per
-conductor (``CharacterTable.operand``); ``induce_batch`` induces m
+coefficients of all irreducibles, which is ``values`` itself at the
+table's exponent (``CharacterTable.operand``); ``induce_batch`` induces m
 characters of a subgroup through one k x k_H matrix of conjugation counts;
 ``weighted_norms`` takes one weighted Gram block per character and weight
 row; ``lift_batch`` pulls characters of G/N back by one class-index gather.
@@ -113,12 +114,13 @@ class Character:
     """A class function on a group with values in Q(zeta_conductor).
 
     ``coeffs[c]`` holds the power-basis coefficients of the value on class
-    ``c`` of ``group``, in a private read-only int64 array of shape
-    (classes, phi(conductor)); character values are algebraic integers.  For
-    genuine characters the value on class 0 equals ``degree``.
-    ``irreducible`` says whether the character is irreducible; ``None``
-    leaves it to ``is_irreducible``, which then pairs the character with
-    itself on first read.
+    ``c`` of ``group``, in a read-only int64 array of shape (classes,
+    phi(conductor)): a view of the array given when nothing can write it
+    any more (a column of a table's ``values``), else a private copy;
+    character values are algebraic integers.  For genuine characters the
+    value on class 0 equals ``degree``.  ``irreducible`` says whether the
+    character is irreducible; ``None`` leaves it to ``is_irreducible``,
+    which then pairs the character with itself on first read.
     """
 
     group: Group
@@ -135,8 +137,9 @@ class Character:
             arr.dtype == object and all(c == int(c) for c in arr.flat))
         if arr.shape != shape or not integral:
             raise InputError(f"character values need an integer array of shape {shape}")
-        arr = arr.astype(np.int64)
-        arr.flags.writeable = False
+        if arr.dtype != np.int64 or _writeable(arr):
+            arr = arr.astype(np.int64)
+            arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     @cached_property
@@ -159,26 +162,38 @@ class Character:
 
     def at(self, e: int) -> np.ndarray:
         """The coefficient array at conductor ``e``, a multiple of ours."""
-        if e == self.conductor:
-            return self.coeffs
-        return self.coeffs @ embedding(self.conductor, e)
+        return _embed(self.coeffs, self.conductor, e)
 
     def __repr__(self) -> str:
         return f"Character(degree={self.degree} on {self.group.name})"
+
+
+def _writeable(a: np.ndarray) -> bool:
+    """Whether ``a``, or the array that owns the memory it views, can be written."""
+    return a.flags.writeable or isinstance(a.base, np.ndarray) and a.base.flags.writeable
+
+
+def _embed(coeffs: np.ndarray, e: int, e2: int) -> np.ndarray:
+    """Coefficients at conductor ``e``, last axis, at ``e2``, a multiple of e."""
+    return coeffs if e2 == e else coeffs @ embedding(e, e2)
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
     """All irreducible characters of a group, rows in a canonical order.
 
-    Rows are sorted by degree, then lexicographically by the concatenated
-    coefficient vectors of their values, so the table is independent of the
-    eigenspace splitting order.
+    ``values[c, i]`` holds the coefficients at ``exponent`` of row i on class
+    c, in one read-only C-contiguous int64 array, and ``degrees[i]`` the
+    degree of row i; ``irreducibles`` are views of the rows, made on first
+    read.  Rows are sorted by degree, then lexicographically by the
+    concatenated coefficient vectors of their values, so the table is
+    independent of the eigenspace splitting order.
     """
 
     group: Group
     classes: ConjugacyClasses
-    irreducibles: tuple[Character, ...]
+    values: np.ndarray
+    degrees: np.ndarray
     exponent: int
     field_prime: int
     inverse_class: tuple[int, ...]
@@ -187,17 +202,15 @@ class CharacterTable:
     _operands: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
-        return len(self.irreducibles)
+        return len(self.degrees)
+
+    @cached_property
+    def irreducibles(self) -> tuple[Character, ...]:
+        return tuple(Character(self.group, d, self.exponent, self.values[:, i], True)
+                     for i, d in enumerate(self.degrees.tolist()))
 
     def row_of(self, chi: Character) -> int | None:
-        """Index of the irreducible with the degree and values of ``chi``, or
-        None.  Values meet at lcm(exponent, chi.conductor), since a deflated
-        character keeps the conductor of the larger group.
-
-        Rows are keyed by their degree and a fixed-size digest of their
-        coefficients; a key that matches is confirmed by comparing the
-        coefficients, so a collision of digests cannot return a wrong row.
-        """
+        """``rows_of`` for one character of the table's group."""
         if chi.group is not self.group:
             raise InputError("character does not live on the table's group")
         return self.rows_of([chi.degree], chi.coeffs[None], chi.conductor)[0]
@@ -206,31 +219,43 @@ class CharacterTable:
                 e: int) -> list[int | None]:
         """``row_of`` for m class functions of the table's group, given by
         their degrees and their coefficients at conductor ``e`` in an array
-        of shape (m, classes, phi(e))."""
+        of shape (m, classes, phi(e)).  Values meet at lcm(exponent, e),
+        since a deflated character keeps the conductor of the larger group.
+
+        Rows are keyed by their degree and a fixed-size digest of their
+        coefficients; a key that matches is confirmed by comparing the
+        coefficients, so a collision of digests cannot return a wrong row.
+        """
         e2 = math.lcm(self.exponent, e)
-        if e2 != e:
-            coeffs = coeffs @ embedding(e, e2)
+        coeffs = _embed(coeffs, e, e2)
         if e2 not in self._rows:
+            b = _embed(self.values, self.exponent, e2)
             rows: dict[tuple, list[int]] = {}
-            for i, ch in enumerate(self.irreducibles):
-                rows.setdefault((ch.degree, _digest(ch.at(e2))), []).append(i)
+            for i, d in enumerate(self.degrees.tolist()):
+                rows.setdefault((d, _digest(b[:, i])), []).append(i)
             self._rows[e2] = rows
         keys = self._rows[e2]
         cands = [keys.get((d, _digest(values)), ()) for d, values in zip(degrees, coeffs)]
+
+        def row(i):  # row i at e2, of shape (classes, phi(e2))
+            return _embed(self.values[:, i], self.exponent, e2)
+
         # the first rows under the keys are confirmed at once, collisions one by one
-        firsts = np.array([self.irreducibles[c[0] if c else 0].at(e2) for c in cands])
-        same = (firsts.reshape(coeffs.shape) == coeffs).all(axis=(1, 2))
+        firsts = row([c[0] if c else 0 for c in cands]).transpose(1, 0, 2)
+        same = (firsts == coeffs).all(axis=(1, 2))
         return [c[0] if ok and c else next((i for i in c[1:] if np.array_equal(
-                    self.irreducibles[i].at(e2), values)), None)
+                    row(i), values)), None)
                 for c, ok, values in zip(cands, same, coeffs)]
 
     def operand(self, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficients of every irreducible at conductor ``e`` (a
-        multiple of every row's conductor) side by side, an int64 array of
-        shape (classes, len(self) * phi(e)), with its largest and smallest
-        entry: the operand of ``decompose``, stacked once per conductor."""
+        """The coefficients of every irreducible at conductor ``e``, a
+        multiple of the exponent, an int64 array of shape (classes, len(self),
+        phi(e)), with its largest and smallest entry: ``values`` itself at
+        the exponent, else its embedding, computed once per conductor."""
         if e not in self._operands:
-            self._operands[e] = _stacked(self.irreducibles, e)
+            b = _embed(self.values, self.exponent, e)
+            b.flags.writeable = False
+            self._operands[e] = b, np.array([b.max(), b.min()])
         return self._operands[e]
 
     def linear(self) -> tuple[Character, ...]:
@@ -307,18 +332,13 @@ def _combination(g: Group, classes: ConjugacyClasses, inverse_class: Sequence[in
 
 
 def _split_matrices(g: Group, classes: ConjugacyClasses, inverse_class: Sequence[int],
-                    q: int, split_order: Sequence[int] | None):
+                    q: int):
     """The split's matrices, each built when its round starts: ``COMBINATIONS``
     class-sum combinations, then M_1 ... M_{k-1}, which separate all central
-    characters; or the class matrices in ``split_order``."""
-    k = len(classes)
-    if split_order is None:
-        for coeffs in _coefficients(k, q):
-            yield _combination(g, classes, inverse_class, coeffs, q)
-        split_order = range(1, k)
-    for i in split_order:
-        if not 0 <= i < k:
-            raise InputError(f"split order entry {i} is not a class index")
+    characters."""
+    for coeffs in _coefficients(len(classes), q):
+        yield _combination(g, classes, inverse_class, coeffs, q)
+    for i in range(1, len(classes)):
         yield class_matrix(g, classes, i) % q
 
 
@@ -502,24 +522,19 @@ def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, 
 # ---------------------------------------------------------------------------
 # the table itself
 
-def character_table(g: Group, *,
-                    split_order: Sequence[int] | None = None) -> CharacterTable:
+def character_table(g: Group) -> CharacterTable:
     """Exact character table of ``g``, a batch of one for
     ``character_tables``."""
-    return character_tables([g], split_order=split_order)[0]
+    return character_tables([g])[0]
 
 
-def character_tables(groups: Sequence[Group], *,
-                     split_order: Sequence[int] | None = None) -> list[CharacterTable]:
+def character_tables(groups: Sequence[Group]) -> list[CharacterTable]:
     """Exact character tables of ``groups``, in order.
 
     Abelian groups are built directly by cyclic extension
     (``_abelian_table``); every other group goes through the Dixon split,
     in one ``_split`` for all of those with the same class count k and the
     same Dixon prime q, as their pieces then share a length and a field.
-    ``split_order`` replaces the split's matrices by the class matrices in
-    that order (the resulting table is identical, as rows are sorted
-    canonically); an abelian table splits nothing and ignores it.
     """
     tables, batches = {}, {}
     for i, g in enumerate(groups):
@@ -529,7 +544,7 @@ def character_tables(groups: Sequence[Group], *,
             key = len(g.conjugacy_classes()), dixon_prime(g.order, g.exponent)
             batches.setdefault(key, []).append(i)
     for batch in batches.values():
-        tables.update(zip(batch, _dixon_tables([groups[i] for i in batch], split_order)))
+        tables.update(zip(batch, _dixon_tables([groups[i] for i in batch])))
     return [tables[i] for i in range(len(groups))]
 
 
@@ -537,30 +552,34 @@ def _inverse_class(g: Group, classes: ConjugacyClasses) -> tuple[int, ...]:
     return tuple(classes.class_of[g.inv(r)] for r in classes.reps)
 
 
-def _finish(g: Group, classes: ConjugacyClasses, chars: list, q: int,
-            inverse_class, pm) -> CharacterTable:
-    """Sort the rows canonically and check the sum of squared degrees."""
+def _finish(g: Group, classes: ConjugacyClasses, values: np.ndarray, degrees: np.ndarray,
+            q: int, inverse_class, pm) -> CharacterTable:
+    """The table with the rows of ``values`` and ``degrees`` in canonical
+    order, after the sum of squared degrees is checked."""
     # Big-endian with the sign bit flipped, the bytes of a row compare as one
     # void in the order of its integers, of which the first is the degree
-    # (the value on the identity class).
-    raw = np.array([ch.coeffs.ravel() for ch in chars], dtype=">i8").view(">u8")
-    raw ^= np.uint64(1 << 63)
-    order = np.argsort(raw.view(f"V{raw.shape[1] * 8}").ravel(), kind="stable")
-    chars = [chars[i] for i in order]
-    if sum(ch.degree ** 2 for ch in chars) != g.order:
+    # (the value on the identity class).  The cast makes the one copy.
+    keys = np.ascontiguousarray(values.transpose(1, 0, 2), dtype=">i8").view(">u8")
+    keys ^= np.uint64(1 << 63)
+    order = np.argsort(keys.reshape(len(keys), -1).view(f"V{keys[0].nbytes}").ravel(),
+                       kind="stable")
+    del keys
+    values = np.take(values, order, axis=1)  # C-contiguous, unlike values[:, order]
+    degrees = np.asarray(degrees, dtype=np.int64)[order]
+    values.flags.writeable = degrees.flags.writeable = False
+    if int((degrees ** 2).sum()) != g.order:
         raise ConsistencyError("degrees fail the sum-of-squares identity")
-    return CharacterTable(g, classes, tuple(chars), g.exponent, q, inverse_class, pm)
+    return CharacterTable(g, classes, values, degrees, g.exponent, q, inverse_class, pm)
 
 
-def _dixon_tables(groups: Sequence[Group],
-                  split_order: Sequence[int] | None) -> list[CharacterTable]:
+def _dixon_tables(groups: Sequence[Group]) -> list[CharacterTable]:
     """The tables of groups that share their class count k and Dixon prime
     q: one class-matrix split over F_q for all of them, then each group's
     value lift."""
     classes = [g.conjugacy_classes() for g in groups]
     k, q = len(classes[0]), dixon_prime(groups[0].order, groups[0].exponent)
     inverses = [_inverse_class(g, c) for g, c in zip(groups, classes)]
-    omegas = _split([_split_matrices(g, c, inv, q, split_order)
+    omegas = _split([_split_matrices(g, c, inv, q)
                      for g, c, inv in zip(groups, classes, inverses)], k, q)
     return [_lift_table(g, c, inv, omega, q)
             for g, c, inv, omega in zip(groups, classes, inverses, omegas)]
@@ -609,7 +628,7 @@ def _lift_table(g: Group, classes: ConjugacyClasses, inverse_class: tuple[int, .
     # copies included, hold about BLOCK // 8 entries.
     w, w_max = _zeta_matrix(e)
     w = w.astype(modular.carrier(int(degrees.max()) * w_max))
-    chars = []
+    values = np.empty((k, k, w.shape[1]), dtype=np.int64)
     step = max(1, BLOCK // (8 * k * e))
     for lo in range(0, k, step):
         d = degrees[lo:lo + step]
@@ -621,8 +640,8 @@ def _lift_table(g: Group, classes: ConjugacyClasses, inverse_class: tuple[int, .
         coeffs = (mults.astype(w.dtype) @ w).astype(np.int64)
         if not _rational_rows(coeffs[:, 0], d).all():
             raise ConsistencyError("identity value differs from the degree")
-        chars += [Character(g, degree, e, c, True) for degree, c in zip(d.tolist(), coeffs)]
-    return _finish(g, classes, chars, q, inverse_class, pm)
+        values[:, lo:lo + step] = coeffs.transpose(1, 0, 2)
+    return _finish(g, classes, values, degrees, q, inverse_class, pm)
 
 
 def _abelian_exponents(g: Group) -> np.ndarray:
@@ -708,13 +727,9 @@ def _abelian_table(g: Group) -> CharacterTable:
     q = dixon_prime(g.order, e)
     f = _abelian_exponents(g)
     _check_abelian(g, f)
-    w, _ = _zeta_matrix(e)
-    exps = f[:, classes.reps]  # the exponent of each character on each class
-    step = max(1, BLOCK // (exps.shape[1] * w.shape[1]))  # rows gathered at once
-    chars = [Character(g, 1, e, c, True) for lo in range(0, len(exps), step)
-             for c in w[exps[lo:lo + step]]]
-    return _finish(g, classes, chars, q, _inverse_class(g, classes),
-                   _power_map(g, classes, e))
+    values = _zeta_matrix(e)[0][f[:, classes.reps].T]  # [class, character]
+    return _finish(g, classes, values, np.ones(len(values), dtype=np.int64), q,
+                   _inverse_class(g, classes), _power_map(g, classes, e))
 
 
 # ---------------------------------------------------------------------------
@@ -795,15 +810,6 @@ def _pairings(a: np.ndarray, b: np.ndarray, b_max: int, sizes: np.ndarray,
         for lo in range(0, m, step)] or [np.zeros((0, n), dtype=np.int64)])
 
 
-def _stacked(others: Sequence[Character], e: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of ``others`` at conductor ``e`` side by side, shape
-    (classes, len(others) * phi(e)), with their largest and smallest entry."""
-    b = np.stack([psi.at(e) for psi in others], axis=1)
-    b = b.reshape(b.shape[0], -1)
-    b.flags.writeable = False
-    return b, np.array([b.max(), b.min()])
-
-
 def _sizes(g: Group) -> np.ndarray:
     return np.array(g.conjugacy_classes().sizes, dtype=np.int64)
 
@@ -824,12 +830,10 @@ def decompose_batch(coeffs: np.ndarray, e: int, table: CharacterTable) -> np.nda
     (classes, m, phi(e)), against the irreducibles of ``table``: an (m, k)
     int64 array, from one Gram product with the table's cached ``operand``.
     InputError unless every multiplicity is a nonnegative integer."""
-    e2 = math.lcm(e, *{psi.conductor for psi in table.irreducibles})
-    if e2 != e:
-        coeffs = coeffs @ embedding(e, e2)
+    e2 = math.lcm(e, table.exponent)
     b, extremes = table.operand(e2)
-    totals = _pairings(coeffs.reshape(len(coeffs), -1), b, _abs_max(extremes),
-                       _sizes(table.group), e2)
+    totals = _pairings(_embed(coeffs, e, e2).reshape(len(coeffs), -1),
+                       b.reshape(len(b), -1), _abs_max(extremes), _sizes(table.group), e2)
     if (totals < 0).any() or (totals % table.group.order).any():
         raise InputError("class function is not a genuine character")
     return totals // table.group.order
@@ -973,11 +977,9 @@ def char_center(chi: Character) -> Subgroup:
 def _class_masks(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The centre, kernel and support of every irreducible as masks over the
     classes, each (len(table), classes), by the tests of ``char_center`` and
-    ``kernel`` in one pass over ``operand``, ``BLOCK`` entries at a time."""
-    e, k, classes = table.exponent, len(table), len(table.classes)
-    coeffs = table.operand(e)[0].reshape(classes, k, -1)
-    degrees = np.array([ch.degree for ch in table.irreducibles])
-    out = np.empty((3, k, classes), dtype=bool)
+    ``kernel`` in one pass over ``values``, ``BLOCK`` entries at a time."""
+    coeffs, degrees, e, k = table.values, table.degrees, table.exponent, len(table)
+    out = np.empty((3, k, len(coeffs)), dtype=bool)
     step = max(1, BLOCK // coeffs[:, 0].size)
     for lo in range(0, k, step):
         values, d = coeffs[:, lo:lo + step].transpose(1, 0, 2), degrees[lo:lo + step, None]
@@ -987,7 +989,7 @@ def _class_masks(table: CharacterTable) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def degree_set(table: CharacterTable) -> tuple[int, ...]:
-    return tuple(sorted({ch.degree for ch in table.irreducibles}))
+    return tuple(sorted(set(table.degrees.tolist())))
 
 
 def _lift_classes(qm: QuotientMap) -> np.ndarray:

@@ -102,17 +102,15 @@ def _per_entry(t: CharacterTable, show: Callable[[Cyclotomic], str]) -> list[lis
     """``show(value)`` for every entry of the table, one list per irreducible.
 
     A table holds few distinct values (cyclic(60): 60 among 3,600 entries),
-    so the coefficient rows of all irreducibles at ``t.exponent`` are
-    compared as bytes through a 1-D void view, and ``show`` runs once per
-    distinct row, on one ``Cyclotomic``.
+    so the entries of ``t.values`` are compared as bytes through a 1-D void
+    view, and ``show`` runs once per distinct value, on one ``Cyclotomic``.
     """
-    e = t.exponent
-    rows = np.concatenate([ch.at(e) for ch in t.irreducibles])
+    rows = t.values.reshape(-1, t.values.shape[2])  # one row per entry, class-major
     keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    shown = np.array([show(Cyclotomic(e, row)) for row in rows[first].tolist()],
+    shown = np.array([show(Cyclotomic(t.exponent, row)) for row in rows[first].tolist()],
                      dtype=object)
-    return shown[inverse.reshape(len(t.irreducibles), -1)].tolist()
+    return shown[inverse.reshape(len(t.classes), -1).T].tolist()
 
 
 def _table_payload(t: CharacterTable) -> dict:
@@ -126,9 +124,8 @@ def _table_payload(t: CharacterTable) -> dict:
             for r, m in zip(t.classes.reps, t.classes.members)
         ],
         "irreducibles": [
-            {"degree": ch.degree, "values": values}
-            for ch, values in zip(t.irreducibles,
-                                  _per_entry(t, Cyclotomic.render))
+            {"degree": degree, "values": values}
+            for degree, values in zip(t.degrees.tolist(), _per_entry(t, Cyclotomic.render))
         ],
     }
 
@@ -150,8 +147,8 @@ def _table_text(t: CharacterTable, decimal: bool) -> str:
                      f"element order {orders[r]}")
     lines.append("irreducibles:")
     cells = _per_entry(t, _rendered_with_decimal if decimal else Cyclotomic.render)
-    for i, (ch, row) in enumerate(zip(t.irreducibles, cells)):
-        lines.append(f"  chi{i} (degree {ch.degree}):")
+    for i, (degree, row) in enumerate(zip(t.degrees.tolist(), cells)):
+        lines.append(f"  chi{i} (degree {degree}):")
         lines.extend(f"    C{j}: {cell}" for j, cell in enumerate(row))
     return "\n".join(lines)
 

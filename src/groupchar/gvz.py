@@ -28,10 +28,10 @@ from functools import wraps
 
 import numpy as np
 
-from .chartable import (BLOCK, Character, CharacterTable, _class_masks,
-                        _rational_rows, character_tables, decompose,
-                        decompose_batch, degree_set, induce, induce_batch,
-                        lift_batch, weighted_norms)
+from .chartable import (BLOCK, Character, CharacterTable, _class_masks, _embed,
+                        _lift_classes, _rational_rows, character_tables,
+                        decompose, decompose_batch, degree_set, induce,
+                        induce_batch, weighted_norms)
 from .constructions import predicted_centres
 from .cyclotomic import euler_phi
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
@@ -139,7 +139,7 @@ class _Ctx:
         self.table, self.g = table, table.group
         self.reps, self.class_of = np.array(table.classes.reps), table.classes.class_array
         self.sizes = np.array(table.classes.sizes, dtype=np.int64)
-        self.degrees = np.array([ch.degree for ch in table.irreducibles])
+        self.degrees = table.degrees
         self.nonlinear = np.flatnonzero(self.degrees > 1)
         self._memo: dict[tuple, object] = {}
         self._ids: dict[bytes, int] = {}  # a mask's packed bytes -> its id
@@ -230,9 +230,8 @@ class _Ctx:
 
     def nested_tables(self, hs: list[Group]) -> list[CharacterTable]:
         """The tables of ``hs``: for each, a kept one with an equal Cayley
-        table, its rows as new characters of the group, or else a fresh
-        one; the fresh ones come from one ``character_tables`` call and are
-        kept."""
+        table, its values on the group, or else a fresh one; the fresh ones
+        come from one ``character_tables`` call and are kept."""
         found, fresh = [self._kept_table(h) for h in hs], []
         for h, t in zip(hs, found):
             if t is None and not any(np.array_equal(f.table, h.table) for f in fresh):
@@ -252,8 +251,7 @@ class _Ctx:
             if t.group is h:
                 return t
             if np.array_equal(t.group.table, h.table):
-                return replace(t, group=h, classes=h.conjugacy_classes(), irreducibles=tuple(
-                    replace(ch, group=h) for ch in t.irreducibles))
+                return replace(t, group=h, classes=h.conjugacy_classes())
         return None
 
     @_kept
@@ -261,13 +259,13 @@ class _Ctx:
         """Which rows of the table are lifts of Irr(G/N), N of id ``i``, as a
         mask with one more entry, set when a lift matches no row."""
         _, classes, _ = self.quotient(i)
-        chars, e = self.quotient_table(i).irreducibles, self.g.exponent
+        qtable, e = self.quotient_table(i), self.g.exponent
         step = max(1, BLOCK // (len(self.reps) * euler_phi(e)))
         hit = np.zeros(len(self.table) + 1, dtype=bool)
-        for lo in range(0, len(chars), step):
-            block = chars[lo:lo + step]  # lifted as by ``lift_batch``
-            rows = self.table.rows_of([ch.degree for ch in block],
-                                      np.stack([ch.at(e) for ch in block])[:, classes], e)
+        for lo in range(0, len(qtable), step):  # lifted as by ``lift_batch``
+            block = _embed(qtable.values[classes, lo:lo + step], qtable.exponent, e)
+            rows = self.table.rows_of(qtable.degrees[lo:lo + step].tolist(),
+                                      block.transpose(1, 0, 2), e)
             hit[[len(self.table) if r is None else r for r in rows]] = True
         return hit
 
@@ -278,10 +276,9 @@ class _Ctx:
         qtable, e = self.quotient_table(i), self.table.exponent
         pos = np.array(positions, dtype=np.intp)
         over = self.contains(self.kernel_ids[pos], i)
-        coeffs = self.table.operand(e)[0].reshape(len(self.reps), len(self.table), -1)
         sections = self.class_of[self.quotient(i)[2][list(qtable.classes.reps)]]
-        rows = qtable.rows_of(self.degrees[pos[over]].tolist(),
-                              coeffs[np.ix_(sections, pos[over])].transpose(1, 0, 2), e)
+        rows = qtable.rows_of(self.degrees[pos[over]].tolist(), self.table.values[
+            np.ix_(sections, pos[over])].transpose(1, 0, 2), e)
         return set(rows) | ({None} if not over.all() else set())
 
     # -- the claims' shared facts -----------------------------------------
@@ -302,8 +299,7 @@ class _Ctx:
         k, e = len(self.table), self.table.exponent
         weights = np.stack([self.masks[self.centre_ids] * self.sizes,
                             np.tile(self.sizes, (k, 1))], axis=1)
-        totals = weighted_norms(self.table.operand(e)[0].reshape(len(self.sizes), k, -1),
-                                weights, e)
+        totals = weighted_norms(self.table.values, weights, e)
         return totals[:, 0], totals[:, 1]
 
     @_kept
@@ -561,9 +557,12 @@ def irr_star(table: CharacterTable, chi: Character, *,
     centre, m = ctx.subgroup(z), ctx.subgroup(ctx.commutator(z))
     zg = centre.as_group()
     qm = quotient(zg, Subgroup(zg, np.searchsorted(centre.members, m.members)))
-    chars = ctx.nested_table(qm.target).irreducibles
-    lifts = tuple(Character(zg, ch.degree, zg.exponent, c, True)
-                  for ch, c in zip(chars, lift_batch(chars, qm)))
+    qm.target.name  # resolved now: the lazy name holds zg, which the kept table outlives
+    qtable = ctx.nested_table(qm.target)
+    coeffs = _embed(qtable.values, qtable.exponent, zg.exponent)[_lift_classes(qm)]
+    coeffs.flags.writeable = False  # so the lifts are views of it
+    lifts = tuple(Character(zg, d, zg.exponent, coeffs[:, i], True)
+                  for i, d in enumerate(qtable.degrees.tolist()))
     # the class of Z holding each element of G, -1 outside Z
     z_class = np.full(ctx.g.order, -1)
     z_class[list(centre.members)] = zg.conjugacy_classes().class_array
@@ -694,7 +693,7 @@ def verify_fiber_theorem(table: CharacterTable, *,
 
         m = ctx.commutator(z)
         qtable = ctx.quotient_table(m)
-        q_nl = {i for i, ch in enumerate(qtable.irreducibles) if ch.degree > 1}
+        q_nl = set(np.flatnonzero(qtable.degrees > 1).tolist())
         report.add(f"{tag}: star set size equals the quotient's nonlinear count",
                    "pass" if len(star.lambdas) == len(q_nl) else "fail",
                    lhs=len(star.lambdas), rhs=len(q_nl))

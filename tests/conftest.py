@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from groupchar import chartable
 from groupchar import (character_table, cyclic, direct_product,
                        elementary_abelian, gn, heisenberg, named)
+
+import old_split
 
 
 def _build_zoo():
@@ -41,3 +44,16 @@ def zoo():
 @pytest.fixture(scope="session")
 def tables(zoo):
     return {name: character_table(g) for name, g in zoo.items()}
+
+
+@pytest.fixture
+def class_matrix_split(monkeypatch):
+    """Call with ``order``, a function of the class count k giving class
+    indices, to make every later split run on the class matrices M_i in
+    that order instead of its default sequence."""
+    def use(order):
+        def matrices(g, classes, inverse_class, q):
+            return old_split.class_matrices(g, classes, q, order(len(classes)))
+
+        monkeypatch.setattr(chartable, "_split_matrices", matrices)
+    return use

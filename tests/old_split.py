@@ -8,7 +8,9 @@ of that polynomial by a Horner scan, the spectral images p_j(A) X of the
 start (X = start when it is cyclic, the identity otherwise), checked to be
 eigenspaces, and one ``rref`` per image.  The functions below are that code,
 kept verbatim apart from their names, plus ``central_characters``, the
-driver that ``_dixon_table`` was.
+driver that ``_dixon_table`` was, and ``class_matrices``, the class matrices
+in a chosen order for the lockstep split to run on in place of its default
+sequence.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ def central_characters(g, order=None) -> list[list[int]]:
     omega = np.array([rows[0] for rows, *_ in spaces], dtype=np.int64)
     inv = np.array([pow(int(c), -1, q) for c in omega[:, 0]], dtype=np.int64)
     return sorted((omega * inv[:, None] % q).tolist())
+
+
+def class_matrices(g, classes, q, order):
+    """The class matrices M_i mod q for i in ``order``, built one at a time,
+    a sequence of split matrices like ``chartable._split_matrices``."""
+    return (chartable.class_matrix(g, classes, i) % q for i in order)
 
 
 def minimal_polynomial(a: np.ndarray, x: np.ndarray, q: int) -> list[int]:

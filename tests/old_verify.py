@@ -127,8 +127,7 @@ class _Ctx:
         built = self._memo.setdefault(("nested_table", h.order, squares), [])
         for t in built:
             if np.array_equal(t.group.table, h.table):
-                return replace(t, group=h, classes=h.conjugacy_classes(), irreducibles=tuple(
-                    replace(ch, group=h) for ch in t.irreducibles))
+                return replace(t, group=h, classes=h.conjugacy_classes())
         t = character_table(h)
         if keep:
             built.append(t)

@@ -61,7 +61,7 @@ def test_abelian_route_matches_dixon(zoo):
     assert len(groups) == 7  # trivial, c2..c6, ea9
     groups += [cyclic(60), _products(4, 6, 10), elementary_abelian(2, 5)]
     for g in groups:
-        _assert_same_table(character_table(g), chartable._dixon_tables([g], None)[0])
+        _assert_same_table(character_table(g), chartable._dixon_tables([g])[0])
 
 
 def test_abelian_route_uses_no_split(monkeypatch):
@@ -102,7 +102,7 @@ def test_nested_abelian_tables_match_dixon(zoo, tables, monkeypatch):
             verify_all(tables[name])
     assert len(seen) >= 20
     for t in seen:
-        _assert_same_table(t, chartable._dixon_tables([t.group], None)[0])
+        _assert_same_table(t, chartable._dixon_tables([t.group])[0])
 
 
 @st.composite

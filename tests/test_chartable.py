@@ -35,6 +35,7 @@ from groupchar import (
     root_of_unity,
 )
 from groupchar import chartable, cli
+from groupchar.cyclotomic import euler_phi
 from groupchar.groups import Subgroup
 
 
@@ -81,8 +82,9 @@ def test_rows_sort_by_degree_then_signed_coefficients(zoo, tables):
                             size=t.irreducibles[0].coeffs.shape)
         coeffs[0] = [1, 0]
         chars.append(Character(zoo["c4"], 1, t.exponent, coeffs))
-    got = chartable._finish(zoo["c4"], t.classes, list(chars), t.field_prime,
-                            t.inverse_class, t.power_map)
+    values = np.stack([ch.coeffs for ch in chars], axis=1)
+    got = chartable._finish(zoo["c4"], t.classes, values, np.ones(len(t), dtype=np.int64),
+                            t.field_prime, t.inverse_class, t.power_map)
     assert ([ch.coeffs.tolist() for ch in got.irreducibles]
             == sorted(ch.coeffs.tolist() for ch in chars))
 
@@ -335,13 +337,13 @@ def test_row_of_finds_lifts_and_deflations(tables):
     assert sorted(qt.row_of(d) for d in downs) == list(range(len(qt)))
 
 
-def test_table_is_independent_of_splitting_strategy(tables):
+def test_table_is_independent_of_splitting_strategy(tables, class_matrix_split):
     # The reversed order sends different starts through multi-row spaces.
     s6 = character_table(from_spec({"type": "perm", "points": 6,
                                     "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]}))
+    class_matrix_split(lambda k: range(k - 1, 0, -1))
     for base in (tables["s3"], tables["heis3"], tables["gn32"], s6):
-        k = len(base.classes)
-        v = character_table(base.group, split_order=list(range(k - 1, 0, -1)))
+        v = character_table(base.group)
         assert [base.row_of(ch) for ch in v.irreducibles] == list(range(len(base)))
 
 
@@ -386,7 +388,7 @@ def test_dixon_table_builds_each_class_matrix_at_most_once(zoo, monkeypatch):
         with monkeypatch.context() as patch:
             if equal:
                 _equal_coefficients(patch)
-            chartable._dixon_tables([g], None)
+            chartable._dixon_tables([g])
         k = len(g.conjugacy_classes())
         builds, rounds = events[0::2], events[1::2]
         assert len(builds) == len(rounds) and all(kind != "round" for kind, _ in builds)
@@ -428,11 +430,13 @@ def test_combination_is_the_weighted_sum_of_class_matrices(zoo):
             assert (chartable._combination(g, classes, inverse, coeffs, q) == want).all(), name
 
 
-def test_split_that_runs_out_is_an_internal_error(zoo, monkeypatch, capsys):
+def test_split_that_runs_out_is_an_internal_error(zoo, monkeypatch, capsys,
+                                                  class_matrix_split):
     g = zoo["gn32"]
     k = len(g.conjugacy_classes())
+    class_matrix_split(lambda k: [])
     with pytest.raises(ConsistencyError, match="failed to separate"):
-        character_table(g, split_order=[])
+        character_table(g)
     spec = '{"type": "gn", "p": 3, "n": 2}'
     # no matrices at all; then a matrix with e_0 cyclic and minimal
     # polynomial (t - 2)^k, whose root search finds one root of k
@@ -530,3 +534,54 @@ def test_induce_rejects_foreign_characters(tables):
     lam = tables["c3"].irreducibles[0]
     with pytest.raises(InputError):
         induce(lam, h, g)
+
+
+# ---------------------------------------------------------------------------
+# one coefficient array per table
+
+def _spy_characters(monkeypatch) -> list:
+    """The group of every ``Character`` built from now on, in order."""
+    built = []
+    post_init = Character.__post_init__
+
+    def spy(self):
+        built.append(self.group)
+        post_init(self)
+
+    monkeypatch.setattr(Character, "__post_init__", spy)
+    return built
+
+
+def test_tables_build_no_character_until_irreducibles_are_read(zoo, monkeypatch):
+    built = _spy_characters(monkeypatch)
+    got = chartable.character_tables(list(zoo.values()))
+    assert built == []
+    for t in got:
+        assert len(t.irreducibles) == len(t) and t.irreducibles is t.irreducibles
+    assert len(built) == sum(len(t) for t in got)
+
+
+def test_rows_and_operand_are_views_of_the_values(tables):
+    for name, t in tables.items():
+        b = t.values
+        assert b.shape == (len(t.classes), len(t), euler_phi(t.exponent)), name
+        assert b.dtype == np.int64 and b.flags.c_contiguous and not b.flags.writeable
+        assert t.degrees.tolist() == [ch.degree for ch in t.irreducibles], name
+        assert t.operand(t.exponent)[0] is b, name
+        for i, ch in enumerate(t.irreducibles):
+            assert np.shares_memory(ch.coeffs, b) and np.array_equal(ch.coeffs, b[:, i]), name
+
+
+def test_character_copies_an_array_its_caller_can_write(zoo):
+    g = zoo["c3"]
+    coeffs = np.ones((3, 2), dtype=np.int64)
+    chi = Character(g, 1, 3, coeffs)
+    coeffs[0, 0] = 5
+    assert chi.coeffs[0, 0] == 1 and not chi.coeffs.flags.writeable
+    view = coeffs[:]  # read-only itself, but its base can still be written
+    view.flags.writeable = False
+    assert not np.shares_memory(Character(g, 1, 3, view).coeffs, coeffs)
+    frozen = coeffs.copy()  # nothing can write it any more: kept as it is
+    frozen.flags.writeable = False
+    assert Character(g, 1, 3, frozen).coeffs is frozen
+    assert Character(g, 1, 3, frozen[:]).coeffs.base is frozen

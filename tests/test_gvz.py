@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from groupchar import (
-    Character,
     HypothesisNotMet,
     InputError,
     TheoremViolation,
@@ -235,14 +234,15 @@ def test_identity_suite_statuses(tables):
 
 def _copied_last_row(t):
     """The last row (nonlinear, if any row is) replaced by the trivial row."""
-    return t.irreducibles[:-1] + t.irreducibles[:1]
+    order = [*range(len(t) - 1), 0]
+    return np.take(t.values, order, axis=1), t.degrees[order]
 
 
 def _extra_row(t):
     """An appended row, the sum of the first and last, which is no irreducible."""
-    a, b = t.irreducibles[0], t.irreducibles[-1]
-    return t.irreducibles + (Character(t.group, a.degree + b.degree, t.exponent,
-                                       a.coeffs + b.coeffs),)
+    extra = t.values[:, [0]] + t.values[:, [-1]]
+    return (np.concatenate([t.values, extra], axis=1),
+            np.append(t.degrees, t.degrees[0] + t.degrees[-1]))
 
 
 @pytest.mark.parametrize("doctor", [_copied_last_row, _extra_row])
@@ -263,7 +263,8 @@ def test_bijection_checks_catch_a_wrong_quotient_table(tables, monkeypatch, doct
 
     def doctored(self, qm):
         t = original(self, qm)
-        return dataclasses.replace(t, irreducibles=doctor(t))
+        values, degrees = doctor(t)
+        return dataclasses.replace(t, values=values, degrees=degrees)
 
     expect("pass")
     monkeypatch.setattr(gvz._Ctx, "quotient_table", doctored)

@@ -141,7 +141,7 @@ def test_lift_kernel_matches_scalar_loop(name, monkeypatch):
 
     monkeypatch.setattr(chartable, "_root_multiplicities", spy)
     g = from_spec(LIFT_SPECS[name])
-    t = chartable._dixon_tables([g], None)[0]  # abelian groups bypass it otherwise
+    t = chartable._dixon_tables([g])[0]  # abelian groups bypass it otherwise
     k = len(t.classes)  # a block of characters stacks k rows per character
     seen = [(block[lo:lo + k], q) for block, q in seen
             for lo in range(0, len(block), k)]
@@ -184,7 +184,7 @@ def test_batched_lift_matches_the_per_character_loop(zoo, monkeypatch):
     blocks = 0
     for g in groups:
         seen.clear()
-        t = chartable._dixon_tables([g], None)[0]  # abelian groups bypass it otherwise
+        t = chartable._dixon_tables([g])[0]  # abelian groups bypass it otherwise
         k = len(t.classes)
         want = [_per_character_lift(theta_pm[lo:lo + k], zmat, inv_e, q, kernel)
                 for theta_pm, zmat, inv_e, q in seen for lo in range(0, len(theta_pm), k)]
@@ -339,8 +339,8 @@ def _split_rows(g, order=None):
     """The central characters of ``g`` from the lockstep split, sorted."""
     classes = g.conjugacy_classes()
     q = chartable.dixon_prime(g.order, g.exponent)
-    matrices = chartable._split_matrices(g, classes, chartable._inverse_class(g, classes),
-                                         q, order)
+    matrices = (chartable._split_matrices(g, classes, chartable._inverse_class(g, classes), q)
+                if order is None else old_split.class_matrices(g, classes, q, order))
     return sorted(chartable._split([matrices], len(classes), q)[0].tolist())
 
 
@@ -499,8 +499,9 @@ def test_every_start_is_a_multiple_of_the_identity_projection(tables):
         assert (red[:, :k] == np.eye(k)).all()
         weights = np.array([chi.degree ** 2 % q for chi in t.irreducibles])
         for order in (None, range(1, k), range(k - 1, 0, -1)):
-            matrices = chartable._split_matrices(
-                g, classes, chartable._inverse_class(g, classes), q, order)
+            matrices = (chartable._split_matrices(
+                g, classes, chartable._inverse_class(g, classes), q)
+                if order is None else old_split.class_matrices(g, classes, q, order))
             pieces = np.eye(1, k, dtype=np.int64)
             while True:
                 coords = pieces @ red[:, k:] % q  # along the omega_chi
@@ -631,7 +632,8 @@ def _pairings_with(t, chi):
     e = math.lcm(chi.conductor, t.exponent)
     b, extremes = t.operand(e)
     sizes = np.array(t.classes.sizes, dtype=np.int64)
-    return chartable._pairings(chi.at(e), b, int(np.abs(extremes).max()), sizes, e)
+    return chartable._pairings(chi.at(e), b.reshape(len(b), -1), int(np.abs(extremes).max()),
+                               sizes, e)
 
 
 def test_int64_pairings_match_object_carrier(tables, monkeypatch):
@@ -778,9 +780,9 @@ def test_cached_operand_equals_the_stack(tables):
         for e in (t.exponent, 2 * t.exponent):
             b, extremes = t.operand(e)
             want = np.stack([ch.at(e) for ch in t.irreducibles], axis=1)
-            assert np.array_equal(b, want.reshape(len(t.classes), -1)), name
+            assert np.array_equal(b, want), name
             assert extremes.tolist() == [want.max(), want.min()], name
-            assert t.operand(e)[0] is b  # stacked once per conductor
+            assert t.operand(e)[0] is b  # computed once per conductor
             assert not b.flags.writeable
 
 

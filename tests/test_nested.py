@@ -11,6 +11,7 @@ quotient's name is only built when something reads it.
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -19,10 +20,10 @@ import numpy as np
 import pytest
 
 import groupchar
-from groupchar import (character_table, direct_product, gn, irr_star, kernel,
-                       lift, named, quotient, verify_all, verify_fiber_theorem)
+from groupchar import (Character, character_table, direct_product, gn, irr_star,
+                       kernel, lift, named, quotient, verify_all, verify_fiber_theorem)
 from groupchar import chartable, cli, gvz
-from groupchar.groups import Subgroup, coset
+from groupchar.groups import Group, Subgroup, coset
 
 import old_verify
 
@@ -317,3 +318,65 @@ def test_verify_all_peaks_within_half_again_its_table():
     table = _peak_kib("table", "--group", spec, "--format", "json")
     verify = _peak_kib("verify", "all", "--group", spec, "--format", "json")
     assert verify <= 1.5 * table, (verify, table)
+
+
+def test_verify_all_builds_no_character_of_a_nested_table(monkeypatch):
+    t = character_table(gn(3, 2))
+    built, nested = [], []
+    post_init = Character.__post_init__
+    original = gvz._Ctx.nested_tables
+
+    def spy(self):
+        built.append(self.group)
+        post_init(self)
+
+    def nested_spy(self, hs):
+        out = original(self, hs)
+        nested.extend(out)
+        return out
+
+    monkeypatch.setattr(Character, "__post_init__", spy)
+    monkeypatch.setattr(gvz._Ctx, "nested_tables", nested_spy)
+    assert all(r.passed for r in verify_all(t))
+    assert len(nested) > 10 and built
+    assert not [h for h in built if any(h is n.group for n in nested)]
+
+
+def test_a_kept_table_is_reused_on_the_asking_group(wider):
+    g, t = wider["gn32"]
+    ctx = gvz._Ctx(t)
+    h = ctx.quotient(ctx.derived)[0]
+    twin = Group("twin", h.elements, h.words, h.generators, h.table)
+    kept, reused = ctx.nested_table(h), ctx.nested_table(twin)
+    assert kept.group is h and reused.group is twin and reused is not kept
+    assert reused.values is kept.values and reused.degrees is kept.degrees
+    assert reused.classes is twin.conjugacy_classes()
+    assert all(ch.group is twin for ch in reused.irreducibles)
+    assert all(ch.group is h for ch in kept.irreducibles)
+
+
+@pytest.mark.parametrize("spec", [(3, 2), (5, 2)])
+def test_no_centre_group_outlives_verify_fiber_theorem(spec, monkeypatch):
+    # The table of Z/[Z,G] stays in the context; its group's name must not
+    # hold on to Z as a group.
+    g = gn(*spec)
+    t = character_table(g)
+    ids = set()
+    as_group = Subgroup.as_group
+
+    def spy(self):
+        out = as_group(self)
+        if self.parent is g:
+            ids.add(id(out))
+        return out
+
+    monkeypatch.setattr(Subgroup, "as_group", spy)
+    ctx = gvz._Ctx(t)
+    verify_fiber_theorem(t, _ctx=ctx)
+    names = {f"{g.name}|{ctx.subgroup(z).describe()}"
+             for z in set(ctx.centre_ids[ctx.nonlinear].tolist())}
+    assert len(names) > 1
+    gc.collect()
+    alive = [h.name for h in gc.get_objects()
+             if isinstance(h, Group) and id(h) in ids and h.name in names]
+    assert alive == []

@@ -228,8 +228,8 @@ OLD_ROUTE_SPECS = {
 def _lockstep(g, order):
     classes = g.conjugacy_classes()
     q = chartable.dixon_prime(g.order, g.exponent)
-    matrices = chartable._split_matrices(g, classes, chartable._inverse_class(g, classes),
-                                         q, order)
+    matrices = (chartable._split_matrices(g, classes, chartable._inverse_class(g, classes), q)
+                if order is None else old_split.class_matrices(g, classes, q, order))
     return sorted(chartable._split([matrices], len(classes), q)[0].tolist())
 
 
