@@ -28,21 +28,24 @@ its table is the one it gets alone; ``character_table`` is a batch of one.
 
 Degrees are recovered from the second orthogonality relation inside F_q,
 and values are lifted exactly into Q(zeta_e) (e = exponent of the group)
-by extracting, for each class, the multiplicity of each e-th root of unity
-among the eigenvalues of a representing matrix:
+by extracting, for each class, the multiplicity of each root of unity
+among the eigenvalues of a representing matrix.  For g of order o these
+are o-th roots, and theta(g^s) has period o in s, so
 
-    m_k = e^-1 * sum_s theta(g^s) z^(-s k)   in F_q,
+    m_j = o^-1 * sum_{s<o} theta(g^s) w^(-s j)   in F_q,   w = z^(e/o),
 
-with z a fixed element of multiplicative order e in F_q.  Since q exceeds
-twice the square root of |G|, the m_k are determined by their residues and
-the recovered values are exact.  For a block of characters this is one
-integer matrix product over all their classes at once,
+is the multiplicity of zeta_e^((e/o) j), with z a fixed element of
+multiplicative order e in F_q (the e-point transform gives the same m_j at
+those exponents and 0 at all others).  Since q exceeds twice the square
+root of |G|, the m_j are determined by their residues and the recovered
+values are exact.  For a block of characters and the classes of one order
+o this is one integer matrix product,
 
-    M = theta[P] @ Z * e^-1  (mod q),   values = M @ W,
+    M = theta[P_o] @ F_o  (mod q),   values = M @ W_o,
 
-where P[j, s] is the class of g_j^s (the k x e power map),
-Z[s, k] = z^(-s k) mod q, and row k of W holds the power-basis coefficients
-of zeta^k.
+where P_o[c, s] is the class of g_c^s for s < o (the first o columns of
+the power map), F_o[s, j] = o^-1 w^(-s j) mod q, and row j of W_o holds
+the power-basis coefficients of zeta_e^((e/o) j).
 
 A table holds these coefficients once, in one read-only int64 array of
 shape (classes, k, phi(e)) (``CharacterTable.values``); the operations below
@@ -54,7 +57,10 @@ value (``Character.value``), and ``Character.values`` (one scalar per class)
 is a view for library callers and tests.  An irreducible is identified by
 its row: ``CharacterTable.rows_of`` looks class functions up by degree and a
 digest of their coefficients, confirmed against the row itself, so claims
-about sets of irreducibles compare sets of row indices.
+about sets of irreducibles compare sets of row indices.  Both routes below
+refuse a table whose coefficients would outweigh a Cayley table at
+``ORDER_CAP`` as soon as k is known, before the split or the extension
+(``_check_size``).
 
 Abelian groups skip the split and the lift.  Their irreducibles are the
 homomorphisms to the e-th roots of unity, built by cyclic extension along
@@ -499,23 +505,40 @@ def _roots(polys: np.ndarray, q: int) -> np.ndarray:
     return lam[np.argsort(at, kind="stable")].reshape(n, r)
 
 
-def _root_multiplicities(theta_pm: np.ndarray, zmat: np.ndarray, inv_e: int,
-                         q: int) -> np.ndarray:
-    """Residues ``e^-1 * theta_pm @ zmat mod q`` of shape (classes, e).
+def _root_multiplicities(theta_pm: np.ndarray, dft: np.ndarray, q: int) -> np.ndarray:
+    """Residues ``theta_pm @ dft mod q`` of shape (classes, o): the
+    multiplicities of the o-th roots of unity w^j among the eigenvalues.
 
-    Row j of ``theta_pm`` is theta along the powers g_j^s and ``zmat[s, kk]``
-    is z^(-s kk); entries of both lie in [0, q), so ``modular.matmul`` gives
-    the exact product.
+    Row c of ``theta_pm`` is theta along the powers g_c^s, s < o, of a
+    class rep of order o, and ``dft`` is ``_dft_matrix(o, w, q)``; entries
+    of both lie in [0, q), so ``modular.matmul`` gives the exact product.
     """
-    return modular.matmul(theta_pm, zmat, q) * inv_e % q
+    return modular.matmul(theta_pm, dft, q)
+
+
+def _dft_matrix(o: int, w: int, q: int) -> np.ndarray:
+    """F[s, j] = o^-1 w^(-s j) mod q for w of multiplicative order o, as an
+    int64 array."""
+    powers = [pow(o, -1, q)]  # o^-1 w^t for t < o
+    for _ in range(1, o):
+        powers.append(powers[-1] * w % q)
+    exps = np.arange(o)
+    return np.array(powers, dtype=np.int64)[np.outer(exps, -exps) % o]
 
 
 def _power_map(g: Group, classes: ConjugacyClasses, e: int) -> tuple[tuple[int, ...], ...]:
-    """``pm[c][s]`` is the class of rep_c^s, for s = 0..e-1."""
+    """``pm[c][s]`` is the class of rep_c^s, for s = 0..e-1.  With the
+    powers below n known, rep^(n-1+s) = rep^(n-1) rep^s fills them up to
+    2n - 1 in one gather, so ceil(log2 e) gathers fill all e."""
     reps = np.array(classes.reps, dtype=np.intp)
     powers = np.zeros((e, reps.size), dtype=np.intp)
-    for s in range(1, e):
-        powers[s] = g.table[powers[s - 1], reps]
+    if e > 1:
+        powers[1] = reps
+    n = 2
+    while n < e:
+        top = min(2 * n - 1, e)
+        powers[n:top] = g.table[powers[n - 1], powers[1:top - n + 1]]
+        n = top
     return tuple(map(tuple, classes.class_array[powers.T].tolist()))
 
 
@@ -572,12 +595,24 @@ def _finish(g: Group, classes: ConjugacyClasses, values: np.ndarray, degrees: np
     return CharacterTable(g, classes, values, degrees, g.exponent, q, inverse_class, pm)
 
 
+def _check_size(k: int, e: int) -> None:
+    """ResourceError if a table of k classes at exponent e, whose k * k *
+    phi(e) int64 coefficients both routes hold, would outweigh a Cayley
+    table at ``ORDER_CAP``; each route asks once k is known, before the
+    heavy work."""
+    if (size := k * k * euler_phi(e) * 8) > 2 * ORDER_CAP ** 2:
+        raise ResourceError(f"a table of {k} classes at exponent {e} needs {size // 10 ** 6} "
+                            f"MB of coefficients, above {2 * ORDER_CAP ** 2 // 10 ** 6} MB")
+
+
 def _dixon_tables(groups: Sequence[Group]) -> list[CharacterTable]:
     """The tables of groups that share their class count k and Dixon prime
     q: one class-matrix split over F_q for all of them, then each group's
     value lift."""
     classes = [g.conjugacy_classes() for g in groups]
     k, q = len(classes[0]), dixon_prime(groups[0].order, groups[0].exponent)
+    for g in groups:
+        _check_size(k, g.exponent)
     inverses = [_inverse_class(g, c) for g, c in zip(groups, classes)]
     omegas = _split([_split_matrices(g, c, inv, q)
                      for g, c, inv in zip(groups, classes, inverses)], k, q)
@@ -589,16 +624,8 @@ def _lift_table(g: Group, classes: ConjugacyClasses, inverse_class: tuple[int, .
                 omega: np.ndarray, q: int) -> CharacterTable:
     """The table of ``g`` from its central characters ``omega`` mod q: the
     degrees and the value lift."""
-    k = len(classes)
-    e = g.exponent
     inv_sizes = np.array([pow(len(m), -1, q) for m in classes.members], dtype=np.int64)
-    pm = _power_map(g, classes, e)
-    pm_arr = np.array(pm, dtype=np.int64)
-    z = _element_of_order(e, q)
-    zpow = np.array([pow(z, j, q) for j in range(e)], dtype=np.int64)
-    exps = np.arange(e)
-    zmat = zpow[np.outer(exps, -exps) % e]
-    inv_e = pow(e, -1, q)
+    pm = _power_map(g, classes, g.exponent)
 
     # Row i of omega is the i-th central character, scaled to 1 on the
     # identity class.  Every product below is of two residues, below 2**47,
@@ -621,27 +648,50 @@ def _lift_table(g: Group, classes: ConjugacyClasses, inverse_class: tuple[int, .
     thetas %= q
     thetas *= inv_sizes
     thetas %= q
-
-    # Per block of characters one _root_multiplicities product, then one with
-    # W in the carrier of max(degree) * max|W|, which bounds every partial sum
-    # (the multiplicities on a class sum to the degree).  Temporaries, carrier
-    # copies included, hold about BLOCK // 8 entries.
-    w, w_max = _zeta_matrix(e)
-    w = w.astype(modular.carrier(int(degrees.max()) * w_max))
-    values = np.empty((k, k, w.shape[1]), dtype=np.int64)
-    step = max(1, BLOCK // (8 * k * e))
-    for lo in range(0, k, step):
-        d = degrees[lo:lo + step]
-        mults = _root_multiplicities(thetas[lo:lo + step][:, pm_arr].reshape(-1, e),
-                                     zmat, inv_e, q).reshape(len(d), k, e)
-        if (mults.sum(axis=2) != d[:, None]).any():
-            raise ConsistencyError("root-of-unity multiplicities do not sum "
-                                   "to the degree")
-        coeffs = (mults.astype(w.dtype) @ w).astype(np.int64)
-        if not _rational_rows(coeffs[:, 0], d).all():
-            raise ConsistencyError("identity value differs from the degree")
-        values[:, lo:lo + step] = coeffs.transpose(1, 0, 2)
+    values = _lift_values(thetas, degrees, np.array(pm, dtype=np.intp), g.exponent, q)
     return _finish(g, classes, values, degrees, q, inverse_class, pm)
+
+
+def _lift_values(thetas: np.ndarray, degrees: np.ndarray, pm: np.ndarray, e: int,
+                 q: int) -> np.ndarray:
+    """The coefficients at conductor e, shape (classes, characters, phi(e)),
+    of the characters with residues ``thetas`` (one row each) and
+    ``degrees``; ``pm`` is the power map as a (classes, e) array.
+
+    The classes go by o, the order of their representative: the first s > 0
+    with g^s in the identity class.  For each o, one ``_root_multiplicities``
+    product with the o x o ``_dft_matrix`` at w = z^(e/o) takes theta along
+    the first o powers, then one product with the rows (e/o) j of W, in the
+    carrier of max(degree) * max|W|, which bounds every partial sum (the
+    multiplicities on a class sum to the degree).  Characters go in blocks
+    whose temporaries, carrier copies included, hold about ``BLOCK`` // 8
+    entries each."""
+    k = len(thetas)
+    w, w_max = _zeta_matrix(e)
+    dtype = modular.carrier(int(degrees.max()) * w_max)
+    z = _element_of_order(e, q)
+    identity = pm == 0
+    identity[:, 0] = False
+    orders = identity.argmax(axis=1)  # 0 where no power below e is 1
+    orders[orders == 0] = e
+    values = np.empty((len(pm), k, w.shape[1]), dtype=np.int64)
+    for o in _unique_sorted(orders).tolist():
+        cls = np.flatnonzero(orders == o)
+        dft = _dft_matrix(o, pow(z, e // o, q), q)
+        w_o = w[::e // o].astype(dtype)  # the rows (e/o) j, j < o
+        powers = pm[cls, :o]
+        step = max(1, BLOCK // (8 * len(cls) * max(o, w.shape[1])))
+        for lo in range(0, k, step):
+            d = degrees[lo:lo + step]
+            mults = _root_multiplicities(thetas[lo:lo + step][:, powers].reshape(-1, o),
+                                         dft, q).reshape(len(d), len(cls), o)
+            if (mults.sum(axis=2) != d[:, None]).any():
+                raise ConsistencyError("root-of-unity multiplicities do not sum "
+                                       "to the degree")
+            values[cls, lo:lo + step] = (mults @ w_o).transpose(1, 0, 2)
+    if not _rational_rows(values[0], degrees).all():
+        raise ConsistencyError("identity value differs from the degree")
+    return values
 
 
 def _abelian_exponents(g: Group) -> np.ndarray:
@@ -653,8 +703,10 @@ def _abelian_exponents(g: Group) -> np.ndarray:
     order of x modulo A_i, each lambda of A_i extends in exactly m ways,
     lambda(a x^j) = lambda(a) + j b where m b = lambda(x^m) (mod e).  Since
     m divides the order of x, which divides e, the solutions are
-    b = lambda(x^m)/m + s e/m for s = 0..m-1.  Exponents stay below
-    e <= ORDER_CAP, so sums of two fit ``uint16``.
+    b = lambda(x^m)/m + s e/m for s = 0..m-1.  Each step writes all m r new
+    rows on all m r members of A_{i+1} at once, about ``BLOCK`` entries at a
+    time.  Exponents stay below e <= ORDER_CAP, so sums of two fit
+    ``uint16``.
     """
     n, e, t = g.order, g.exponent, g.table
     f = np.zeros((n, n), dtype=np.uint16)  # rows [0, r) are Irr(A_i)
@@ -675,12 +727,16 @@ def _abelian_exponents(g: Group) -> np.ndarray:
         at_xm = f[:r, p].astype(np.int64)  # lambda(x^m)
         if np.any(at_xm % m):
             raise ConsistencyError("lambda(x^m) has no m-th root mod e")
-        # b[s, c]: the s-th solution for character c; new row s*r + c
-        b = (at_xm // m + (e // m) * np.arange(m)[:, None]) % e
-        for j, xj in enumerate(powers):
-            step = (j * b % e).astype(np.uint16)[:, :, None]
-            f[:m * r, t[xj, cols]] = ((old + step) % e).reshape(m * r, -1)
+        # b[s, c]: the s-th solution for character c; new row s*r + c, and
+        # new column j*r + a holds x^j times member a of A_i
+        b = ((at_xm // m + (e // m) * np.arange(m)[:, None]) % e).ravel()
         cols = t[np.ix_(powers, cols)].ravel().astype(np.intp)
+        step = max(1, BLOCK // (m * r))
+        for lo in range(0, m * r, step):
+            hi = min(lo + step, m * r)
+            jb = (np.outer(b[lo:hi], np.arange(m)) % e).astype(np.uint16)
+            f[lo:hi, cols] = ((old[np.arange(lo, hi) % r, None] + jb[:, :, None]) % e).reshape(
+                hi - lo, -1)
         inside[cols] = True
         r *= m
     if r != n or not inside.all():
@@ -717,12 +773,10 @@ def _abelian_table(g: Group) -> CharacterTable:
     """The table of an abelian group by cyclic extension; no prime field,
     class matrix or nullspace is used.  ``field_prime`` is still the Dixon
     prime, so the report is the same and an order with no usable prime
-    still exits 3.  It is refused before any allocation if its k * k *
-    phi(e) int64 coefficients outweigh a Cayley table at ``ORDER_CAP``."""
+    still exits 3.  Its size is checked (``_check_size``) before any
+    allocation."""
     e = g.exponent
-    if (size := g.order ** 2 * euler_phi(e) * 8) > 2 * ORDER_CAP ** 2:
-        raise ResourceError(f"an abelian table of order {g.order} needs {size // 10 ** 6} "
-                            f"MB of coefficients, above {2 * ORDER_CAP ** 2 // 10 ** 6} MB")
+    _check_size(g.order, e)
     classes = g.conjugacy_classes()
     q = dixon_prime(g.order, e)
     f = _abelian_exponents(g)

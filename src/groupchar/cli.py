@@ -98,16 +98,34 @@ def _approx(value) -> str:
     return f"{c.real:+.4f}{c.imag:+.4f}i"
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``first, inverse`` for the rows of a 2-D integer array: ``first``
+    holds the index of one row of each distinct value and ``rows[i]``
+    equals ``rows[first[inverse[i]]]``.  One exact sort (``np.lexsort``)
+    over the columns makes equal rows neighbours, and a compare of
+    neighbouring rows, a column at a time so that no sorted copy of all the
+    rows is made, numbers the distinct values."""
+    order = np.lexsort(rows.T)
+    new = np.zeros(len(rows), dtype=bool)
+    new[0] = True
+    for column in rows.T:
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _per_entry(t: CharacterTable, show: Callable[[Cyclotomic], str]) -> list[list[str]]:
     """``show(value)`` for every entry of the table, one list per irreducible.
 
     A table holds few distinct values (cyclic(60): 60 among 3,600 entries),
-    so the entries of ``t.values`` are compared as bytes through a 1-D void
-    view, and ``show`` runs once per distinct value, on one ``Cyclotomic``.
+    so the entries of ``t.values`` are grouped by their coefficients
+    (``_distinct_rows``), and ``show`` runs once per distinct value, on one
+    ``Cyclotomic``.
     """
     rows = t.values.reshape(-1, t.values.shape[2])  # one row per entry, class-major
-    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(rows)
     shown = np.array([show(Cyclotomic(t.exponent, row)) for row in rows[first].tolist()],
                      dtype=object)
     return shown[inverse.reshape(len(t.classes), -1).T].tolist()

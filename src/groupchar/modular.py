@@ -62,14 +62,21 @@ def matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     With n the inner dimension, every partial sum of the product is an
     integer at most n * (q-1)**2.  When that bound is below 2**53 the
     product runs in float64 (BLAS), where every such integer is exact, so
-    the result is exact in any summation order.  Otherwise it runs in int64,
+    the result is exact in any summation order, and is reduced there as
+    x - q floor(x / q), also exact: for 0 <= x < 2**53 the rounding error
+    of x / q is below 1/q, so the floor is the true quotient; the residues
+    are cast to int64 once.  Otherwise it runs in int64,
     in blocks of at most 2**62 // (q-1)**2 terms reduced mod q after each
     block, which is exact while a block sum plus a residue stays below 2**63
     (every q < 2**31).
     """
     n = a.shape[1]
     if carrier(n * (q - 1) ** 2) is np.float64:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % q
+        x = a.astype(np.float64) @ b.astype(np.float64)
+        quotient = np.floor(x / q)
+        quotient *= q
+        x -= quotient
+        return x.astype(np.int64)
     step = max(1, 2 ** 62 // (q - 1) ** 2)
     assert step * (q - 1) ** 2 + q < 2 ** 63, "int64 block sums would overflow"
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)

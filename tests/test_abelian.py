@@ -8,7 +8,9 @@ runs on the abelian groups of the zoo, on a few larger products, and on
 every abelian subgroup and quotient table that ``verify all`` builds on the
 zoo's non-abelian groups.  Random products of cyclic groups are checked
 against the closed form zeta^(sum a_i x_i e/n_i), and the route's own
-cross-checks must refuse doctored exponent arrays.
+cross-checks must refuse doctored exponent arrays.  The cyclic extension,
+which writes all powers of a new generator in one pass, must give the
+array the loop with one assignment per power gives (``old_routes``).
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import pytest
 
 from groupchar import (ConsistencyError, Group, ResourceError, character_table,
                        cyclic, direct_product, elementary_abelian, gvz, verify_all)
-from groupchar import chartable, cli, modular
+from groupchar import chartable, cli, from_spec, modular, quotient
 from groupchar.cyclotomic import _zeta_powers
+
+import old_routes
 
 hypothesis = pytest.importorskip("hypothesis")
 
@@ -62,6 +66,37 @@ def test_abelian_route_matches_dixon(zoo):
     groups += [cyclic(60), _products(4, 6, 10), elementary_abelian(2, 5)]
     for g in groups:
         _assert_same_table(character_table(g), chartable._dixon_tables([g])[0])
+
+
+LIFT_SPECS = {
+    "d5 x C12": {"type": "product",
+                 "factors": [{"type": "named", "name": "d5"},
+                             {"type": "cyclic", "n": 12}]},
+    "S6": {"type": "perm", "points": 6,
+           "generators": [[[1, 2, 3, 4, 5, 6]], [[1, 2]]]},
+}
+
+
+def _extension_corpus(zoo):
+    """The abelian groups of the zoo, cyclic(60), four more products of
+    cyclic groups, and the centre and abelianisation of every group of the
+    zoo, d5 x C12 and S6."""
+    groups = [g for g in zoo.values() if g.is_abelian()]
+    groups += [cyclic(60), _products(4, 6, 10), elementary_abelian(2, 5),
+               elementary_abelian(3, 6), _products(12, 18)]
+    for g in list(zoo.values()) + [from_spec(spec) for spec in LIFT_SPECS.values()]:
+        groups.append(g.center().as_group())
+        groups.append(quotient(g, g.derived_subgroup()).target)
+    return groups
+
+
+@pytest.mark.parametrize("block", [chartable.BLOCK, 7])
+def test_one_pass_extension_matches_the_per_power_loop(zoo, block, monkeypatch):
+    # With blocks of 7 entries every step writes its rows a few at a time.
+    monkeypatch.setattr(chartable, "BLOCK", block)
+    for g in _extension_corpus(zoo):
+        assert np.array_equal(chartable._abelian_exponents(g),
+                              old_routes.abelian_exponents(g)), g.name
 
 
 def test_abelian_route_uses_no_split(monkeypatch):

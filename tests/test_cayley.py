@@ -8,6 +8,8 @@ exactly: same members in the same order, same class numbering, same
 quotient projection, section and target table, same class matrices.
 ``_reference_build`` is the queue enumeration over Python labels with one
 scalar product per call, which the level-by-level enumeration replaced.
+The power map, filled by doubling, is also checked against the sequential
+gathers it replaced (``old_routes.power_map``).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from groupchar import (InputError, ResourceError, Subgroup, build_group,
 from groupchar import chartable, cli, constructions
 from groupchar.cyclotomic import Cyclotomic
 from groupchar.groups import ORDER_CAP, right_coset_minima
+
+import old_routes
 
 EXTRA_SPECS = {
     "d5 x C12": {"type": "product",
@@ -375,6 +379,17 @@ def test_class_matrices_and_power_map_match_scalar_loops(groups):
                                   _reference_class_matrix(g, classes, i))
         assert chartable._power_map(g, classes, g.exponent) == \
             _reference_power_map(g, classes, g.exponent)
+
+
+def test_power_map_by_doubling_matches_the_sequential_gathers(groups):
+    # e - 1 gathers against ceil(log2 e), on small e, on about half of each
+    # group's exponent and on all of it, so partial last blocks run too
+    cases = list(groups.values()) + [cyclic(n) for n in (1, 2, 3, 4, 5, 7, 8, 9, 60)]
+    for g in cases:
+        classes = g.conjugacy_classes()
+        for e in sorted({1, 2, 3, g.exponent // 2 + 1, g.exponent}):
+            assert chartable._power_map(g, classes, e) == \
+                old_routes.power_map(g, classes, e), (g.name, e)
 
 
 def test_transversal_and_induction_match_scalar_loops(groups):

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import groupchar
-from groupchar import ConsistencyError, cli
+from groupchar import ConsistencyError, chartable, cli
 from groupchar.cli import main
 
 SCHEMA = json.loads(
@@ -129,6 +129,20 @@ def test_invalid_group_specs(capsys):
 def test_max_order_resource_limit(capsys):
     code, _, err = _run(capsys, "table", "--group", HEIS3, "--max-order", "10")
     assert code == 3 and "resource limit" in err
+
+
+def test_dixon_table_over_the_coefficient_limit_exits_3_before_the_split(capsys,
+                                                                          monkeypatch):
+    # d5 x C1000: order 10,000, 4,000 classes and phi(1000) = 400, so its
+    # coefficients would take 51.2 GB; it is refused once k is known.
+    def refuse(*args):
+        raise AssertionError("the split started")
+
+    monkeypatch.setattr(chartable, "_split_matrices", refuse)
+    spec = {"type": "product", "factors": [{"type": "named", "name": "d5"},
+                                           {"type": "cyclic", "n": 1000}]}
+    code, out, err = _run(capsys, "table", "--group", json.dumps(spec), "--format", "json")
+    assert code == 3 and out == "" and "51200 MB" in err
 
 
 def test_json_booleans_are_not_integers(capsys):

@@ -1,7 +1,8 @@
 """The fast paths of ``chartable`` against the scalar routes they replaced.
 
 The references below are the per-class root-of-unity multiplicity loop of
-the value lift, the ``Cyclotomic`` inner product, the eigenspace split that
+the value lift over all e powers (and, in ``old_routes``, its e-point
+matrix form), the ``Cyclotomic`` inner product, the eigenspace split that
 scans every value of F_q, and the centre test through ``abs_squared``, kept
 here verbatim in their loop form.  The fast paths must reproduce them
 exactly: same rows, same rationals, same pieces, same members, same refusal
@@ -28,6 +29,7 @@ from groupchar import chartable, modular
 from groupchar.cyclotomic import _zeta_powers, embedding, euler_phi
 from groupchar.modular import is_prime
 
+import old_routes
 import old_split
 
 LIFT_SPECS = {
@@ -130,67 +132,104 @@ def _reference_inner_product(chi, psi):
 # ---------------------------------------------------------------------------
 # value lift
 
+def _spy_lift(monkeypatch):
+    """Record the arguments and the result of every ``_lift_values`` call."""
+    seen = []
+    lift = chartable._lift_values
+
+    def spy(thetas, degrees, pm, e, q):
+        values = lift(thetas, degrees, pm, e, q)
+        seen.append(((thetas.copy(), degrees.copy(), pm.copy(), e, q), values.copy()))
+        return values
+
+    monkeypatch.setattr(chartable, "_lift_values", spy)
+    return seen
+
+
 @pytest.mark.parametrize("name", list(LIFT_SPECS))
 def test_lift_kernel_matches_scalar_loop(name, monkeypatch):
-    seen = []
-    kernel = chartable._root_multiplicities
-
-    def spy(theta_pm, zmat, inv_e, q):
-        seen.append((theta_pm.tolist(), q))
-        return kernel(theta_pm, zmat, inv_e, q)
-
-    monkeypatch.setattr(chartable, "_root_multiplicities", spy)
+    # The reference reads theta along all e powers g_j^s, s < e; the lift
+    # reads it along the first o(g_j) only.
+    seen = _spy_lift(monkeypatch)
     g = from_spec(LIFT_SPECS[name])
     t = chartable._dixon_tables([g])[0]  # abelian groups bypass it otherwise
-    k = len(t.classes)  # a block of characters stacks k rows per character
-    seen = [(block[lo:lo + k], q) for block, q in seen
-            for lo in range(0, len(block), k)]
-    assert len(seen) == len(t)
-    e = t.exponent
+    [((thetas, degrees, pm, e, q), _)] = seen
+    assert len(thetas) == len(t) and q == t.field_prime and e == t.exponent
     reference = []
-    for theta_pm, q in seen:
-        assert q == t.field_prime
-        degree = theta_pm[0][0]  # theta(1) is the degree
-        values = _reference_lift(theta_pm, e, q, degree)
+    for theta, degree in zip(thetas, degrees.tolist()):
+        assert theta[0] == degree  # theta(1) is the degree
+        values = _reference_lift(theta[pm].tolist(), e, q, degree)
         reference.append((degree, tuple(v.coeffs for v in values)))
     assert sorted(reference) == [(ch.degree, tuple(v.coeffs for v in ch.values))
                                  for ch in t.irreducibles]
 
 
-def _per_character_lift(theta_pm, zmat, inv_e, q, kernel):
-    """The value lift of one character as ``_dixon_table`` ran it before it
-    took blocks of characters: one ``_root_multiplicities`` and one int64
-    product with W, with both checks."""
-    mults = kernel(theta_pm, zmat, inv_e, q)
-    degree = int(mults[0].sum())
-    assert (mults.sum(axis=1) == degree).all()
-    coeffs = mults @ np.array(_zeta_powers(zmat.shape[0]), dtype=np.int64)
-    assert chartable._rational_rows(coeffs[:1], degree)[0]
-    return degree, coeffs.tolist()
+def _assert_lift_matches_the_e_point_lift(groups, monkeypatch, per_character=False):
+    """Each group's lift, forced through ``_dixon_tables``, gives the very
+    array the e-point lift gives from the same residues, in its blocks or
+    one character at a time; returns the calls of ``_root_multiplicities``
+    per group."""
+    seen = _spy_lift(monkeypatch)
+    kernel = chartable._root_multiplicities
+    rows = []
+
+    def count(theta_pm, dft, q):
+        rows[-1].append(len(theta_pm))
+        return kernel(theta_pm, dft, q)
+
+    monkeypatch.setattr(chartable, "_root_multiplicities", count)
+    for g in groups:
+        seen.clear()
+        rows.append([])
+        chartable._dixon_tables([g])
+        [((thetas, degrees, pm, e, q), values)] = seen
+        if per_character:
+            want = np.stack([old_routes.e_point_values(thetas[i:i + 1], degrees[i:i + 1],
+                                                       pm, e, q)[:, 0]
+                             for i in range(len(thetas))], axis=1)
+        else:
+            want = old_routes.e_point_values(thetas, degrees, pm, e, q)
+        assert np.array_equal(values, want)
+    return rows
 
 
 def test_batched_lift_matches_the_per_character_loop(zoo, monkeypatch):
-    # Each block the lift takes stacks k rows per character; the loop lifts
-    # them one character at a time, from the same residues.
-    seen = []
-    kernel = chartable._root_multiplicities
-
-    def spy(theta_pm, zmat, inv_e, q):
-        seen.append((theta_pm, zmat, inv_e, q))
-        return kernel(theta_pm, zmat, inv_e, q)
-
-    monkeypatch.setattr(chartable, "_root_multiplicities", spy)
+    # Every class of every character is lifted once, and some blocks hold
+    # several characters.
     groups = list(zoo.values()) + [from_spec(spec) for spec in SPLIT_SPECS.values()]
-    blocks = 0
-    for g in groups:
-        seen.clear()
-        t = chartable._dixon_tables([g])[0]  # abelian groups bypass it otherwise
-        k = len(t.classes)
-        want = [_per_character_lift(theta_pm[lo:lo + k], zmat, inv_e, q, kernel)
-                for theta_pm, zmat, inv_e, q in seen for lo in range(0, len(theta_pm), k)]
-        assert sorted(want) == [(ch.degree, ch.coeffs.tolist()) for ch in t.irreducibles]
-        blocks += sum(len(theta_pm) > k for theta_pm, *_ in seen)
-    assert blocks  # some blocks hold several characters
+    calls = _assert_lift_matches_the_e_point_lift(groups, monkeypatch, per_character=True)
+    for g, rows in zip(groups, calls):
+        k = len(g.conjugacy_classes())
+        assert sum(rows) == k * k
+    orders = [len(set(g.element_orders())) for g in groups]
+    assert any(len(rows) < len(g.conjugacy_classes()) * n
+               for g, rows, n in zip(groups, calls, orders))
+
+
+ORDER_SPECS = {
+    "d5 x C30": {"type": "product",
+                 "factors": [{"type": "named", "name": "d5"},
+                             {"type": "cyclic", "n": 30}]},
+    "S6": LIFT_SPECS["S6"],
+    "cyclic(60)": LIFT_SPECS["cyclic(60)"],
+}
+
+
+@pytest.mark.parametrize("name", list(ORDER_SPECS))
+def test_per_order_lift_matches_the_e_point_lift(name, monkeypatch):
+    g = from_spec(ORDER_SPECS[name])
+    orders = len(set(g.element_orders()))
+    assert orders == {"d5 x C30": 8, "S6": 6, "cyclic(60)": 12}[name]
+    [calls] = _assert_lift_matches_the_e_point_lift([g], monkeypatch)
+    assert len(calls) >= orders  # one product per order at least
+
+
+@pytest.mark.slow
+def test_per_order_lift_matches_the_e_point_lift_on_d5_x_c200(monkeypatch):
+    g = from_spec({"type": "product", "factors": [{"type": "named", "name": "d5"},
+                                                  {"type": "cyclic", "n": 200}]})
+    assert (len(g.conjugacy_classes()), g.exponent) == (800, 200)
+    _assert_lift_matches_the_e_point_lift([g], monkeypatch)
 
 
 def _largest_prime_below(bound, e):
@@ -202,22 +241,24 @@ def _largest_prime_below(bound, e):
 
 @pytest.mark.parametrize("bound", [chartable.PRIME_BOUND, 2 ** 31])
 def test_root_multiplicities_do_not_overflow(bound):
-    # At 2**31 the blocks shrink to one term, so every block boundary runs.
-    e = 60
-    q = _largest_prime_below(bound, e)
-    assert q % e == 1 and q < bound
+    # Near PRIME_BOUND an order of 60 takes the float64 carrier near its
+    # edge and one of 120 takes int64; at 2**31 the int64 blocks shrink to
+    # one term, so every block boundary runs.
+    q = _largest_prime_below(bound, 120)
+    assert q % 120 == 1 and q < bound
     rng = random.Random(7)
-    theta_pm = [[q - 1] * e, [q - 1 - s for s in range(e)],
-                [rng.randrange(q) for _ in range(e)], [0] * e]
-    z = chartable._element_of_order(e, q)
-    zmat = [[pow(z, (-s * kk) % e, q) for kk in range(e)] for s in range(e)]
-    inv_e = pow(e, -1, q)
-    got = chartable._root_multiplicities(
-        np.array(theta_pm, dtype=np.int64), np.array(zmat, dtype=np.int64),
-        inv_e, q)
-    want = [[inv_e * sum(row[s] * zmat[s][kk] for s in range(e)) % q
-             for kk in range(e)] for row in theta_pm]
-    assert got.tolist() == want
+    for o in (60, 120):
+        floats = modular.carrier(o * (q - 1) ** 2) is np.float64
+        assert floats == ((bound, o) == (chartable.PRIME_BOUND, 60))
+        theta_pm = [[q - 1] * o, [q - 1 - s for s in range(o)],
+                    [rng.randrange(q) for _ in range(o)], [0] * o]
+        w = chartable._element_of_order(o, q)
+        inv_o = pow(o, -1, q)
+        got = chartable._root_multiplicities(
+            np.array(theta_pm, dtype=np.int64), chartable._dft_matrix(o, w, q), q)
+        want = [[inv_o * sum(row[s] * pow(w, (-s * j) % o, q) for s in range(o)) % q
+                 for j in range(o)] for row in theta_pm]
+        assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,19 @@ rows, and must say exactly what the per-entry route through
 
 The reference below is that route, kept verbatim: one ``Cyclotomic`` per
 entry, rendered on its own.  Cost is checked by counting the scalars built,
-not by a clock.
+not by a clock.  The distinct values are found by one exact sort; they must
+be the ones ``np.unique`` over void keys found (``old_routes.per_entry``).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from groupchar import Cyclotomic, character_table, cli, from_spec
+from groupchar import (Cyclotomic, character_table, cli, cyclic, direct_product,
+                       elementary_abelian, from_spec)
+
+import old_routes
 
 LIFT_SPECS = {
     "cyclic(60)": {"type": "cyclic", "n": 60},
@@ -92,3 +97,29 @@ def test_text_builds_one_value_per_distinct_entry(lift_tables, monkeypatch):
         made.clear()
         cli._table_text(lift_tables["d5 x C12"], decimal)
         assert 0 < len(made) <= 49
+
+
+def test_sort_grouping_matches_the_void_key_grouping(tables, lift_tables):
+    # ``show`` spells out the exact coefficients, so a merged pair of
+    # values or a split value would show as a wrong entry or an extra call.
+    extra = [cyclic(60), direct_product(direct_product(cyclic(4), cyclic(6)), cyclic(10)),
+             elementary_abelian(2, 5)]
+    for t in [*_all_tables(tables, lift_tables).values(), *map(character_table, extra)]:
+        calls = {}
+        for name, route in (("sort", cli._per_entry), ("void", old_routes.per_entry)):
+            shown = calls[name] = []
+            got = route(t, lambda v: shown.append(v) or repr(v.coeffs))
+            assert got == [[repr(v.coeffs) for v in ch.values] for ch in t.irreducibles]
+        assert sorted(map(tuple, (v.coeffs for v in calls["sort"]))) == \
+            sorted(map(tuple, (v.coeffs for v in calls["void"])))
+
+
+def test_distinct_rows_number_each_value_once():
+    # Entries far apart and rows that agree in all columns but one.
+    rng = np.random.default_rng(5)
+    rows = rng.choice([-2 ** 62, -300, -1, 0, 1, 255, 2 ** 62], size=(300, 3))
+    rows[::3] = rows[1::3]  # every third row has a twin
+    first, inverse = cli._distinct_rows(rows)
+    assert (rows[first][inverse] == rows).all()
+    assert len({tuple(r) for r in rows[first].tolist()}) == len(first) == \
+        len({tuple(r) for r in rows.tolist()})
