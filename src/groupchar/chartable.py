@@ -81,7 +81,8 @@ tables, and each single-character function is a batch of one:
 ``decompose_batch`` pairs m class functions side by side with B, the
 coefficients of all irreducibles, which is ``values`` itself at the
 table's exponent (``CharacterTable.operand``); ``induce_batch`` induces m
-characters of a subgroup through one k x k_H matrix of conjugation counts;
+characters of a subgroup H through one k x k_H matrix of class counts read
+off the fusion map (the class of G holding each class of H, ``_fusion``);
 ``weighted_norms`` takes one weighted Gram block per character and weight
 row; ``lift_batch`` pulls characters of G/N back by one class-index gather.
 
@@ -108,7 +109,7 @@ from . import modular
 from .cyclotomic import Cyclotomic, _zeta_powers, embedding, euler_phi
 from .errors import ConsistencyError, InputError, ResourceError
 from .groups import (ORDER_CAP, ConjugacyClasses, Group, QuotientMap, Subgroup,
-                     _row_keys, _unique_sorted, quotient, right_coset_minima)
+                     _row_keys, _unique_sorted, quotient)
 from .modular import is_prime, prime_factors
 
 PRIME_BOUND = 10_000_000
@@ -927,34 +928,33 @@ def weighted_norms(coeffs: np.ndarray, weights: np.ndarray, e: int) -> np.ndarra
     return np.concatenate(out or [np.zeros((0, s), dtype=np.int64)])
 
 
-def _transversal(g: Group, h: Subgroup) -> list[int]:
-    """Representatives t of the right cosets H t, ascending in first element."""
-    return np.flatnonzero(right_coset_minima(h) == np.arange(g.order)).tolist()
+def _fusion(h: Subgroup) -> np.ndarray:
+    """The class of G holding each class of ``h.as_group()``: one gather of
+    k_H entries, the one map between the classes of a subgroup and G's."""
+    return h.parent.conjugacy_classes().class_array[
+        [h.to_parent(r) for r in h.as_group().conjugacy_classes().reps]]
 
 
 def _induction_counts(h: Subgroup, g: Group) -> np.ndarray:
-    """The k x k_H matrix whose entry [c, j] counts the transversal elements
-    t with t x t^-1 in class j of H, for x the representative of class c of
-    G: the induced values are this matrix times the values on H."""
-    hg = h.as_group()
-    reps = g.conjugacy_classes().reps
-    k, kh = len(reps), len(hg.conjugacy_classes())
-    trans = np.array(_transversal(g, h), dtype=np.intp)
-    # t x t^-1 for every t in the transversal (rows) and class rep x (columns)
-    conj = g.table[g.table[np.ix_(trans, reps)], g.inverse[trans][:, None]]
-    h_class = np.full(g.order, -1)  # class in H of each member, -1 outside
-    h_class[list(h.members)] = hg.conjugacy_classes().class_array
-    hc = h_class[conj]
-    cells = (hc + kh * np.arange(k))[hc >= 0]
-    return np.bincount(cells, minlength=k * kh).reshape(k, kh)
+    """The k x k_H matrix with [G:H] |j| / |c| at [c, j] for each class j of
+    H, c = ``_fusion(h)[j]``: lam^G(x) = [G:H] / |cl(x)| sum_{y in cl(x) & H}
+    lam(y) for any subgroup H (Isaacs, Definition 5.1).  The entry counts the
+    t of a transversal with t x t^-1 in class j, so it is an integer."""
+    fusion = _fusion(h)
+    cells = g.order // h.order * np.array(h.as_group().conjugacy_classes().sizes)
+    sizes = _sizes(g)[fusion]
+    if (cells % sizes).any():
+        raise ConsistencyError("induction counts are not integers")
+    counts = np.zeros((len(g.conjugacy_classes()), len(fusion)), dtype=np.int64)
+    counts[fusion, np.arange(len(fusion))] = cells // sizes
+    return counts
 
 
 def induce_batch(lams: Sequence[Character], h: Subgroup, g: Group) -> np.ndarray:
     """The induced class functions lam^G of characters of ``h.as_group()``,
-    lam^G(x) = sum over the transversal of lam(t x t^-1), as coefficients at
-    the exponent of ``g``, shape (classes of g, len(lams), phi): one
-    induction-count matrix and one exact product for all of them.  Each
-    value on the identity class must be [G:H] lam(1)."""
+    as coefficients at the exponent of ``g``, shape (classes of g, len(lams),
+    phi): one ``_induction_counts`` matrix and one exact product for all of
+    them.  Each value on the identity class must be [G:H] lam(1)."""
     if h.parent is not g:
         raise InputError("subgroup does not live in the target group")
     hg = h.as_group()
@@ -985,13 +985,9 @@ def induce(lam: Character, h: Subgroup, g: Group) -> Character:
 
 def restrict(chi: Character, h: Subgroup) -> Character:
     """Restriction of ``chi`` to a subgroup, as a character of h.as_group()."""
-    g = chi.group
-    if h.parent is not g:
+    if h.parent is not chi.group:
         raise InputError("subgroup does not live in the character's group")
-    hg = h.as_group()
-    coeffs = chi.coeffs[g.conjugacy_classes().class_array[
-        [h.to_parent(r) for r in hg.conjugacy_classes().reps]]]
-    return Character(hg, chi.degree, chi.conductor, coeffs)
+    return Character(h.as_group(), chi.degree, chi.conductor, chi.coeffs[_fusion(h)])
 
 
 def _classes_where(chi: Character, hit) -> Subgroup:

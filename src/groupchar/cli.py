@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 from typing import Callable
@@ -310,6 +311,7 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="groupchar",

@@ -32,17 +32,8 @@ def prime_factors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division: fast enough for field primes below ``PRIME_BOUND``."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """n is its own only prime factor; fast enough below ``PRIME_BOUND``."""
+    return prime_factors(n) == [n]
 
 
 def carrier(bound: int):

@@ -266,6 +266,22 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.stdout == out.encode() and out
 
 
+def test_one_parser_serves_every_command(capsys):
+    # the parser is built once per process, so an option given to one
+    # command must not leak into the next
+    src = str(Path(groupchar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    alone = subprocess.run([sys.executable, "-m", "groupchar", "table", "--group", HEIS3],
+                           capture_output=True, env=env, timeout=120)
+    decimal = _run(capsys, "table", "--group", HEIS3, "--decimal")
+    plain = _run(capsys, "table", "--group", HEIS3)
+    assert alone.returncode == 0 == decimal[0] == plain[0]
+    assert "approximate" in decimal[1]
+    assert plain[1].encode() == alone.stdout
+    assert cli._parser() is cli._parser()
+
+
 _MA_CHILD = """
 import contextlib, os, sys
 from groupchar.cli import main

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 
 from groupchar import modular
 from groupchar.modular import is_prime, matmul, nullspace, rank, rref
@@ -11,6 +12,11 @@ def _random_matrices(q, seed):
     rng = np.random.default_rng(seed)
     for rows, cols in [(1, 1), (3, 3), (4, 6), (6, 4), (5, 5), (8, 8), (2, 9)]:
         yield rng.integers(0, q, size=(rows, cols))
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-5, 20_001) if is_prime(n)] == \
+        [n for n in range(-5, 20_001) if sympy.isprime(n)]
 
 
 def test_rref_properties():

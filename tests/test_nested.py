@@ -16,14 +16,13 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import groupchar
 from groupchar import (Character, character_table, direct_product, gn, irr_star,
                        kernel, lift, named, quotient, verify_all, verify_fiber_theorem)
 from groupchar import chartable, cli, gvz
-from groupchar.groups import Group, Subgroup, coset
+from groupchar.groups import Group, Subgroup, coset, generated_by
 
 import old_verify
 
@@ -157,11 +156,19 @@ def test_star_sets_match_the_set_loop(wider):
     assert count > 100
 
 
-def test_kernel_test_refuses_elements_outside_the_centre(tables):
-    t = tables["c3"]
-    lam = next(ch for ch in t.irreducibles if kernel(ch).order == t.group.order)
-    assert gvz._kills(lam, np.array([0, 1, 2]))
-    assert not gvz._kills(lam, np.array([-1, 0]))
+def test_fusion_names_the_class_of_g_holding_each_class_of_h(zoo):
+    for name, g in zoo.items():
+        class_of, k = g.conjugacy_classes().class_array, len(g.conjugacy_classes())
+        subs = [g.derived_subgroup(), g.center()] + [
+            generated_by(g, [x]) for x in range(1, g.order, max(1, g.order // 5))]
+        for h in subs:
+            h_classes = h.as_group().conjugacy_classes().members
+            fusion = chartable._fusion(h)
+            assert len(fusion) == len(h_classes), name
+            for members, c in zip(h_classes, fusion.tolist()):
+                assert set(class_of[[h.to_parent(m) for m in members]].tolist()) == {c}, name
+        assert chartable._fusion(g.full_subgroup()).tolist() == list(range(k)), name
+        assert chartable._fusion(Subgroup(g, [0])).tolist() == [0], name
 
 
 def test_coset_condition_matches_the_set_loop(wider):

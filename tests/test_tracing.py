@@ -39,3 +39,20 @@ def test_tracer_installs_and_uninstalls(capsys):
     metrics = tracer.metrics()
     assert metrics["chartable.table_calls"] == 1
     assert metrics["cyclotomic.values_made"] > 0  # the rendered table
+
+
+def test_every_claim_span_sees_its_verifier(capsys):
+    # ``verify_claim`` looks each verifier up when it is called, so the
+    # tracer's wrapper of it is what runs
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["verify", "all", "--group", '{"type":"gn","p":3,"n":2}',
+                         "--format", "json"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    claims = [name for name in metrics if name.startswith("gvz.") and name.endswith("_s")]
+    assert len(claims) == 5
+    assert all(metrics[name] > 0 for name in claims), {n: metrics[n] for n in claims}
