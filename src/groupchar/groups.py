@@ -561,11 +561,6 @@ class Subgroup:
                                 gens, table)
         return self._group
 
-    def drop_group(self) -> None:
-        """Let go of the group ``as_group`` built; the next call builds it
-        again."""
-        self._group = None
-
     def to_parent(self, sub_index: int) -> int:
         return self.members[sub_index]
 

@@ -29,15 +29,14 @@ from functools import wraps
 import numpy as np
 
 from .chartable import (BLOCK, Character, CharacterTable, _class_masks, _embed,
-                        _fusion, _lift_classes, _rational_rows, character_tables,
-                        decompose, decompose_batch, degree_set, induce,
-                        induce_batch, weighted_norms)
+                        _fusion, _rational_rows, character_tables, decompose,
+                        decompose_batch, degree_set, induce, weighted_norms)
 from .constructions import predicted_centres
 from .cyclotomic import euler_phi
 from .errors import (ConsistencyError, HypothesisNotMet, InputError,
                      TheoremViolation)
 from .groups import (Group, Subgroup, _cosets, _unique_sorted,
-                     commutator_subgroup, nilpotency_class, quotient)
+                     commutator_subgroup, nilpotency_class)
 from .modular import prime_factors
 
 
@@ -117,9 +116,9 @@ class _Ctx:
     and each [Z(chi),G].  Every relation a claim checks is an array pass
     over ids and positions, and ``_memo`` is keyed by ids.  A ``Subgroup``
     is built at most once per id, where a group is needed: a quotient, a
-    centre induced from, a commutator, a ``describe()``.  The cross-checks
-    stay two computations: degree against vanishing, the two formulations
-    of the Camina condition, and the coset condition on elements.
+    commutator, a ``describe()``.  The cross-checks stay two computations:
+    degree against vanishing, the two formulations of the Camina condition,
+    and the coset condition on elements.
 
     G/1 is G itself: the quotient by the trivial subgroup is the identity
     map onto G, and its table is ``table``.  Every G/N with N != 1 is a
@@ -170,10 +169,12 @@ class _Ctx:
 
     def ids_of(self, subs: list[Subgroup]) -> list[int]:
         """The ids of normal subgroups of G, the subgroups that are unions of
-        classes; each is kept as the subgroup of its id unless that id has
-        one."""
+        classes, or InputError; each is kept as the subgroup of its id unless
+        that id has one."""
         masks = np.zeros((len(subs), len(self.sizes)), dtype=bool)
         for mask, sub in zip(masks, subs):
+            if sub.parent is not self.g:
+                raise InputError("the normal subgroup lives in a different group")
             mask[self.class_of[np.array(sub.members)]] = True
             if self.sizes[mask].sum() != sub.order:
                 raise InputError(f"{sub.describe()} is not normal in {self.g.name}")
@@ -283,13 +284,21 @@ class _Ctx:
 
     # -- the claims' shared facts -----------------------------------------
 
-    @_kept
-    def centre_classes(self, z: int) -> tuple[np.ndarray, np.ndarray]:
-        """Which classes of G lie inside the normal subgroup Z of id ``z``, and
-        the class of ``Z.as_group()`` holding the representative of each: the
-        first fused into it, as both groups number classes by least element."""
-        _, z_classes = np.unique(_fusion(self.subgroup(z)), return_index=True)
-        return self.masks[z], z_classes
+    def star(self, z: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """Irr(Z/[Z,G]) for the centre Z of id ``z``, read off the image pi(Z)
+        of Z in G/[Z,G], where pi(Z) is central, so each element is a class:
+        the mask of G's classes inside Z, lambda(pi(rep)) on those classes
+        from pi(Z)'s own table (shape (classes, |pi(Z)|, phi)), that table's
+        exponent, and which lambda kill G'.  Not kept: one claim reads it."""
+        inside = self.masks[z]
+        target, classes, _ = self.quotient(self.commutator(z))
+        images = np.array(target.conjugacy_classes().reps)[classes[inside]]
+        image = Subgroup(target, images)
+        ptable = self.nested_table(image.as_group())
+        values = ptable.values[ptable.classes.class_array[np.searchsorted(image.members, images)]]
+        kills = self.contains(z, self.derived) & _rational_rows(  # 1 on G' inside Z
+            values[self.masks[self.derived][inside]], 1).all(axis=0)
+        return inside, values, ptable.exponent, kills
 
     @_kept
     def norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -458,9 +467,7 @@ def is_gcp(table: CharacterTable, n: Subgroup, *, _ctx: _Ctx | None = None) -> G
     """
     ctx = _ctx or _Ctx(table)
     g = ctx.g
-    if n.parent is not g:
-        raise InputError("the normal subgroup lives in a different group")
-    (i,) = ctx.ids_of([n])  # InputError unless n, a subgroup, is a union of classes
+    (i,) = ctx.ids_of([n])  # InputError unless n, a subgroup of G, is a union of classes
     outside = np.flatnonzero(~ctx.masks[i])
     derived = ctx.subgroup(ctx.derived)
     support = ctx.support[ctx.nonlinear][:, outside]
@@ -538,9 +545,10 @@ def irr_star(table: CharacterTable, chi: Character, *,
     """Characters of Z = Z(chi) that kill [Z,G] but not all of G'.
 
     By Lemma 2.22 (Isaacs) applied to Z, the characters of Z with [Z,G] in
-    their kernel are exactly the lifts of Irr(Z/[Z,G]).  So no table of Z is
-    built: ``lifts`` are the rows of the table of the abelian quotient
-    Z/[Z,G], by cyclic extension, lifted to ``Z.as_group()``, and
+    their kernel are exactly the lifts of Irr(Z/[Z,G]), and Z/[Z,G] is the
+    image pi(Z) of Z in G/[Z,G].  So no table of Z is built: ``lifts`` are
+    the rows of the table of the abelian group pi(Z), by cyclic extension
+    (``_Ctx.star``), read through pi on the classes of ``Z.as_group()``, and
     ``lambdas`` those of them that do not kill G'.  The ``thm1.1`` count
     check compares their number with the nonlinear count of the Dixon table
     of G/[Z,G], which is no deflation of Irr(G) (see ``_Ctx``).
@@ -554,20 +562,15 @@ def irr_star(table: CharacterTable, chi: Character, *,
         raise InputError("the star set is defined over nonlinear characters")
     z = int(ctx.centre_ids[pos])
     centre, m = ctx.subgroup(z), ctx.subgroup(ctx.commutator(z))
+    inside, values, e, kills = ctx.star(z)
     zg = centre.as_group()
-    qm = quotient(zg, Subgroup(zg, np.searchsorted(centre.members, m.members)))
-    qm.target.name  # resolved now: the lazy name holds zg, which the kept table outlives
-    qtable = ctx.nested_table(qm.target)
-    coeffs = _embed(qtable.values, qtable.exponent, zg.exponent)[_lift_classes(qm)]
+    at = np.searchsorted(np.flatnonzero(inside), _fusion(centre))  # Z's classes in G's
+    coeffs = _embed(values, e, zg.exponent)[at]
     coeffs.flags.writeable = False  # so the lifts are views of it
-    lifts = tuple(Character(zg, d, zg.exponent, coeffs[:, i], True)
-                  for i, d in enumerate(qtable.degrees.tolist()))
-    derived_inside = bool(ctx.contains(z, ctx.derived))
-    # a lift kills G' inside Z when it is its degree on Z's classes in G'
-    kills = derived_inside & _rational_rows(coeffs[ctx.masks[ctx.derived][_fusion(centre)]],
-                                            qtable.degrees).all(axis=0)
+    lifts = tuple(Character(zg, 1, zg.exponent, coeffs[:, i], True)
+                  for i in range(coeffs.shape[1]))
     return IrrStar(centre, m, lifts, tuple(lam for lam, k in zip(lifts, kills) if not k),
-                   derived_inside)
+                   bool(ctx.contains(z, ctx.derived)))
 
 
 @dataclass(frozen=True)
@@ -591,13 +594,17 @@ def unique_nonlinear_constituent(table: CharacterTable, lam: Character,
     induced character does not have exactly one nonlinear constituent.
     """
     ctx = _ctx or _Ctx(table)
-    return _constituent(ctx, lam, ctx.ids_of([centre])[0],
-                        decompose(induce(lam, centre, ctx.g), table))
+    (z,) = ctx.ids_of([centre])
+    mults = decompose(induce(lam, centre, ctx.g), table)
+    at = centre.as_group().conjugacy_classes().class_array[  # Z's class of each rep in Z
+        np.searchsorted(centre.members, ctx.reps[ctx.masks[z]])]
+    return _constituent(ctx, lam.at(ctx.g.exponent)[at], lam.degree, z, mults)
 
 
-def _constituent(ctx: _Ctx, lam: Character, z: int, mults) -> Constituent:
+def _constituent(ctx: _Ctx, lam: np.ndarray, degree: int, z: int, mults) -> Constituent:
     """``unique_nonlinear_constituent`` from the multiplicities ``mults`` of
-    lam^G against the table's irreducibles, for the centre of id ``z``."""
+    lam^G against the table's irreducibles, for the centre of id ``z``, with lam
+    given by its values on G's classes inside the centre, at G's exponent."""
     table, g = ctx.table, ctx.g
     mults = np.asarray(mults)
     nonlin = np.flatnonzero((mults > 0) & (ctx.degrees > 1))
@@ -612,14 +619,12 @@ def _constituent(ctx: _Ctx, lam: Character, z: int, mults) -> Constituent:
     index = g.order // int(ctx.orders[z])
     root = math.isqrt(index)
     theta_e = theta.at(g.exponent)
-    inside, z_classes = ctx.centre_classes(z)
-    lam_e = lam.at(g.exponent)[z_classes]
     return Constituent(theta, theta_pos, mult, (
         ("the index of the centre is a perfect square", root * root == index),
-        ("theta vanishes outside the centre", not theta_e[~inside].any()),
+        ("theta vanishes outside the centre", not theta_e[~ctx.masks[z]].any()),
         ("theta agrees with sqrt(index)/lambda(1) * lambda on the centre",
-         np.array_equal(theta_e[inside] * lam.degree, root * lam_e)),
-        ("the multiplicity equals sqrt(index)/lambda(1)", mult * lam.degree == root),
+         np.array_equal(theta_e[ctx.masks[z]] * degree, root * lam)),
+        ("the multiplicity equals sqrt(index)/lambda(1)", mult * degree == root),
         ("theta's centre is the inducing centre", bool(ctx.centre_ids[theta_pos] == z))))
 
 
@@ -649,9 +654,9 @@ def verify_fiber_theorem(table: CharacterTable, *,
         tag = f"centre {centre.describe()} (order {centre.order})"
         chi = table.irreducibles[fibre[0]]
 
-        inside = bool(ctx.contains(z, ctx.derived))
+        derived_inside = bool(ctx.contains(z, ctx.derived))
         report.add(f"{tag}: derived subgroup lies inside the centre",
-                   "pass" if inside else "fail", lhs=inside)
+                   "pass" if derived_inside else "fail", lhs=derived_inside)
 
         label = f"{tag}: fibre count matches |Z|(1/|[Z,G]| - 1/|G'|)"
         try:
@@ -660,15 +665,17 @@ def verify_fiber_theorem(table: CharacterTable, *,
         except TheoremViolation as exc:
             report.add(label, "fail", witness={"reason": str(exc), "evidence": _j(exc.evidence)})
 
-        star = irr_star(table, chi, _ctx=ctx)
-        # one induction matrix and one Gram product for all of Irr*(Z)
-        mults = decompose_batch(induce_batch(star.lambdas, centre, ctx.g),
-                                ctx.g.exponent, table)
-        constituents = []
-        failures = []
-        for li, lam in enumerate(star.lambdas):
+        inside, values, e, kills = ctx.star(z)
+        lams = _embed(values[:, ~kills], e, ctx.g.exponent)  # Irr*(Z) on G's classes in Z
+        # lambda kills [Z,G], so it is constant on G's classes, and lambda^G
+        # is [G:Z] lambda on Z and 0 off Z (Isaacs, Definition 5.1)
+        induced = np.zeros((len(inside), *lams.shape[1:]), dtype=np.int64)
+        induced[inside] = ctx.g.order // centre.order * lams
+        mults = decompose_batch(induced, ctx.g.exponent, table)  # one Gram product
+        constituents, failures = [], []
+        for li in range(lams.shape[1]):
             try:
-                con = _constituent(ctx, lam, z, mults[li])
+                con = _constituent(ctx, lams[:, li], 1, z, mults[li])
             except TheoremViolation as exc:
                 failures.append({"lambda": li, "reason": str(exc),
                                  "evidence": _j(exc.evidence)})
@@ -680,14 +687,13 @@ def verify_fiber_theorem(table: CharacterTable, *,
         report.add(f"{tag}: each induced character has one nonlinear "
                    "constituent obeying the value formula",
                    "pass" if not failures else "fail",
-                   lhs=len(star.lambdas), witness=failures or None)
+                   lhs=lams.shape[1], witness=failures or None)
 
         m = ctx.commutator(z)
-        qtable = ctx.quotient_table(m)
-        q_nl = set(np.flatnonzero(qtable.degrees > 1).tolist())
+        q_nl = set(np.flatnonzero(ctx.quotient_table(m).degrees > 1).tolist())
         report.add(f"{tag}: star set size equals the quotient's nonlinear count",
-                   "pass" if len(star.lambdas) == len(q_nl) else "fail",
-                   lhs=len(star.lambdas), rhs=len(q_nl))
+                   "pass" if lams.shape[1] == len(q_nl) else "fail",
+                   lhs=lams.shape[1], rhs=len(q_nl))
 
         thetas = [c.theta_position for c in constituents]
         report.add(f"{tag}: distinct inducing characters give distinct constituents",
@@ -702,7 +708,6 @@ def verify_fiber_theorem(table: CharacterTable, *,
         report.add(f"{tag}: constituent set equals the fibre over this centre",
                    "pass" if set(thetas) == set(fibre) else "fail",
                    lhs=len(set(thetas)), rhs=len(fibre))
-        centre.drop_group()  # |Z|^2 entries that no later check reads
 
     report.add("fibres partition the nonlinear characters",
                "pass" if total == len(nl) else "fail",

@@ -50,6 +50,10 @@ GROUPS = {
                      "factors": [{"type": "named", "name": "s3"},
                                  {"type": "named", "name": "s3"},
                                  {"type": "named", "name": "q8"}]},
+    "q8 x C6": {"type": "product",
+                "factors": [{"type": "named", "name": "q8"}, {"type": "cyclic", "n": 6}]},
+    "gn(3,2) x C2": {"type": "product",
+                     "factors": [{"type": "gn", "p": 3, "n": 2}, {"type": "cyclic", "n": 2}]},
 }
 
 DIGESTS = {
@@ -97,6 +101,14 @@ DIGESTS = {
         "27ac159cdc21c511985aa6cc520078898f0c80735a55e14401b50f76ca641e1a",
     ("heis3 x C3", "verify"):
         "6707a3facac0887cd1b75090f490e9735ac0488a735c47d18d516511bb4e6b77",
+    # mixed exponents: q8 x C6 (exponent 12) has one nonlinear centre, of
+    # exponent 6, and gn(3,2) x C2 (exponent 6) four with [Z,G] of order 3,
+    # so thm1.1 embeds the values of pi(Z), the image of Z in G/[Z,G], at the
+    # exponents of Z and G; taken before thm1.1 read Irr*(Z) off pi(Z)
+    ("q8 x C6", "verify"):
+        "c102d860913e5f28a0dde48dcd40d281898994cd60784501aa2583bd25b9996e",
+    ("gn(3,2) x C2", "verify"):
+        "6de3abf06f4d270cfe8372ef7247789373626521fd015cc3191b80b6d77a9fcd",
     # 315 classes: the first class matrix splits the whole 315-dimensional
     # space at once
     ("gn(3,3)", "table"):

@@ -176,6 +176,18 @@ def test_context_interns_subgroups_by_value(tables):
         assert len({tuple(sorted(lam.coeffs.tobytes() for lam in ls)) for ls in lams}) == 1
 
 
+def test_a_subgroup_of_another_group_is_refused(tables):
+    # a centre of gn(3,2) with heis3's table: its members run past heis3's
+    # 27 elements, so both calls must refuse it before reading them
+    t, other = tables["heis3"], tables["gn32"]
+    star = irr_star(other, other.nonlinear()[0])
+    assert star.centre.members[-1] >= t.group.order
+    with pytest.raises(InputError):
+        unique_nonlinear_constituent(t, star.lambdas[0], star.centre)
+    with pytest.raises(InputError):
+        is_gcp(t, star.centre)
+
+
 def test_trivial_inducing_character_violates_uniqueness(tables):
     t = tables["heis3"]
     star = irr_star(t, t.nonlinear()[0])
