@@ -14,9 +14,10 @@ Enumeration works on whole arrays too.  ``build_group`` takes a batched
 product of label arrays and discovers one breadth-first level per call,
 in exactly the order a queue taking one element at a time would give; it
 fills the table level by level from the products by each generator on the
-left.  Groups whose products are already tables (direct products,
-quotients) are ordered the same way by ``enumerate_gathered`` and gather
-their table in blocks.
+left.  Direct products are ordered the same way by ``enumerate_gathered``.
+A quotient G/N is read off G: its cosets, numbered by their smallest
+elements, are already in that order when G is, its table is one gather
+and its classes are the images of G's.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import count, filterfalse, repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConsistencyError, InputError, NotNilpotent, ResourceError
+from .modular import prime_factors
 
 ORDER_CAP = 20000  # a uint16 table of this order takes 800 MB
 
@@ -83,6 +85,15 @@ class ConjugacyClasses:
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.members)
+
+    @classmethod
+    def from_labels(cls, label: np.ndarray) -> "ConjugacyClasses":
+        """The classes of which ``label[x]`` is the smallest member of x's."""
+        reps, class_of = np.unique(label, return_inverse=True)
+        by_class = np.argsort(class_of, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(class_of)).tolist()
+        members = tuple(tuple(by_class[lo:hi]) for lo, hi in zip([0] + ends, ends))
+        return cls(tuple(reps.tolist()), members, _shared_ints(class_of, reps.size))
 
 
 class Group:
@@ -142,13 +153,7 @@ class Group:
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k
-        result, base = 0, a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return int(_power(self.table, np.array([a]), k)[0]) if k else 0
 
     def index_of(self, label: Label) -> int:
         try:
@@ -159,23 +164,27 @@ class Group:
     # -- cached element data ---------------------------------------------
 
     def element_orders(self) -> tuple[int, ...]:
+        """Each order divides |G| (Lagrange): over the prime powers p^a of |G|,
+        the product of the least p^b with (x^(|G|/p^a))^(p^b) = 1, found for
+        the class representatives once the classes are known."""
         if self._orders is None:
-            n = self.order
-            orders = np.ones(n, dtype=np.int64)
-            todo = np.arange(1, n)  # elements whose power has not hit 1 yet
-            powers = todo.copy()
-            for k in range(2, n + 1):
-                if not todo.size:
-                    break
-                powers = self.table[powers, todo]
-                done = powers == 0
-                orders[todo[done]] = k
-                todo, powers = todo[~done], powers[~done]
-            if todo.size:
-                raise InputError(
-                    f"powers of {self.words[todo[0]]!r} never reach the "
-                    "identity; the multiplication is not a group law")
-            self._orders = tuple(orders.tolist())
+            n, t, cls = self.order, self.table, self._classes
+            xs = np.arange(n) if cls is None else np.array(cls.reps, dtype=np.intp)
+            orders = np.ones(xs.size, dtype=np.int64)
+            for p in prime_factors(n):
+                a = next(a for a in count(1) if n % p ** (a + 1))
+                todo, y = np.arange(xs.size), _power(t, xs, n // p ** a)
+                for _ in range(a):  # todo: the x whose y^(p^b) is not 1 yet
+                    todo, y = todo[keep := y != 0], y[keep]
+                    if not todo.size:
+                        break
+                    orders[todo] *= p
+                    y = _power(t, y, p)
+                if y.any():
+                    raise InputError(
+                        f"powers of {self.words[xs[todo[np.argmax(y != 0)]]]!r} "
+                        "never reach the identity; the multiplication is not a group law")
+            self._orders = tuple((orders if cls is None else orders[cls.class_array]).tolist())
         return self._orders
 
     @property
@@ -201,12 +210,7 @@ class Group:
             label = np.arange(self.order)
             while not np.array_equal(low := _lower(label, perms), label):
                 label = low
-            reps, class_of = np.unique(label, return_inverse=True)
-            by_class = np.argsort(class_of, kind="stable")
-            bounds = np.cumsum(np.bincount(class_of))[:-1]
-            members = tuple(tuple(m.tolist()) for m in np.split(by_class, bounds))
-            self._classes = ConjugacyClasses(tuple(reps.tolist()), members,
-                                             _shared_ints(class_of, len(reps)))
+            self._classes = ConjugacyClasses.from_labels(label)
         return self._classes
 
     def center(self) -> "Subgroup":
@@ -225,6 +229,14 @@ class Group:
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, range(self.order))
+
+
+def _power(table: np.ndarray, x: np.ndarray, e: int) -> np.ndarray:
+    """x^e = (x^2)^(e // 2) x^(e % 2) for every entry of x, e >= 1."""
+    if e == 1:
+        return x
+    half = _power(table, table[x, x], e >> 1)
+    return table[half, x] if e & 1 else half
 
 
 def _lower(label: np.ndarray, perms: Sequence[np.ndarray]) -> np.ndarray:
@@ -712,16 +724,11 @@ def quotient(g: Group, n: Subgroup) -> QuotientMap:
     """Quotient by a normal subgroup; raises InputError naming a witness if not normal.
 
     Each coset is labelled by its smallest element, which is also the section.
+    In G/N's breadth-first order the labels ascend when G is in its own, as an
+    enumerated group is: G's search meets each coset first at its label.
     The target is named ``G/<generators of N>`` on the first read of its name,
     so a quotient nobody names never looks for small generators of N.
     """
-    target, projection, section = _cosets(g, n)
-    return QuotientMap(g, n, target, _shared_ints(projection, target.order),
-                       tuple(section.tolist()))
-
-
-def _cosets(g: Group, n: Subgroup) -> tuple:
-    """(G/N, projection, section) as ``quotient`` builds them, the last two arrays."""
     witness = _normality_witness(g, n)
     if witness is not None:
         m, x, c = witness
@@ -729,26 +736,59 @@ def _cosets(g: Group, n: Subgroup) -> tuple:
             f"subgroup is not normal in {g.name}: conjugating "
             f"{g.words[m]} by {g.words[x]} gives {g.words[c]}, "
             "which is outside the subgroup")
+    target, projection, section = _cosets(g, n)
+    return QuotientMap(g, n, target, _shared_ints(projection, target.order),
+                       tuple(section.tolist()))
 
+
+def _cosets(g: Group, n: Subgroup) -> tuple:
+    """(G/N, projection, section) as ``quotient`` builds them, the last two
+    arrays, for a normal subgroup ``n``.
+
+    G/N is in the breadth-first order of its generators, the distinct cosets
+    of G's, each named by the first.  When G is in that order itself, as an
+    enumerated group is, so are the cosets by their smallest elements: G's
+    scan first meets each coset there, in the row of its parent's smallest
+    element.  The right-product table certifies this (each coset first
+    occurs after the one before it, in an earlier row), or else ``_bfs``
+    reorders over it.  If G's classes are known, G/N's are their images.
+    """
     low = right_coset_minima(n)  # N is normal, so x N = N x
     reps = np.flatnonzero(low == np.arange(g.order))
+    m = reps.size
     coset = np.zeros(g.order, dtype=np.uint16)
-    coset[reps] = np.arange(reps.size)
+    coset[reps] = np.arange(m)
     coset = coset[low]  # each element's coset, numbered in the order of reps
     gens: dict[int, str] = {}  # coset of each generator, named by the first
     for x in g.generators:
         gens.setdefault(int(coset[x]), g.words[x])
-    order, parents, slots, table, rank = enumerate_gathered(
-        g.name, reps.size,
-        lambda rows, cols: coset[g.table[reps[rows][:, None], reps[cols]]],
-        list(gens))
-    section = reps[order]
+    k = len(gens)
+    right = coset[g.table[np.ix_(reps, reps[list(gens)])]]  # columns permute the cosets
+    # so each coset occurs k times, and its first row-major position comes first
+    first = np.argsort(right.ravel(), kind="stable")[::k] if k else np.zeros(1, dtype=np.intp)
+    parents, slots = np.divmod(first, max(k, 1))
+    section = reps
+    if not ((first[2:] > first[1:-1]).all() and (parents[1:] < np.arange(1, m)).all()):
+        order, parents, slots, _, _ = _bfs(
+            g.name, np.zeros(1, dtype=np.int64), k,
+            lambda frontier: right[frontier].ravel(), ORDER_CAP)
+        rank = np.zeros(m, dtype=np.uint16)
+        rank[order] = np.arange(order.size)
+        coset, section = rank[coset], reps[order]
+    table = np.empty((section.size,) * 2, dtype=np.uint16)
+    step = max(1, _FILL_BLOCK // section.size)  # bounds the gathered temporaries
+    for lo in range(0, section.size, step):
+        table[lo:lo + step] = coset[g.table[section[lo:lo + step, None], section]]
     target = Group(lambda: f"{g.name}/{n.describe()}", section.tolist(),
                    _bfs_words(parents, slots, list(gens.values())),
-                   rank[list(gens)].tolist(), table)
+                   coset[reps[list(gens)]].tolist(), table)
     if target.order * n.order != g.order:
         raise ConsistencyError("coset count does not match the index")
-    return target, rank[coset], section
+    if g._classes is not None:  # label each coset by the least image over its G-class
+        least = np.full(len(g._classes), m, dtype=coset.dtype)  # as coset's: ufunc.at's fast path
+        np.minimum.at(least, g._classes.class_array, coset)
+        target._classes = ConjugacyClasses.from_labels(least[g._classes.class_array[section]])
+    return target, coset, section
 
 
 def nilpotency_class(g: Group) -> int:

@@ -121,14 +121,14 @@ class _Ctx:
     and the coset condition on elements.
 
     G/1 is G itself: the quotient by the trivial subgroup is the identity
-    map onto G, and its table is ``table``.  Every G/N with N != 1 is a
-    group of its own whose table comes from its own Dixon split, never from
-    the deflations of Irr(G): otherwise the bijections that ``lemmas`` and
-    ``thm1.1`` check between Irr(G/N) and characters of G would hold by
-    construction.  A quotient reuses the table of an earlier one with an
-    equal Cayley table (``nested_tables``): the Dixon table of that exact
-    multiplication table, so the rule holds.  A claim asks for the
-    quotients it reads at once (``quotient_tables``), so their fresh
+    map onto G, and its table is ``table``.  Every G/N with N != 1 is read
+    off G (``groups._cosets``), but its table comes from its own Dixon split,
+    never from the deflations of Irr(G): otherwise the bijections that
+    ``lemmas`` and ``thm1.1`` check between Irr(G/N) and characters of G
+    would hold by construction.  A quotient reuses the table of an earlier
+    one with an equal Cayley table (``nested_tables``): the Dixon table of
+    that exact multiplication table, so the rule holds.  A claim asks for
+    the quotients it reads at once (``quotient_tables``), so their fresh
     tables split in batches (``chartable.character_tables``), each still
     from its own class matrices.  The tables live in the context, so every
     ``verify_all`` builds its own.

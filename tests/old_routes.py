@@ -1,6 +1,6 @@
-"""Routes that ``chartable`` and ``cli`` ran before they took whole passes,
-kept verbatim apart from their names as the references the tests check the
-new routes against.
+"""Routes that ``groups``, ``chartable`` and ``cli`` ran before they took
+whole passes, kept verbatim apart from their names as the references the
+tests check the new routes against.
 
 - ``e_point_values``: the value lift through the full e-point transform of
   every class, ``e^-1 theta[P] @ Z mod q`` with Z[s, k] = z^(-s k), then one
@@ -10,6 +10,11 @@ new routes against.
 - ``per_entry``: the distinct table values found by ``np.unique`` over a
   void view of the coefficient rows.
 - ``power_map``: the power map by e - 1 sequential gathers.
+- ``element_orders``: each element's order by one gather per power, up to
+  the largest order.
+- ``cosets``: G/N through a second breadth-first search over the cosets
+  (``enumerate_gathered``), numbered in the order of their smallest
+  elements, with the classes left to the target's own propagation.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ import numpy as np
 
 from groupchar import chartable, modular
 from groupchar.cyclotomic import Cyclotomic
-from groupchar.errors import ConsistencyError
+from groupchar.errors import ConsistencyError, InputError
+from groupchar.groups import (Group, _bfs_words, _normality_witness,
+                              enumerate_gathered, right_coset_minima)
 
 
 def e_point_multiplicities(theta_pm, zmat, inv_e, q):
@@ -105,3 +112,54 @@ def power_map(g, classes, e):
     for s in range(1, e):
         powers[s] = g.table[powers[s - 1], reps]
     return tuple(map(tuple, classes.class_array[powers.T].tolist()))
+
+
+def element_orders(g):
+    """``Group.element_orders`` by one gather per power."""
+    n = g.order
+    orders = np.ones(n, dtype=np.int64)
+    todo = np.arange(1, n)  # elements whose power has not hit 1 yet
+    powers = todo.copy()
+    for k in range(2, n + 1):
+        if not todo.size:
+            break
+        powers = g.table[powers, todo]
+        done = powers == 0
+        orders[todo[done]] = k
+        todo, powers = todo[~done], powers[~done]
+    if todo.size:
+        raise InputError(
+            f"powers of {g.words[todo[0]]!r} never reach the "
+            "identity; the multiplication is not a group law")
+    return tuple(orders.tolist())
+
+
+def cosets(g, n):
+    """``groups._cosets`` through ``enumerate_gathered``."""
+    witness = _normality_witness(g, n)
+    if witness is not None:
+        m, x, c = witness
+        raise InputError(
+            f"subgroup is not normal in {g.name}: conjugating "
+            f"{g.words[m]} by {g.words[x]} gives {g.words[c]}, "
+            "which is outside the subgroup")
+
+    low = right_coset_minima(n)  # N is normal, so x N = N x
+    reps = np.flatnonzero(low == np.arange(g.order))
+    coset = np.zeros(g.order, dtype=np.uint16)
+    coset[reps] = np.arange(reps.size)
+    coset = coset[low]  # each element's coset, numbered in the order of reps
+    gens: dict[int, str] = {}  # coset of each generator, named by the first
+    for x in g.generators:
+        gens.setdefault(int(coset[x]), g.words[x])
+    order, parents, slots, table, rank = enumerate_gathered(
+        g.name, reps.size,
+        lambda rows, cols: coset[g.table[reps[rows][:, None], reps[cols]]],
+        list(gens))
+    section = reps[order]
+    target = Group(lambda: f"{g.name}/{n.describe()}", section.tolist(),
+                   _bfs_words(parents, slots, list(gens.values())),
+                   rank[list(gens)].tolist(), table)
+    if target.order * n.order != g.order:
+        raise ConsistencyError("coset count does not match the index")
+    return target, rank[coset], section

@@ -9,18 +9,22 @@ quotient projection, section and target table, same class matrices.
 ``_reference_build`` is the queue enumeration over Python labels with one
 scalar product per call, which the level-by-level enumeration replaced.
 The power map, filled by doubling, is also checked against the sequential
-gathers it replaced (``old_routes.power_map``).
+gathers it replaced (``old_routes.power_map``), element orders by Lagrange
+against the loop of one gather per power (``old_routes.element_orders``),
+and quotients read off G against the second search over the cosets
+(``old_routes.cosets``).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from groupchar import (InputError, ResourceError, Subgroup, build_group,
+from groupchar import (Group, InputError, ResourceError, Subgroup, build_group,
                        centralizer, commutator_subgroup, cyclic,
                        direct_product, elementary_abelian,
                        enumerate_from_permutations, from_spec, generated_by,
@@ -28,7 +32,8 @@ from groupchar import (InputError, ResourceError, Subgroup, build_group,
                        quotient)
 from groupchar import chartable, cli, constructions
 from groupchar.cyclotomic import Cyclotomic
-from groupchar.groups import ORDER_CAP, right_coset_minima
+from groupchar import groups as groups_module
+from groupchar.groups import ORDER_CAP, _cosets, right_coset_minima
 
 import old_routes
 
@@ -349,17 +354,88 @@ def test_as_group_matches_scalar_loop(groups):
                 _reference_subgroup_table(Subgroup(g, [0, x]))
 
 
+def _quotient_cases(groups):
+    """(G, N) for each normal N among ``_subgroups(G)``, then groups that are
+    not in breadth-first order: ``as_group()`` of centralizers in S6,
+    gn(3,2) and c3wrc3, each over its centre, its derived subgroup and
+    itself; and C1/C1, a group without generators."""
+    cases = [(g, n) for g in groups.values() for n in _subgroups(g) if is_normal(g, n)]
+    for name in ("S6", "gn32", "c3wrc3"):
+        g = groups[name]
+        for x in (1, g.order // 3, g.order // 2 + 1):
+            h = centralizer(g, x).as_group()
+            cases += [(h, h.center()), (h, h.derived_subgroup()), (h, h.full_subgroup())]
+    c1 = cyclic(1)
+    return cases + [(c1, c1.full_subgroup())]
+
+
 def test_quotient_matches_coset_arithmetic(groups):
+    for g, n in _quotient_cases(groups):
+        qm = quotient(g, n)
+        projection, section, words, table = _reference_quotient(g, n)
+        assert qm.projection == projection
+        assert qm.section == section
+        assert qm.target.words == words
+        assert qm.target.table.tolist() == table
+
+
+def test_cosets_match_the_second_search(groups, monkeypatch):
+    # Everything the old route built by a second breadth-first search over
+    # the cosets, classes included.  Only groups out of that order, among
+    # the as_group() cases, may still search, and some of them must.
+    searched = []
+    original = groups_module._bfs
+    monkeypatch.setattr(groups_module, "_bfs",
+                        lambda *args: searched.append(args) or original(*args))
+    enumerated = {id(g) for g in groups.values()}
+    outside = 0
+    for g, n in _quotient_cases(groups):
+        g.conjugacy_classes()  # known, so G/N takes their images
+        searched.clear()
+        target, projection, section = _cosets(g, n)
+        assert not (searched and id(g) in enumerated)
+        outside += bool(searched)
+        old, old_projection, old_section = old_routes.cosets(g, n)
+        assert (target.elements, target.words, target.generators) == \
+            (old.elements, old.words, old.generators)
+        assert np.array_equal(target.table, old.table)
+        assert projection.tolist() == old_projection.tolist()
+        assert section.tolist() == old_section.tolist()
+        assert target._classes == old.conjugacy_classes()
+    assert outside
+
+
+def test_element_orders_match_the_power_loop(groups):
+    # with no classes known every element is powered, else each class's rep
     for g in groups.values():
-        for n in _subgroups(g):
-            if not is_normal(g, n):
-                continue
-            qm = quotient(g, n)
-            projection, section, words, table = _reference_quotient(g, n)
-            assert qm.projection == projection
-            assert qm.section == section
-            assert qm.target.words == words
-            assert qm.target.table.tolist() == table
+        want = old_routes.element_orders(g)
+        for classes_known in (False, True):
+            fresh = Group(g.name, g.elements, g.words, g.generators, g.table)
+            if classes_known:
+                fresh.conjugacy_classes()
+            assert fresh.element_orders() == want
+
+
+def test_element_orders_of_cyclic_20000_take_the_closed_form():
+    # cyclic's table, row i the ring rotated by i, here as a view of one
+    # array of 2m entries: the same table as cyclic(m) without its 800 MB
+    def rotations(m):
+        ring = np.arange(m, dtype=np.uint16)
+        return np.lib.stride_tricks.sliding_window_view(np.concatenate([ring, ring]), m)[:m]
+
+    assert np.array_equal(rotations(60), cyclic(60).table)
+    m = ORDER_CAP
+    g = Group("C20000", range(m), [f"g^{x}" for x in range(m)], [1], rotations(m))
+    assert g.element_orders() == tuple(m // math.gcd(m, x) for x in range(m))
+    assert g.exponent == m
+
+
+def test_element_orders_refuse_a_power_that_never_reaches_the_identity():
+    g = Group("bad", range(3), ["1", "a", "b"], [1],
+              [[0, 1, 2], [1, 2, 0], [2, 0, 2]])  # b * b = b
+    for orders in (old_routes.element_orders, Group.element_orders):
+        with pytest.raises(InputError, match="'b' never reach the identity"):
+            orders(g)
 
 
 def test_quotient_words_name_the_right_generators():

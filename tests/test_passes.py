@@ -5,8 +5,9 @@ lambda^G as [G:Z] lambda on Z and 0 off Z, and decomposes all of them in
 one product per centre, ``lemmas`` takes every norm from one weighted Gram
 pass and every lift of a quotient table from one class-index gather, and
 the eigenspace split runs the Krylov sequences of all its pieces in
-lockstep.  Each must give exactly what the route it replaced gives, on
-every centre or table of the zoo, gn(3,2), gn(7,1) and gn(3,3).
+lockstep.  Each quotient takes its classes as the images of G's classes.
+Each must give exactly what the route it replaced gives, on every centre,
+quotient or table of the zoo, gn(3,2), gn(7,1) and gn(3,3).
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from groupchar import (Cyclotomic, character_table, char_center, decompose,
-                       from_spec, gn, induce, inner_product, lift, quotient,
-                       restrict, verify_identity_suite)
+from groupchar import (Cyclotomic, Group, character_table, char_center,
+                       decompose, from_spec, gn, induce, inner_product, lift,
+                       quotient, restrict, verify_all, verify_identity_suite)
 from groupchar import chartable, gvz, modular
+from groupchar import groups as groups_module
 from groupchar.groups import Subgroup, commutator_subgroup
 
 import old_split
@@ -225,6 +227,38 @@ def test_memoised_flags_are_computed_once(wide, monkeypatch):
     verify_identity_suite(t, _ctx=ctx)
     assert len(calls) == first and onto() == flags  # nothing is built again
     assert ("vanishing",) in ctx._memo  # one pass for every character
+
+
+def test_quotient_classes_are_the_images_of_the_classes_of_g(wide, monkeypatch):
+    # Every quotient the verifier builds takes its classes from G's, and its
+    # element orders from their representatives; a copy of the target that
+    # knows neither must find the same by propagation and by powering.
+    built = []
+    original = gvz._cosets
+
+    def spy(g, n):
+        target, projection, section = original(g, n)
+        built.append((target, target._classes))
+        return target, projection, section
+
+    monkeypatch.setattr(gvz, "_cosets", spy)
+    for t in wide.values():
+        verify_all(t)
+    assert len(built) > 250
+    for target, classes in built:
+        fresh = Group(target.name, target.elements, target.words,
+                      target.generators, target.table)
+        assert classes == fresh.conjugacy_classes()
+        assert target.element_orders() == fresh.element_orders()
+
+
+def test_verify_builds_quotients_without_a_second_search(wide, monkeypatch):
+    # G's elements are already in breadth-first order, so no quotient
+    # searches its cosets again
+    for fn in ("_bfs", "enumerate_gathered"):
+        monkeypatch.setattr(groups_module, fn, lambda *args, fn=fn: pytest.fail(f"{fn} called"))
+    for name in ("gn32", "gn(7,1)"):
+        assert all(report.passed for report in verify_all(wide[name])), name
 
 
 def test_maps_onto_centre_matches_the_set_image(wide):
