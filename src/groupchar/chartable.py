@@ -11,8 +11,14 @@ C and runs the Krylov sequences s, C s, C^2 s, ... of all pieces in
 lockstep until each becomes dependent, giving the minimal polynomial mu of
 s, with one simple root lambda_j in F_q per eigenvalue of C on the piece;
 s becomes the p_j(C) s, p_j = mu / (t - lambda_j), its nonzero parts at
-each lambda_j.  The matrices are a few class-sum combinations sum_i c_i M_i
-with fixed coefficients, then M_1 ... M_{k-1}, which separate all central
+each lambda_j.  The first round, whose pieces are all e_0, takes one
+transform over F_q^* instead when q - 1 <= max(k, 256): sum_{0<m<q} x^m is
+-1 at x = 1 and 0 at any other x in F_q, so -sum_{0<m<q} lambda^-m C^m s
+is the part of s at each lambda != 0, and s - C^(q-1) s the part at 0, the
+p_j(C) s up to the nonzero scalars prod_{i != j} (lambda_j - lambda_i).
+C^q s = C s certifies that mu divides t^q - t: distinct roots, all in F_q.
+The matrices are a few class-sum combinations sum_i c_i M_i with fixed
+coefficients, then M_1 ... M_{k-1}, which separate all central
 characters, so the split always ends: at k pieces, one omega_chi each,
 whatever the coefficients or the order.  A root outside F_q, a repeated
 root or running out of matrices is a ``ConsistencyError``.
@@ -388,14 +394,18 @@ def _split_round(pieces: np.ndarray, owners: np.ndarray, cs: Sequence[np.ndarray
                  q: int) -> tuple[np.ndarray, np.ndarray]:
     """Each piece s split under C = ``cs[o]``, o its entry of ``owners``
     (ascending), into the p_j(C) s, or kept when its mu has one root; the
-    pieces come back with their owners, again ascending.  About ``BLOCK``
-    entries at a time go through ``_krylov``, then one Horner pass and one
-    batched product from the C^m s per degree, whatever the owners, in the
-    carrier of k (q-1)**2 (never objects, as k <= ORDER_CAP and q <
-    PRIME_BOUND), to which each C^T is cast once."""
+    pieces come back with their owners, again ascending.  Start vectors
+    that ``_by_transform`` admits go through ``_transform``; other pieces,
+    about ``BLOCK`` entries at a time, through ``_krylov``, then one Horner
+    pass and one batched product from the C^m s per degree, whatever the
+    owners.  Both run in the carrier of k (q-1)**2 (never objects, as
+    k <= ORDER_CAP and q < PRIME_BOUND), to which each C^T is cast once."""
     k = pieces.shape[1]
-    dtype = modular.carrier(k * (q - 1) ** 2)
-    cts = [c.T.astype(dtype) for c in cs]
+    cts = np.empty((len(cs), k, k), dtype=modular.carrier(k * (q - 1) ** 2))
+    for ct, c in zip(cts, cs):
+        ct[:] = c.T
+    if _by_transform(pieces, len(cs), q):
+        return _transform(cts, q)
     out, whose, step = [], [], max(1, BLOCK // k)
     for lo in range(0, len(pieces), step):
         chunk = owners[lo:lo + step]
@@ -407,7 +417,7 @@ def _split_round(pieces: np.ndarray, owners: np.ndarray, cs: Sequence[np.ndarray
                 continue
             lams = _roots(mu, q)
             # coef[x, j, m]: the t^m coefficient of p_j for row x, by synthetic division
-            coef = np.zeros((rows, r, r), dtype=dtype)
+            coef = np.zeros((rows, r, r), dtype=cts.dtype)
             coef[:, :, r - 1] = 1
             for m in range(r - 1, 0, -1):
                 coef[:, :, m - 1] = (mu[:, m, None] + lams * coef[:, :, m]) % q
@@ -415,6 +425,41 @@ def _split_round(pieces: np.ndarray, owners: np.ndarray, cs: Sequence[np.ndarray
     whose = np.concatenate(whose)
     order = np.argsort(whose, kind="stable")
     return np.concatenate(out).astype(np.int64)[order], whose[order]
+
+
+def _by_transform(pieces: np.ndarray, owners: int, q: int) -> bool:
+    """Whether a round splits by ``_transform``: its pieces are e_0, one per
+    owner, and q - 1 <= max(k, isqrt(``BLOCK``)), so that no array of the
+    transform outgrows the k x k matrices or one ``BLOCK``, and its q
+    products are about Krylov's worst case of min(k, q) + 1."""
+    k = pieces.shape[1]
+    return (q - 1 <= max(k, math.isqrt(BLOCK)) and len(pieces) == owners
+            and (pieces == np.eye(1, k, dtype=np.int64)).all())
+
+
+def _transform(cts: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero parts of e_0, the one piece of each owner o, under
+    C = ``cts[o]``^T: the C^m e_0 for m = 1..q, one batched product a step,
+    then one product with W[a, m - 1] = g^(-a m), g a primitive root, for
+    the parts at all lambda = g^a, and e_0 - C^(q-1) e_0 for the part at 0.
+    ConsistencyError unless C^q e_0 = C e_0."""
+    n, k = cts.shape[:2]
+    powers = np.empty((q, n, k), dtype=cts.dtype)  # powers[m - 1] = C^m e_0
+    powers[0] = cts[:, 0]
+    for m in range(1, q):
+        powers[m] = (powers[m - 1][:, None] @ cts)[:, 0] % q
+    if (powers[-1] != powers[0]).any():
+        raise ConsistencyError("a split matrix is not diagonalisable over F_q")
+    g = _element_of_order(q - 1, q)
+    pw = np.array([pow(g, a, q) for a in range(q - 1)], dtype=np.int64)
+    w = pw[np.outer(np.arange(q - 1), -np.arange(1, q)) % (q - 1)]
+    split = np.empty((q, n, k), dtype=np.int64)
+    split[1:] = -modular.matmul(w, powers[:-1].reshape(q - 1, -1).astype(np.int64),
+                                q).reshape(q - 1, n, k) % q
+    split[0] = (np.eye(1, k) - powers[-2]) % q
+    split = split.transpose(1, 0, 2)
+    keep = split.any(axis=2)
+    return split[keep], np.nonzero(keep)[0]
 
 
 def _krylov(v: np.ndarray, owners: np.ndarray, cts: Sequence[np.ndarray], q: int) -> list:

@@ -534,13 +534,11 @@ class Subgroup:
         """A short generating list, chosen greedily over ascending indices."""
         if self._small_gens is None:
             gens: list[int] = []
-            have = {0}
-            for m in self.members:
-                if m not in have:
-                    gens.append(m)
-                    have = set(generated_by(self.parent, gens).members)
-                    if len(have) == self.order:
-                        break
+            members = np.array(self.members, dtype=np.intp)
+            reached = np.arange(self.parent.order) == 0
+            while (outside := members[~reached[members]]).size:
+                gens.append(int(outside[0]))
+                reached = _closure(self.parent, gens, reached)
             self._small_gens = tuple(gens)
         return self._small_gens
 
@@ -588,12 +586,18 @@ class QuotientMap:
     section: tuple[int, ...]
 
 
-def _closure(g: Group, seeds: Iterable[int]) -> np.ndarray:
-    """Membership mask of the subgroup generated by the given indices."""
+def _closure(g: Group, seeds: Iterable[int], reached: np.ndarray | None = None) -> np.ndarray:
+    """Membership mask of the subgroup generated by the given indices.  The
+    search may start at ``reached``, the mask of the subgroup that all seeds
+    but the last generate, grown in place: the last seed takes its members
+    first, and every seed the elements new to it."""
     seeds = np.array(list(dict.fromkeys(int(s) for s in seeds)), dtype=np.intp)
-    reached = np.zeros(g.order, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
+    if reached is None:
+        reached, frontier = np.arange(g.order) == 0, np.zeros(1, dtype=np.intp)
+    else:
+        frontier = g.table[np.flatnonzero(reached), seeds[-1]]
+        frontier = _unique_sorted(frontier[~reached[frontier]])
+        reached[frontier] = True
     step = max(1, 2 ** 20 // max(1, seeds.size))  # bounds each block
     while frontier.size:
         new = []
@@ -636,7 +640,7 @@ def _normal_closure(g: Group, seeds: np.ndarray) -> Subgroup:
         if not missing.size:
             return Subgroup(g, np.flatnonzero(reached))
         gens.append(int(missing.flat[0]))
-        reached = _closure(g, gens)
+        reached = _closure(g, gens, reached)
 
 
 def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:

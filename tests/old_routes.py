@@ -15,6 +15,8 @@ tests check the new routes against.
 - ``cosets``: G/N through a second breadth-first search over the cosets
   (``enumerate_gathered``), numbered in the order of their smallest
   elements, with the classes left to the target's own propagation.
+- ``small_generators``: the greedy generators of a subgroup, closing the
+  subgroup again from the identity (``generated_by``) after each pick.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from groupchar import chartable, modular
 from groupchar.cyclotomic import Cyclotomic
 from groupchar.errors import ConsistencyError, InputError
 from groupchar.groups import (Group, _bfs_words, _normality_witness,
-                              enumerate_gathered, right_coset_minima)
+                              enumerate_gathered, generated_by, right_coset_minima)
 
 
 def e_point_multiplicities(theta_pm, zmat, inv_e, q):
@@ -163,3 +165,16 @@ def cosets(g, n):
     if target.order * n.order != g.order:
         raise ConsistencyError("coset count does not match the index")
     return target, rank[coset], section
+
+
+def small_generators(h):
+    """``Subgroup.small_generators`` with a full closure after each pick."""
+    gens: list[int] = []
+    have = {0}
+    for m in h.members:
+        if m not in have:
+            gens.append(m)
+            have = set(generated_by(h.parent, gens).members)
+            if len(have) == h.order:
+                break
+    return tuple(gens)

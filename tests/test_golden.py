@@ -54,6 +54,8 @@ GROUPS = {
                 "factors": [{"type": "named", "name": "q8"}, {"type": "cyclic", "n": 6}]},
     "gn(3,2) x C2": {"type": "product",
                      "factors": [{"type": "gn", "p": 3, "n": 2}, {"type": "cyclic", "n": 2}]},
+    "S3 x C97": {"type": "product",
+                 "factors": [{"type": "named", "name": "s3"}, {"type": "cyclic", "n": 97}]},
 }
 
 DIGESTS = {
@@ -122,6 +124,11 @@ DIGESTS = {
         "f57b3a6522e9a89158352c51bf77a2ba0b39fd6a8e5c1eb56f7d62d4c781fbb8",
     ("s3 x s3 x q8", "table"):
         "7a3fb56e71746fe9f25c71b0ea4182f38fe78f62219b599c3f475bf0e7b27eb6",
+    # k = 291 and q = 1,747: q - 1 > max(k, 256), so the split's first round
+    # runs Krylov, where the groups above (but S7, q = 421, and PSL(2,7),
+    # q = 337) take the transform over F_q^*; taken before that transform
+    ("S3 x C97", "table"):
+        "0dc1ac043b10a969c20a9cf9d855726f5c82e7883ca3118b4ae620992766fec0",
 }
 
 # Tables with 551, 679 and 2,403 classes, run by ``pytest -m slow``: each

@@ -611,6 +611,129 @@ def test_roots_mod_finds_every_root():
 
 
 # ---------------------------------------------------------------------------
+# the first round by one transform over F_q^*
+
+S3_C97 = {"type": "product",
+          "factors": [{"type": "named", "name": "s3"}, {"type": "cyclic", "n": 97}]}
+S3_C200 = {"type": "product",
+           "factors": [{"type": "named", "name": "s3"}, {"type": "cyclic", "n": 200}]}
+
+
+def _spy_routes(monkeypatch):
+    """Record the name of each ``_transform``, ``_krylov`` and ``_roots``
+    call, and whether its round's pieces were all start vectors."""
+    calls, start = [], [False]
+    split_round = chartable._split_round
+
+    def round_spy(pieces, owners, cs, q):
+        start[0] = bool((pieces == np.eye(1, pieces.shape[1], dtype=np.int64)).all())
+        return split_round(pieces, owners, cs, q)
+
+    monkeypatch.setattr(chartable, "_split_round", round_spy)
+    for name in ("_transform", "_krylov", "_roots"):
+        def spy(*args, _original=getattr(chartable, name), _name=name):
+            calls.append((_name, start[0]))
+            return _original(*args)
+
+        monkeypatch.setattr(chartable, name, spy)
+    return calls
+
+
+def _dixon_batches(monkeypatch, specs):
+    """The batches of groups that ``_dixon_tables`` splits while the tables
+    of ``specs`` are built and ``verify_all`` runs on each."""
+    batches = []
+    dixon_tables = chartable._dixon_tables
+
+    def spy(groups):
+        batches.append(list(groups))
+        return dixon_tables(groups)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chartable, "_dixon_tables", spy)
+        for spec in specs:
+            verify_all(character_table(from_spec(spec)))
+    return batches
+
+
+def test_transform_gives_the_pieces_of_the_first_krylov_round(zoo, monkeypatch):
+    # The transform's parts of e_0 are the Krylov pieces up to nonzero
+    # scalars, owner by owner, on every non-abelian group of the zoo, every
+    # SPLIT_SPECS group, S3 x C200 (k = q - 1 = 600, the largest q the
+    # selection admits there) and every batch of nested tables of verify_all
+    # on gn(3,2) and gn(7,1).  The reference is the Krylov route of the same
+    # round, reached by refusing the selection.
+    batches = [[g] for g in zoo.values() if not g.is_abelian()]
+    batches += [[from_spec(spec)] for spec in [*SPLIT_SPECS.values(), S3_C200]]
+    nested = _dixon_batches(monkeypatch, [SPLIT_SPECS["gn(3,2)"], SPLIT_SPECS["gn(7,1)"]])
+    assert sum(map(len, nested)) > 10 and max(map(len, nested)) > 1
+    calls = _spy_routes(monkeypatch)
+    for batch in batches + nested:
+        classes = [g.conjugacy_classes() for g in batch]
+        k, q = len(classes[0]), chartable.dixon_prime(batch[0].order, batch[0].exponent)
+        cs = [next(chartable._split_matrices(g, c, chartable._inverse_class(g, c), q))
+              for g, c in zip(batch, classes)]
+        start = np.repeat(np.eye(1, k, dtype=np.int64), len(batch), axis=0)
+        owners = np.arange(len(batch))
+        calls.clear()
+        got, got_owners = chartable._split_round(start, owners, cs, q)
+        assert calls == [("_transform", True)], batch[0].name
+        with monkeypatch.context() as patch:
+            patch.setattr(chartable, "_by_transform", lambda *args: False)
+            want, want_owners = chartable._split_round(start, owners, cs, q)
+        assert ("_krylov", True) in calls
+        assert got.dtype == np.int64 and (np.diff(got_owners) >= 0).all()
+        for o in owners:
+            assert (_scaled(got[got_owners == o], q)
+                    == _scaled(want[want_owners == o], q)), batch[o].name
+
+
+def test_start_vectors_take_no_krylov_step(monkeypatch):
+    # On these groups the split's first round is the transform alone, while
+    # S3 x C97 (k = 291, q - 1 = 1,746 > 291) splits e_0 by Krylov.
+    calls = _spy_routes(monkeypatch)
+    for name in ("gn(3,2)", "gn(7,1)", "d5 x C12", "S6"):
+        calls.clear()
+        character_table(from_spec(SPLIT_SPECS[name]))
+        assert calls[0] == ("_transform", True), name
+        assert [name for name, start in calls].count("_transform") == 1, name
+        assert not any(start for name, start in calls[1:]), name
+    calls.clear()
+    character_table(from_spec(S3_C97))
+    assert calls[0] == ("_krylov", True) and "_transform" not in dict(calls)
+
+
+def test_transform_and_krylov_meet_at_the_edge_of_the_selection(monkeypatch):
+    # q - 1 <= max(k, 256) with k = 3 admits q = 257 and not q = 263.  A
+    # = P D P^-1 has the columns of P as eigenvectors, one of them in the
+    # kernel, and e_0 is their sum, so both routes give those columns up to
+    # scale.
+    p = np.array([[1, 0, 0], [-1, 1, 0], [0, -1, 1]], dtype=np.int64)
+    p_inv = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=np.int64)
+    assert (p @ p_inv == np.eye(3)).all() and (p.sum(axis=1) == [1, 0, 0]).all()
+    a = p @ np.diag([0, 3, 5]) @ p_inv
+    calls = _spy_routes(monkeypatch)
+    for q, route in ((257, "_transform"), (263, "_krylov")):
+        calls.clear()
+        got = _round(np.array([[1, 0, 0]]), a % q, q)
+        assert calls[0] == (route, True)
+        assert _scaled(got, q) == _scaled(p.T, q), q
+
+
+def test_a_rotation_is_refused_by_either_route(monkeypatch):
+    # e_0's minimal polynomial under the rotation is t^2 + 1, irreducible
+    # mod 7 and mod 263 (both 3 mod 4): the transform's certificate refuses
+    # it at q = 7, the root search at q = 263.
+    rotation = np.array([[0, -1], [1, 0]], dtype=np.int64)
+    calls = _spy_routes(monkeypatch)
+    for q, route in ((7, "_transform"), (263, "_roots")):
+        calls.clear()
+        with pytest.raises(ConsistencyError, match="diagonalisable"):
+            _round(np.array([[1, 0]]), rotation % q, q)
+        assert calls[-1][0] == route, q
+
+
+# ---------------------------------------------------------------------------
 # centre of a character
 
 def _centre_cases(tables):

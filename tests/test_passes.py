@@ -24,6 +24,7 @@ from groupchar import chartable, gvz, modular
 from groupchar import groups as groups_module
 from groupchar.groups import Subgroup, commutator_subgroup
 
+import old_routes
 import old_split
 
 
@@ -259,6 +260,31 @@ def test_verify_builds_quotients_without_a_second_search(wide, monkeypatch):
         monkeypatch.setattr(groups_module, fn, lambda *args, fn=fn: pytest.fail(f"{fn} called"))
     for name in ("gn32", "gn(7,1)"):
         assert all(report.passed for report in verify_all(wide[name])), name
+
+
+def test_small_generators_match_the_closure_after_each_pick(tables, monkeypatch):
+    # The greedy picks grow one mask, each closure starting from the last;
+    # the old route closes the subgroup again from the identity after each
+    # pick.  Same picks, so the same describe(), on every subgroup that a
+    # _Ctx interns while verify_all runs on the zoo, gn(3,2) and gn(7,1).
+    made = []
+
+    class Recorded(gvz._Ctx):
+        def __init__(self, table):
+            super().__init__(table)
+            made.append(self)
+
+    monkeypatch.setattr(gvz, "_Ctx", Recorded)
+    for t in [*tables.values(), character_table(gn(7, 1))]:
+        verify_all(t)
+    checked = 0
+    for ctx in made:
+        for i in range(len(ctx.masks)):
+            h = ctx.subgroup(i)
+            fresh = Subgroup(h.parent, h.members)
+            assert fresh.small_generators() == old_routes.small_generators(h), ctx.g.name
+            checked += 1
+    assert len(made) == len(tables) + 1 and checked > 100
 
 
 def test_maps_onto_centre_matches_the_set_image(wide):
