@@ -439,27 +439,28 @@ def _by_transform(pieces: np.ndarray, owners: int, q: int) -> bool:
 
 def _transform(cts: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero parts of e_0, the one piece of each owner o, under
-    C = ``cts[o]``^T: the C^m e_0 for m = 1..q, one batched product a step,
-    then one product with W[a, m - 1] = g^(-a m), g a primitive root, for
-    the parts at all lambda = g^a, and e_0 - C^(q-1) e_0 for the part at 0.
-    ConsistencyError unless C^q e_0 = C e_0."""
+    C = ``cts[o]``^T: the C^m e_0 for m = 1..q-1, one batched product a
+    step, then one product with W[a, m - 1] = g^(-a m), g a primitive root,
+    for the parts at all lambda = g^a, and e_0 - C^(q-1) e_0 for the part
+    at 0.  ConsistencyError unless C^q e_0 = C e_0.  No array holds all q
+    parts of an owner: at q - 1 = k that is one row more than C."""
     n, k = cts.shape[:2]
-    powers = np.empty((q, n, k), dtype=cts.dtype)  # powers[m - 1] = C^m e_0
+    powers = np.empty((q - 1, n, k), dtype=cts.dtype)  # powers[m - 1] = C^m e_0
     powers[0] = cts[:, 0]
-    for m in range(1, q):
+    for m in range(1, q - 1):
         powers[m] = (powers[m - 1][:, None] @ cts)[:, 0] % q
-    if (powers[-1] != powers[0]).any():
+    if ((powers[-1][:, None] @ cts)[:, 0] % q != powers[0]).any():
         raise ConsistencyError("a split matrix is not diagonalisable over F_q")
     g = _element_of_order(q - 1, q)
     pw = np.array([pow(g, a, q) for a in range(q - 1)], dtype=np.int64)
     w = pw[np.outer(np.arange(q - 1), -np.arange(1, q)) % (q - 1)]
-    split = np.empty((q, n, k), dtype=np.int64)
-    split[1:] = -modular.matmul(w, powers[:-1].reshape(q - 1, -1).astype(np.int64),
-                                q).reshape(q - 1, n, k) % q
-    split[0] = (np.eye(1, k) - powers[-2]) % q
-    split = split.transpose(1, 0, 2)
-    keep = split.any(axis=2)
-    return split[keep], np.nonzero(keep)[0]
+    parts = -modular.matmul(w, powers.reshape(q - 1, -1).astype(np.int64), q) % q
+    parts = parts.reshape(q - 1, n, k).transpose(1, 0, 2)  # parts[o, a]: at g^a
+    zero = (np.eye(1, k, dtype=np.int64) - powers[-1]) % q
+    whose, at = np.nonzero(np.column_stack([zero.any(axis=1), parts.any(axis=2)]))
+    out = parts[whose, at - 1]  # the rows at = 0 take the part at 0 next
+    out[at == 0] = zero[whose[at == 0]]
+    return out, whose
 
 
 def _krylov(v: np.ndarray, owners: np.ndarray, cts: Sequence[np.ndarray], q: int) -> list:

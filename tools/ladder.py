@@ -7,8 +7,8 @@ the output holds the wall seconds, the child's peak resident set size (its
 stdout, so two trees can be compared command by command: same digest, same
 bytes.  Commands run one at a time, in the order below.
 
-    python3 tools/ladder.py                    # this checkout, every command
-    python3 tools/ladder.py --repo ../other --only "table gn(3,4)"
+    python3 tools/ladder.py                    # this checkout
+    python3 tools/ladder.py --repo ../other    # another checkout's src/
 
 Standard library only.  The largest commands peak above 1 GB.
 """
@@ -50,7 +50,7 @@ LADDER = {
 }
 
 
-def run(repo: Path, name: str, timeout: float) -> dict:
+def run(repo: Path, name: str) -> dict:
     """One ladder command in a fresh child: wall time, peak RSS, exit code
     and stdout digest."""
     verb, spec = LADDER[name]
@@ -60,16 +60,7 @@ def run(repo: Path, name: str, timeout: float) -> dict:
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
         child = subprocess.Popen(argv, stdout=out, stderr=subprocess.DEVNULL, env=env)
-        deadline = start + timeout
-        while True:
-            pid, status, usage = os.wait4(child.pid, os.WNOHANG)
-            if pid:
-                break
-            if time.perf_counter() > deadline:
-                child.kill()
-                pid, status, usage = os.wait4(child.pid, 0)
-                break
-            time.sleep(0.01)
+        _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - start
         child.returncode = os.waitstatus_to_exitcode(status)  # reaped here
         out.seek(0)
@@ -84,14 +75,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout whose src/ runs (default: this one)")
-    ap.add_argument("--only", action="append", choices=list(LADDER),
-                    help="run only this command (repeatable)")
-    ap.add_argument("--timeout", type=float, default=600,
-                    help="seconds before a command is killed")
     args = ap.parse_args()
     results = []
-    for name in args.only or LADDER:
-        results.append(run(args.repo.resolve(), name, args.timeout))
+    for name in LADDER:
+        results.append(run(args.repo.resolve(), name))
         print(json.dumps(results[-1]), file=sys.stderr)
     print(json.dumps({"python": platform.python_version(), "cpus": os.cpu_count(),
                       "results": results}, indent=1))
