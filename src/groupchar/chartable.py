@@ -439,11 +439,11 @@ def _by_transform(pieces: np.ndarray, owners: int, q: int) -> bool:
 
 def _transform(cts: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero parts of e_0, the one piece of each owner o, under
-    C = ``cts[o]``^T: the C^m e_0 for m = 1..q-1, one batched product a
-    step, then one product with W[a, m - 1] = g^(-a m), g a primitive root,
-    for the parts at all lambda = g^a, and e_0 - C^(q-1) e_0 for the part
-    at 0.  ConsistencyError unless C^q e_0 = C e_0.  No array holds all q
-    parts of an owner: at q - 1 = k that is one row more than C."""
+    C = ``cts[o]``^T: C^m e_0 for m < q, one batched product a step, then one
+    ``modular.matmul`` (float64 whenever C is, as q - 1 <= max(k, 256)) by
+    W[a, m - 1] = -g^(-a m), g primitive, for the parts at all lambda = g^a,
+    and e_0 - C^(q-1) e_0 for the part at 0; no array holds all q parts of
+    an owner.  ConsistencyError unless C^q e_0 = C e_0."""
     n, k = cts.shape[:2]
     powers = np.empty((q - 1, n, k), dtype=cts.dtype)  # powers[m - 1] = C^m e_0
     powers[0] = cts[:, 0]
@@ -452,9 +452,9 @@ def _transform(cts: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     if ((powers[-1][:, None] @ cts)[:, 0] % q != powers[0]).any():
         raise ConsistencyError("a split matrix is not diagonalisable over F_q")
     g = _element_of_order(q - 1, q)
-    pw = np.array([pow(g, a, q) for a in range(q - 1)], dtype=np.int64)
+    pw = q - np.array([pow(g, a, q) for a in range(q - 1)], dtype=np.int64)
     w = pw[np.outer(np.arange(q - 1), -np.arange(1, q)) % (q - 1)]
-    parts = -modular.matmul(w, powers.reshape(q - 1, -1).astype(np.int64), q) % q
+    parts = modular.matmul(w, powers.reshape(q - 1, -1), q)
     parts = parts.reshape(q - 1, n, k).transpose(1, 0, 2)  # parts[o, a]: at g^a
     zero = (np.eye(1, k, dtype=np.int64) - powers[-1]) % q
     whose, at = np.nonzero(np.column_stack([zero.any(axis=1), parts.any(axis=2)]))
